@@ -1,8 +1,9 @@
 """Command-line front end: simulation runs, verification suites, conversions.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 numerical abort
-(non-finite state during integration), 4 invalid geometry input.  The QH_LOG
-environment variable (quiet, info, debug) controls verbosity.
+Exit codes: 0 success, 2 usage or configuration error (including an output
+file that cannot be written), 3 numerical abort (non-finite state or monitor
+during integration), 4 invalid geometry input.  The QH_LOG environment
+variable (quiet, info, debug) controls verbosity.
 """
 
 from __future__ import annotations
@@ -92,6 +93,16 @@ def _as_vec(value, path: str, length: int) -> np.ndarray:
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ConfigError(path, f"expected a list of {length} numbers")
     return np.array([_as_number(v, f"{path}[{i}]") for i, v in enumerate(value)])
+
+
+def _as_output_path(value, path: str) -> str:
+    """A file path whose directory exists, checked before any integration."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(path, "expected a file path")
+    parent = os.path.dirname(os.path.abspath(value))
+    if not os.path.isdir(parent):
+        raise ConfigError(path, f"directory {parent!r} does not exist")
+    return value
 
 
 def _build_potential(node: dict, path: str, body_mass: float) -> dynamics.PotentialSpec:
@@ -195,23 +206,24 @@ def load_config(path: str) -> RunConfig:
     renorm = _build_renorm(integ, "integrator")
 
     out = _as_mapping(_get(root, "output", "<root>"), "output")
-    csv_path = _get(out, "csv", "output")
-    if not isinstance(csv_path, str) or not csv_path:
-        raise ConfigError("output.csv", "expected a file path")
+    csv_path = _as_output_path(_get(out, "csv", "output"), "output.csv")
     summary_path = _get(out, "summary", "output", required=False)
-    if summary_path is not None and not isinstance(summary_path, str):
-        raise ConfigError("output.summary", "expected a file path")
+    if summary_path is not None:
+        summary_path = _as_output_path(summary_path, "output.summary")
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """17-significant-digit CSV with '.' decimals, ',' delimiters, LF endings."""
+    table = np.column_stack((traj.times, traj.states, traj.energy, traj.qnorm,
+                             traj.pi_spatial))
+    fmt = "{:.17g}".format
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for i in range(len(traj)):
-            row = [traj.times[i], *traj.states[i], traj.energy[i], traj.qnorm[i],
-                   *traj.pi_spatial[i]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        # One row at a time: converting the whole table to Python floats at
+        # once would hold every row as objects and raise peak memory.
+        for row in table:
+            fh.write(",".join(map(fmt, row.tolist())) + "\n")
 
 
 def _summarize(traj: Trajectory, wall_time: float) -> dict:
@@ -259,13 +271,17 @@ def cmd_simulate(config_path: str) -> int:
         print(f"numerical abort: {exc} (step {exc.step})", file=sys.stderr)
         return EXIT_NUMERIC
     wall = time.perf_counter() - t0
-    write_trajectory_csv(cfg.csv_path, traj)
-    log.info("wrote %d samples to %s (%.3f s)", len(traj), cfg.csv_path, wall)
-    if cfg.summary_path:
-        with open(cfg.summary_path, "w", encoding="utf-8") as fh:
-            json.dump(_summarize(traj, wall), fh, indent=2)
-            fh.write("\n")
-        log.info("wrote summary to %s", cfg.summary_path)
+    try:
+        write_trajectory_csv(cfg.csv_path, traj)
+        log.info("wrote %d samples to %s (%.3f s)", len(traj), cfg.csv_path, wall)
+        if cfg.summary_path:
+            with open(cfg.summary_path, "w", encoding="utf-8") as fh:
+                json.dump(_summarize(traj, wall), fh, indent=2)
+                fh.write("\n")
+            log.info("wrote summary to %s", cfg.summary_path)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

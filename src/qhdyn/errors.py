@@ -24,7 +24,7 @@ class ChartError(DomainError):
 
 
 class IntegrationAborted(QhdynError, RuntimeError):
-    """The integrator hit a non-finite state component."""
+    """The integrator hit a non-finite state component or monitor value."""
 
     def __init__(self, step: int, message: str = ""):
         self.step = step

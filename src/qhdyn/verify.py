@@ -50,10 +50,6 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def random_quat(rng: np.random.Generator, scale: float = 1.0) -> Quaternion:
-    return Quaternion.from_array(scale * rng.standard_normal(4))
-
-
 def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quaternion:
     a = rng.standard_normal(4)
     if small_q0:

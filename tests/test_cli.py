@@ -1,5 +1,6 @@
 """CLI: config ingestion, simulation outputs, conversions, verify suites."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import qhdyn
+from qhdyn import dynamics
 from qhdyn.cli import main
 
 FREE_TOP = {
@@ -20,6 +22,34 @@ FREE_TOP = {
     "integrator": {"h": 1e-3, "n_steps": 2000, "renorm_policy": "none",
                    "sample_stride": 10},
     "output": {"csv": "traj.csv", "summary": "summary.json"},
+}
+
+
+# The two simulate workloads of the benchmark at seed 0 (perfbench/workloads.py)
+# and the sha256 of their CSVs, copied from perfbench/golden.json.  The CSV
+# bytes are the integrator's bit-exact output, so any change to the order of
+# the floating-point operations in the step, the monitors or the writer shows.
+HEAVY_TOP_RUN = {
+    "body": {"mass": 1.0, "inertia": [1.0, 2.0, 3.0]},
+    "potential": {"type": "heavy_top", "g": 9.81, "l": 1.0},
+    "initial": {"axis_angle": {"axis": [1.0, 0.0, 0.0], "angle": 0.4}, "M": [0.2, 0.3, 5.0],
+                "x": [0, 0, 0], "p": [0, 0, 0]},
+    "integrator": {"h": 1e-3, "n_steps": 10000, "renorm_policy": "threshold",
+                   "renorm_eps": 1e-9, "sample_stride": 10},
+    "output": {"csv": "traj.csv", "summary": "summary.json"},
+}
+DENSE_OUTPUT_RUN = {
+    "body": {"mass": 1.0, "inertia": [1.0, 2.0, 3.0]},
+    "potential": {"type": "harmonic", "k": 1.0},
+    "initial": {"axis_angle": {"axis": [1.0, 0.0, 0.0], "angle": 0.4}, "M": [0.2, 0.3, 5.0],
+                "x": [0.5, -0.3, 0.2], "p": [0.1, 0.4, -0.2]},
+    "integrator": {"h": 1e-3, "n_steps": 10000, "renorm_policy": "every_step",
+                   "renorm_eps": 1e-9, "sample_stride": 1},
+    "output": {"csv": "traj.csv", "summary": "summary.json"},
+}
+GOLDEN_CSV_SHA256 = {
+    "sim_heavy_top": "e744e058c5411b1354b4740a38fb7689b9ad89e1e0cb68302c607c077a7372cd",
+    "sim_dense_output": "0d27e58c8a4bcecefaa0680d39bb850e214c6a00be1252f36402275e5241e50c",
 }
 
 
@@ -125,6 +155,40 @@ def test_simulate_numerical_abort(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", str(cfg_path)]) == 3
     assert "step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_simulate_golden_csv(tmp_path, name):
+    run = {"sim_heavy_top": HEAVY_TOP_RUN, "sim_dense_output": DENSE_OUTPUT_RUN}[name]
+    cfg_path, _ = write_config(tmp_path, run)
+    assert main(["simulate", str(cfg_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("field", ["csv", "summary"])
+def test_simulate_output_dir_missing(tmp_path, capsys, monkeypatch, field):
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["output"][field] = "missing_dir/out"
+    cfg_path, _ = write_config(tmp_path, cfg)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integration started before the output path was checked")
+
+    monkeypatch.setattr(dynamics, "integrate", must_not_run)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert f"output.{field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["csv", "summary"])
+def test_simulate_unwritable_output(tmp_path, capsys, field):
+    # the path names an existing directory, so opening it for writing fails
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["output"][field] = "taken"
+    (tmp_path / "taken").mkdir()
+    cfg_path, _ = write_config(tmp_path, cfg)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert "output error" in capsys.readouterr().err
 
 
 def test_simulate_normalizes_initial_q(tmp_path):

@@ -116,6 +116,8 @@ def test_potential_gradients_match_fd(pot):
         q4 = rng.standard_normal(4)
         q4 /= np.linalg.norm(q4)
         gx, gq = pot.gradient_x(x, q4), pot.gradient_q(x, q4)
+        assert gx.dtype == float and gx.shape == (3,)
+        assert gq.dtype == float and gq.shape == (4,)
         bare = PotentialSpec(pot.name, pot.value)
         np.testing.assert_allclose(gx, bare.gradient_x(x, q4), rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(gq, bare.gradient_q(x, q4), rtol=1e-6, atol=1e-8)
@@ -165,6 +167,7 @@ def test_eom_free_top_form():
 def test_eom_equilibrium():
     params = BodyParams(1.0, INERTIA, free())
     out = eom_rhs(mixed_state(), params)
+    assert isinstance(out, np.ndarray) and out.dtype == float
     np.testing.assert_array_equal(out, np.zeros(13))
 
 
@@ -261,6 +264,49 @@ def test_integration_abort_reports_step():
     assert err.value.step >= 1
 
 
+def test_integration_overflow_aborts():
+    # p^2 overflows in the energy monitor although the state itself is finite
+    params = BodyParams(1.0, INERTIA, free())
+    with pytest.raises(IntegrationAborted) as err:
+        integrate(mixed_state(p=(1e200, 0, 0)), params, 1e-3, 10)
+    assert err.value.step == 0
+
+
+def nan_beyond(x_max):
+    """Potential that is 0 for x1 <= x_max and NaN beyond, with zero gradients."""
+    return PotentialSpec("nan_beyond",
+                         value=lambda x, q4: 0.0 if x[0] <= x_max else math.nan,
+                         grad_x=lambda x, q4: (0.0, 0.0, 0.0),
+                         grad_q=lambda x, q4: (0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x_max, stride, step", [(-1.0, 1, 0), (0.0055, 4, 8)])
+def test_nan_potential_value_aborts(x_max, stride, step):
+    # x1 = t moves past x_max at step 6; with stride 4 the first recorded
+    # non-finite energy is at step 8
+    params = BodyParams(1.0, INERTIA, nan_beyond(x_max))
+    with pytest.raises(IntegrationAborted) as err:
+        integrate(mixed_state(p=(1, 0, 0), M=(1, 2, 3)), params, 1e-3, 20,
+                  sample_stride=stride)
+    assert err.value.step == step
+
+
+def test_value_only_heavy_top_matches_analytic():
+    # Both gradients fall back to central differences.  V is quadratic in q,
+    # so the differences carry no truncation error, only rounding of order
+    # eps |V| / cbrt(eps) ~ 5e-10 per gradient; 1e-8 over 1000 steps of 1e-3
+    # leaves a wide margin (measured: 3e-11).
+    top = heavy_top(1.0, 9.81, 1.0)
+    value_only = PotentialSpec("value_only", top.value)
+    assert not (value_only.analytic_grad_x or value_only.analytic_grad_q)
+    state = mixed_state(q=axis_angle_to_quat([1, 0, 0], 0.4), M=(0.2, 0.3, 5.0))
+    ref = integrate(state, BodyParams(1.0, INERTIA, top), 1e-3, 1000, sample_stride=100)
+    fd = integrate(state, BodyParams(1.0, INERTIA, value_only), 1e-3, 1000,
+                   sample_stride=100)
+    np.testing.assert_allclose(fd.states, ref.states, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(fd.energy, ref.energy, rtol=0, atol=1e-8)
+
+
 def test_renorm_policies():
     params = BodyParams(1.0, INERTIA, free())
     state = mixed_state(M=(1, 2, 3))
@@ -274,6 +320,14 @@ def test_renorm_policies():
         RenormPolicy.threshold(0.0)
     with pytest.raises(DomainError):
         RenormPolicy("sometimes")
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_renorm_threshold_rejects_bad_eps(eps):
+    with pytest.raises(DomainError):
+        RenormPolicy("threshold", eps)
+    with pytest.raises(DomainError):
+        RenormPolicy.threshold(eps)
 
 
 def test_sampling_stride():
@@ -292,6 +346,7 @@ def test_conserved_quantities_identity_orientation():
     params = BodyParams(1.0, INERTIA, free())
     state = mixed_state(M=(1, 2, 3))
     rec = conserved_quantities(state, params)
+    assert isinstance(rec.pi_spatial, np.ndarray) and rec.pi_spatial.dtype == float
     np.testing.assert_allclose(rec.pi_spatial, np.array([0.5, 1.0, 1.5]), atol=1e-15)
     assert rec.qnorm == 1.0
     assert rec.mom_norm == pytest.approx(math.sqrt(14.0), rel=1e-15)
