@@ -33,6 +33,11 @@ EXIT_GEOMETRY = 4
 
 log = logging.getLogger("qhdyn")
 
+# Largest accepted sample count 1 + ceil(n_steps / sample_stride).  The
+# integrator preallocates 20 floats per sample (time, 13 coordinates and
+# 6 monitors), so 10**7 samples hold about 1.6 GB of buffers.
+MAX_SAMPLES = 10**7
+
 CSV_HEADER = ("t,x1,x2,x3,p1,p2,p3,q0,q1,q2,q3,M1,M2,M3,H,qnorm,pi1,pi2,pi3")
 
 
@@ -203,6 +208,11 @@ def load_config(path: str) -> RunConfig:
     n_steps = _as_int(_get(integ, "n_steps", "integrator"), "integrator.n_steps")
     stride = _as_int(_get(integ, "sample_stride", "integrator", required=False, default=1),
                      "integrator.sample_stride")
+    samples = 1 + -(-n_steps // stride)
+    if samples > MAX_SAMPLES:
+        raise ConfigError("integrator.n_steps",
+                          f"{n_steps} steps at sample_stride {stride} give {samples} samples; "
+                          f"at most {MAX_SAMPLES} are kept in memory")
     renorm = _build_renorm(integ, "integrator")
 
     out = _as_mapping(_get(root, "output", "<root>"), "output")

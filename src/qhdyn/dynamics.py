@@ -27,12 +27,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ChartError, DomainError, IntegrationAborted
-from .poisson import Chart, DynamicVariable, PhasePoint
+from .poisson import Chart, DynamicVariable, PhasePoint, _fd_partials
 from .quaternion import TOL_UNIT
 
 Vec3 = np.ndarray
-
-_FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -61,20 +59,6 @@ class InertiaTensor:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.i1, self.i2, self.i3])
-
-
-def _fd_partials(f: Callable[[tuple], float], v: Sequence[float]) -> list[float]:
-    """Central differences of ``f`` at the float sequence ``v``, one per
-    component, with step cbrt(eps) * max(1, |v_i|); ``f`` gets float tuples."""
-    out = []
-    for i, vi in enumerate(v):
-        h = _FD_STEP * max(1.0, abs(vi))
-        vp = list(v)
-        vp[i] = vi + h
-        vm = list(v)
-        vm[i] = vi - h
-        out.append((f(tuple(vp)) - f(tuple(vm))) / (2.0 * h))
-    return out
 
 
 def _floats(a) -> tuple:
@@ -217,19 +201,27 @@ def angular_velocity(M: Sequence[float], inertia: InertiaTensor) -> Vec3:
                      M[2] / (2.0 * inertia.i3)])
 
 
+def _spin(m1: float, m2: float, m3: float, inertia: InertiaTensor) -> float:
+    return 0.125 * (m1 * m1 / inertia.i1 + m2 * m2 / inertia.i2 + m3 * m3 / inertia.i3)
+
+
+def _energy(z: Sequence[float], params: BodyParams) -> float:
+    """H = p^2/(2m) + T_spin(M) + V(x, q) at the 13 float coordinates ``z``."""
+    ke = (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * params.mass)  # **: see _apply_renorm
+    return ke + _spin(z[10], z[11], z[12], params.inertia) + float(
+        params.potential.value((z[0], z[1], z[2]), (z[6], z[7], z[8], z[9])))
+
+
 def spin_kinetic(M: Sequence[float], inertia: InertiaTensor) -> float:
     """Rotational kinetic energy (M1^2/I1 + M2^2/I2 + M3^2/I3) / 8."""
-    M = np.asarray(M, dtype=float)
-    return 0.125 * (M[0] ** 2 / inertia.i1 + M[1] ** 2 / inertia.i2 + M[2] ** 2 / inertia.i3)
+    return _spin(*_floats(M), inertia)
 
 
 def hamiltonian_eval(state: PhasePoint, params: BodyParams) -> float:
     """Total energy p^2/(2m) + T_spin(M) + V(x, q)."""
     if state.chart is not Chart.MIXED_M:
         raise ChartError("hamiltonian_eval expects a MIXED_M phase point")
-    ke = float(state.p @ state.p) / (2.0 * params.mass)
-    return ke + spin_kinetic(state.mom, params.inertia) + float(
-        params.potential.value(_floats(state.x), _floats(state.q.as_array())))
+    return _energy(state.coords().tolist(), params)
 
 
 def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
@@ -243,11 +235,7 @@ def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
     pot = params.potential
 
     def fn(z: np.ndarray) -> float:
-        ke = float(z[3:6] @ z[3:6]) / (2.0 * m)
-        M = z[10:13]
-        spin = 0.125 * (M[0] ** 2 / params.inertia.i1 + M[1] ** 2 / params.inertia.i2
-                        + M[2] ** 2 / params.inertia.i3)
-        return ke + spin + float(pot.value(_floats(z[0:3]), _floats(z[6:10])))
+        return _energy(z.tolist(), params)
 
     def grad(z: np.ndarray) -> np.ndarray:
         g = np.empty(13)
@@ -361,13 +349,8 @@ def _apply_renorm(z: list[float], policy: RenormPolicy) -> None:
 
 def _monitor_row(z: list[float], params: BodyParams) -> tuple[float, ...]:
     """(energy, |q|, |M|, pi1, pi2, pi3) at the float coordinates ``z``."""
-    q4 = (z[6], z[7], z[8], z[9])
-    q0, q1, q2, q3 = q4
+    q0, q1, q2, q3 = z[6], z[7], z[8], z[9]
     m1, m2, m3 = z[10], z[11], z[12]
-    inertia = params.inertia
-    ke = (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * params.mass)  # **: see _apply_renorm
-    spin = 0.125 * (m1 * m1 / inertia.i1 + m2 * m2 / inertia.i2 + m3 * m3 / inertia.i3)
-    energy = ke + spin + float(params.potential.value((z[0], z[1], z[2]), q4))
     n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
     # pi = vec(q M q^-1) / 2 with the exact inverse q^dag / |q|^2
     t0 = -(q1 * m1 + q2 * m2 + q3 * m3)
@@ -375,7 +358,7 @@ def _monitor_row(z: list[float], params: BodyParams) -> tuple[float, ...]:
     t2 = q0 * m2 + q3 * m1 - q1 * m3
     t3 = q0 * m3 + q1 * m2 - q2 * m1
     s = 0.5 / n2
-    return (energy, math.sqrt(n2), math.sqrt(m1 * m1 + m2 * m2 + m3 * m3),
+    return (_energy(z, params), math.sqrt(n2), math.sqrt(m1 * m1 + m2 * m2 + m3 * m3),
             (-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s,
             (-t0 * q2 + t2 * q0 - t3 * q1 + t1 * q3) * s,
             (-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s)

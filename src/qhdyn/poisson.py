@@ -25,15 +25,19 @@ on the chart tag:
         {M_i, q_j}   = -q0 delta_ij - eps_ijl q_l
         {M_i, M_j}   = -2 eps_ijl M_l
 
-In both charts the translational block is canonical, {x_i, p_j} = delta_ij,
-and decouples from the rotational block.  Every tensor is affine in the
-coordinates, which lets :func:`jacobi_residual` use exact coordinate
+The two rotational tables are one formula with a chart sign s (+1 mixed,
+-1 inertial): {mom_i, q_j} = -q0 delta_ij - s eps_ijk q_k and
+{mom_i, mom_j} = -2 s eps_ijk mom_k.  In both charts the translational block
+is canonical, {x_i, p_j} = delta_ij, and decouples from the rotational block.
+Every tensor is affine in the coordinates, J(z) = J0 + dJ z with constant
+J0 and dJ, which lets :func:`jacobi_residual` use exact coordinate
 derivatives instead of finite differences.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -122,75 +126,46 @@ class StructureTensor:
     chart: Chart
 
 
-def _tensor_components(z: np.ndarray, chart: Chart, corrupt: bool = False) -> np.ndarray:
-    """Raw 13x13 tensor from coordinates; no point validation.
+_CHART_SIGN = {Chart.MIXED_M: 1.0, Chart.INERTIAL_MU: -1.0}
 
-    ``corrupt`` flips the sign of the {mom_1, q0} entry (keeping antisymmetry)
-    and exists only as a negative control for the Jacobi verifier.
+
+@functools.lru_cache(maxsize=None)
+def _table(chart: Chart, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(J0, dJ) with J(z) = J0 + dJ @ z: the one source of every tensor.
+
+    Both charts share one table up to the sign s; every entry is a small
+    integer, so J0 + dJ @ z is exact.  ``corrupt`` flips the sign of the
+    {mom_1, q0} entry (keeping antisymmetry) and exists only as a negative
+    control for the Jacobi verifier.
     """
-    J = np.zeros((N_COORDS, N_COORDS))
-    for i in range(3):
-        J[i, 3 + i] = 1.0
-        J[3 + i, i] = -1.0
-    q0, q1, q2, q3 = z[6], z[7], z[8], z[9]
-    m1, m2, m3 = z[10], z[11], z[12]
-    if chart is Chart.INERTIAL_MU:
-        col0 = [q1, q2, q3]
-        B = np.array([
-            [-q0, q3, -q2],
-            [-q3, -q0, q1],
-            [q2, -q1, -q0],
-        ])
-        C = np.array([
-            [0.0, 2 * m3, -2 * m2],
-            [-2 * m3, 0.0, 2 * m1],
-            [2 * m2, -2 * m1, 0.0],
-        ])
-    elif chart is Chart.MIXED_M:
-        col0 = [q1, q2, q3]
-        B = np.array([
-            [-q0, -q3, q2],
-            [q3, -q0, -q1],
-            [-q2, q1, -q0],
-        ])
-        C = np.array([
-            [0.0, -2 * m3, 2 * m2],
-            [2 * m3, 0.0, -2 * m1],
-            [-2 * m2, 2 * m1, 0.0],
-        ])
-    else:
+    if chart not in _CHART_SIGN:
         raise ChartError(f"unknown chart tag {chart!r}")
+    s = _CHART_SIGN[chart]
+    mom, q, qv = slice(_MOM0, N_COORDS), _Q0, slice(_Q0 + 1, _MOM0)
+    J0 = np.zeros((N_COORDS, N_COORDS))
+    J0[0:3, 3:6] = np.eye(3)                     # {x_i, p_j} = delta_ij
+    dJ = np.zeros((N_COORDS, N_COORDS, N_COORDS))
+    dJ[mom, q, qv] = np.eye(3)                   # {mom_i, q0} = q_i
+    dJ[mom, qv, q] = -np.eye(3)                  # {mom_i, q_j} = -q0 delta_ij ...
+    dJ[mom, qv, qv] = -s * LEVI                  # ... - s eps_ijk q_k
     if corrupt:
-        col0[0] = -col0[0]
-    for i in range(3):
-        J[_MOM0 + i, _Q0] = col0[i]
-        J[_Q0, _MOM0 + i] = -col0[i]
-        for jj in range(3):
-            J[_MOM0 + i, _Q0 + 1 + jj] = B[i, jj]
-            J[_Q0 + 1 + jj, _MOM0 + i] = -B[i, jj]
-            J[_MOM0 + i, _MOM0 + jj] = C[i, jj]
-    return J
+        dJ[_MOM0, _Q0, _Q0 + 1] = -1.0
+    J0 = J0 - J0.T
+    dJ = dJ - dJ.transpose(1, 0, 2)
+    dJ[mom, mom, mom] = -2.0 * s * LEVI          # antisymmetric in (i, j) already
+    J0.flags.writeable = dJ.flags.writeable = False
+    return J0, dJ
 
 
-_JACOBIAN_CACHE: dict[tuple[Chart, bool], np.ndarray] = {}
+def _tensor_components(z: np.ndarray, chart: Chart, corrupt: bool = False) -> np.ndarray:
+    """Raw 13x13 tensor J0 + dJ @ z from coordinates; no point validation."""
+    J0, dJ = _table(chart, corrupt)
+    return J0 + dJ @ z
 
 
 def structure_jacobian(chart: Chart, corrupt: bool = False) -> np.ndarray:
-    """Constant array dJ[I, J, L] = d J_IJ / d z_L for the given chart.
-
-    Exact because every tensor entry is affine in the coordinates; computed
-    once per chart by differencing against the zero point.
-    """
-    key = (chart, corrupt)
-    if key not in _JACOBIAN_CACHE:
-        j0 = _tensor_components(np.zeros(N_COORDS), chart, corrupt)
-        dj = np.empty((N_COORDS, N_COORDS, N_COORDS))
-        for L in range(N_COORDS):
-            e = np.zeros(N_COORDS)
-            e[L] = 1.0
-            dj[:, :, L] = _tensor_components(e, chart, corrupt) - j0
-        _JACOBIAN_CACHE[key] = dj
-    return _JACOBIAN_CACHE[key]
+    """Constant array dJ[I, J, L] = d J_IJ / d z_L for the given chart (read-only)."""
+    return _table(chart, corrupt)[1]
 
 
 def structure_tensor(point: PhasePoint, full: bool = True) -> StructureTensor:
@@ -210,16 +185,18 @@ def structure_tensor(point: PhasePoint, full: bool = True) -> StructureTensor:
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], float], z: np.ndarray) -> np.ndarray:
-    g = np.empty(z.size)
-    for i in range(z.size):
-        h = _FD_STEP * max(1.0, abs(z[i]))
-        zp = z.copy()
-        zp[i] += h
-        zm = z.copy()
-        zm[i] -= h
-        g[i] = (fn(zp) - fn(zm)) / (2.0 * h)
-    return g
+def _fd_partials(f: Callable[[tuple], float], v: Sequence[float]) -> list[float]:
+    """Central differences of ``f`` at the float sequence ``v``, one per
+    component, with step cbrt(eps) * max(1, |v_i|); ``f`` gets float tuples."""
+    out = []
+    for i, vi in enumerate(v):
+        h = _FD_STEP * max(1.0, abs(vi))
+        vp = list(v)
+        vp[i] = vi + h
+        vm = list(v)
+        vm[i] = vi - h
+        out.append((f(tuple(vp)) - f(tuple(vm))) / (2.0 * h))
+    return out
 
 
 def _merge_charts(a: Optional[Chart], b: Optional[Chart]) -> Optional[Chart]:
@@ -269,7 +246,7 @@ class DynamicVariable:
         z = self._coords(point_or_z)
         if self.grad_fn is not None:
             return np.asarray(self.grad_fn(z), dtype=float)
-        return _fd_gradient(self.fn, z)
+        return np.array(_fd_partials(lambda v: self.fn(np.array(v)), z.tolist()))
 
     def __add__(self, other):
         if isinstance(other, DynamicVariable):
@@ -351,6 +328,21 @@ def momentum_along(xi: Sequence[float], chart: Chart = Chart.INERTIAL_MU) -> Dyn
                            name="<mom,xi>", chart=chart)
 
 
+def _rotation_gradients(q0: float, qv: np.ndarray) -> np.ndarray:
+    """(3, 3, 13) gradients of the rotation-matrix entries Q_ab over all coordinates.
+
+    From Q_ab = 2[(q0^2 - 1/2) d_ab + q_a q_b - q0 q_l eps_lab]:
+    dQ_ab/dq0 = 4 q0 d_ab - 2 eps_lab q_l and
+    dQ_ab/dq_c = 2 (d_ca q_b + d_cb q_a) - 2 q0 eps_cab.
+    """
+    eye = np.eye(3)
+    g = np.zeros((3, 3, N_COORDS))
+    g[:, :, _Q0] = 4.0 * q0 * eye - 2.0 * (LEVI @ qv)  # eps_lab = eps_abl
+    g[:, :, _Q0 + 1:_MOM0] = 2.0 * (np.einsum("ca,b->abc", eye, qv)
+                                    + np.einsum("cb,a->abc", eye, qv) - q0 * LEVI)
+    return g
+
+
 def rotation_entry_variable(i: int, j: int) -> DynamicVariable:
     """Entry (i, j), 0-based, of the rotation matrix as a function of q.
 
@@ -367,19 +359,8 @@ def rotation_entry_variable(i: int, j: int) -> DynamicVariable:
         qv = z[7:10]
         return 2.0 * ((q0 * q0 - 0.5) * delta + qv[i] * qv[j] - q0 * float(eps_col @ qv))
 
-    def grad(z: np.ndarray) -> np.ndarray:
-        q0 = z[6]
-        qv = z[7:10]
-        g = np.zeros(N_COORDS)
-        g[6] = 4.0 * q0 * delta - 2.0 * float(eps_col @ qv)
-        gq = np.zeros(3)
-        gq[i] += 2.0 * qv[j]
-        gq[j] += 2.0 * qv[i]
-        gq -= 2.0 * q0 * eps_col
-        g[7:10] = gq
-        return g
-
-    return DynamicVariable(fn, grad, name=f"Q{i + 1}{j + 1}")
+    return DynamicVariable(fn, lambda z: _rotation_gradients(z[6], z[7:10])[i, j],
+                           name=f"Q{i + 1}{j + 1}")
 
 
 def _point_tensor(point: PhasePoint) -> np.ndarray:
@@ -392,10 +373,6 @@ def _require_variable_chart(var: DynamicVariable, point: PhasePoint) -> None:
         raise ChartError(f"variable {var.name!r} is bound to {var.chart}, point is {point.chart}")
 
 
-def _bracket(F: DynamicVariable, G: DynamicVariable, z: np.ndarray, J: np.ndarray) -> float:
-    return float(F.gradient(z) @ J @ G.gradient(z))
-
-
 def poisson_bracket(F: DynamicVariable, G: DynamicVariable, point: PhasePoint) -> float:
     """{F, G} at the point: grad(F) . J . grad(G).
 
@@ -403,7 +380,8 @@ def poisson_bracket(F: DynamicVariable, G: DynamicVariable, point: PhasePoint) -
     """
     _require_variable_chart(F, point)
     _require_variable_chart(G, point)
-    return _bracket(F, G, point.coords(), _point_tensor(point))
+    z = point.coords()
+    return float(F.gradient(z) @ _point_tensor(point) @ G.gradient(z))
 
 
 def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarray:
@@ -437,76 +415,45 @@ def jacobi_residual(point: PhasePoint, corrupt: bool = False) -> float:
 def poisson_map_residual(point: PhasePoint) -> float:
     """Residual of the bracket push-forward from (q, mu) to (Q, pi).
 
-    With pi = mu/2 and Q the rotation matrix of q, checks through
-    :func:`poisson_bracket` that
+    With pi = mu/2 and Q the rotation matrix of q, stacks the gradients of
+    the 3 pi_i and the 9 Q_jk into one (12, 13) matrix G, forms all brackets
+    G J G^T at once and checks that
 
         {pi_i, Q_jk} = eps_ijl Q_lk,   {Q_ij, Q_kl} = 0,
         {pi_i, pi_j} = eps_ijl pi_l
 
-    and returns the largest absolute deviation.  Inertial chart only.
+    returning the largest absolute deviation.  Inertial chart only.
     """
     if point.chart is not Chart.INERTIAL_MU:
         raise ChartError("poisson_map_residual requires the INERTIAL_MU chart")
     Q = so3.quat_to_matrix(point.q)
     z = point.coords()
-    J = _point_tensor(point)
-    pi_vars = [0.5 * coordinate(f"mu{i + 1}") for i in range(3)]
-    q_vars = [[rotation_entry_variable(i, j) for j in range(3)] for i in range(3)]
-    # gradients are point-local constants; evaluate each once per point
-    g_pi = [v.gradient(z) for v in pi_vars]
-    g_q = [[q_vars[i][j].gradient(z) for j in range(3)] for i in range(3)]
-    jg_q = [[J @ g_q[i][j] for j in range(3)] for i in range(3)]
-    jg_pi = [J @ g for g in g_pi]
-    worst = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                lhs = float(g_pi[i] @ jg_q[j][k])
-                rhs = float(LEVI[i, j, :] @ Q[:, k])
-                worst = max(worst, abs(lhs - rhs))
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                for d in range(3):
-                    worst = max(worst, abs(float(g_q[a][b] @ jg_q[c][d])))
-    pi_val = 0.5 * point.mom
-    for i in range(3):
-        for j in range(3):
-            lhs = float(g_pi[i] @ jg_pi[j])
-            rhs = float(LEVI[i, j, :] @ pi_val)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    G = np.zeros((12, N_COORDS))
+    G[0:3, _MOM0:] = 0.5 * np.eye(3)
+    G[3:12] = _rotation_gradients(z[6], z[7:10]).reshape(9, N_COORDS)
+    pi_q = np.einsum("ijl,lk->ijk", LEVI, Q).reshape(3, 9)
+    expect = np.zeros((12, 12))
+    expect[0:3, 0:3] = LEVI @ (0.5 * point.mom)
+    expect[0:3, 3:12] = pi_q
+    expect[3:12, 0:3] = -pi_q.T
+    return float(np.max(np.abs(G @ _point_tensor(point) @ G.T - expect)))
 
 
 def right_translation_covariance_check(point: PhasePoint, b: Quaternion) -> float:
     """Check that p = q b obeys the same brackets with pi as q itself.
 
-    Evaluates {pi_i, (q b)_mu} by the chain rule through the structure tensor
-    (the gradient of (q b)_mu in q is a row of the right-action matrix) and
-    compares against -1/2 (e_i (q b))_mu.  Returns the max residual over all
-    i and mu.  Inertial chart only.
+    grad(pi_i) is e_{mom_i}/2 and grad((q b)_mu) is row mu of the
+    right-action matrix R_b on the q block, so the brackets {pi_i, (q b)_mu}
+    form the 3x4 block J[mom, q] R_b^T / 2.  Compares it against
+    -1/2 (e_i (q b))_mu and returns the max residual.  Inertial chart only.
     """
     if point.chart is not Chart.INERTIAL_MU:
         raise ChartError("right_translation_covariance_check requires the INERTIAL_MU chart")
     b.require_unit(TOL_UNIT, "right-translation quaternion")
-    Rb = right_action_matrix(b)
     qb = quat_mul(point.q, b)
-    z = point.coords()
-    J = _point_tensor(point)
-    worst = 0.0
-    for i in range(3):
-        F = 0.5 * coordinate(f"mu{i + 1}")
-        ei_qb = quat_mul(Quaternion.basis(i + 1), qb).as_array()
-        for mu in range(4):
-            row = np.zeros(N_COORDS)
-            row[6:10] = Rb[mu, :]
-            G = DynamicVariable(
-                lambda z, mu=mu: float(Rb[mu, :] @ z[6:10]),
-                lambda z, row=row: row.copy(),
-                name=f"(qb)_{mu}", chart=Chart.INERTIAL_MU)
-            lhs = _bracket(F, G, z, J)
-            worst = max(worst, abs(lhs - (-0.5 * ei_qb[mu])))
-    return worst
+    ei_qb = np.array([quat_mul(Quaternion.basis(i + 1), qb).as_array() for i in range(3)])
+    lhs = 0.5 * _point_tensor(point)[_MOM0:, _Q0:_MOM0] @ right_action_matrix(b).T
+    return float(np.max(np.abs(lhs + 0.5 * ei_qb)))
 
 
 def _rotational_vector(vec) -> np.ndarray:

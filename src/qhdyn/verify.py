@@ -468,42 +468,17 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
 # suite registry
 
 
-def suite_algebra(rng, n, corrupt=False):
-    return algebra_checks(rng, n) + rotation_checks(rng, n)
-
-
-def suite_brackets(rng, n, corrupt=False):
-    return bracket_checks(rng, n)
-
-
-def suite_jacobi(rng, n, corrupt=False):
-    return jacobi_checks(rng, n, corrupt=corrupt)
-
-
-def suite_poisson_map(rng, n, corrupt=False):
-    return poisson_map_checks(rng, n)
-
-
-def suite_maurer_cartan(rng, n, corrupt=False):
-    return maurer_cartan_checks(rng, n)
-
-
-def suite_symplectic(rng, n, corrupt=False):
-    return symplectic_checks(rng, n)
-
-
-def suite_dynamics_oracle(rng, n, corrupt=False):
-    return dynamics_oracle_checks(rng, n)
-
-
-SUITES: dict[str, Callable] = {
-    "algebra": suite_algebra,
-    "brackets": suite_brackets,
-    "jacobi": suite_jacobi,
-    "poisson_map": suite_poisson_map,
-    "maurer_cartan": suite_maurer_cartan,
-    "symplectic": suite_symplectic,
-    "dynamics_oracle": suite_dynamics_oracle,
+# Each entry runs one suite on (rng, n, corrupt); only the Jacobi suite uses
+# the corrupted table.  The *_checks names are looked up at call time, so a
+# wrapper installed over one of them (as a tracer does) also sees these calls.
+SUITES: dict[str, Callable[..., list[CheckResult]]] = {
+    "algebra": lambda rng, n, corrupt=False: algebra_checks(rng, n) + rotation_checks(rng, n),
+    "brackets": lambda rng, n, corrupt=False: bracket_checks(rng, n),
+    "jacobi": lambda rng, n, corrupt=False: jacobi_checks(rng, n, corrupt=corrupt),
+    "poisson_map": lambda rng, n, corrupt=False: poisson_map_checks(rng, n),
+    "maurer_cartan": lambda rng, n, corrupt=False: maurer_cartan_checks(rng, n),
+    "symplectic": lambda rng, n, corrupt=False: symplectic_checks(rng, n),
+    "dynamics_oracle": lambda rng, n, corrupt=False: dynamics_oracle_checks(rng, n),
 }
 
 DEFAULT_POINTS: dict[str, int] = {

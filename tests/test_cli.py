@@ -293,3 +293,25 @@ def test_console_entry_point(tmp_path):
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert (tmp_path / "traj.csv").exists()
+
+
+def test_simulate_rejects_too_many_samples(tmp_path, capsys, monkeypatch):
+    from qhdyn import cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integration started before the sample count was checked")
+
+    monkeypatch.setattr(dynamics, "integrate", must_not_run)
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["integrator"].update(n_steps=10**12, sample_stride=1)
+    cfg_path, _ = write_config(tmp_path, cfg)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert "integrator.n_steps" in capsys.readouterr().err
+    # the cap counts 1 + ceil(n_steps / sample_stride) samples
+    cfg["integrator"].update(n_steps=3 * (cli.MAX_SAMPLES - 1), sample_stride=3)
+    cfg_path, _ = write_config(tmp_path, cfg)
+    assert cli.load_config(str(cfg_path)).n_steps == 3 * (cli.MAX_SAMPLES - 1)
+    cfg["integrator"]["n_steps"] += 1
+    cfg_path, _ = write_config(tmp_path, cfg)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert "integrator.n_steps" in capsys.readouterr().err

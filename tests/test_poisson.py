@@ -258,3 +258,54 @@ def test_norm_function_commutes_with_generators(rng):
             pt = random_phase_point(rng, chart)
             for idx in range(13):
                 assert abs(poisson_bracket(norm_sq, coordinate(idx), pt)) <= 1e-11
+
+
+def _readme_bracket_table(z, chart):
+    """The documented bracket relations written out entry by entry."""
+    from qhdyn.poisson import LEVI
+    q0, q, m = z[6], z[7:10], z[10:13]
+    J = np.zeros((13, 13))
+
+    def put(a, b, value):
+        J[a, b] = value
+        J[b, a] = -value
+
+    for i in range(3):
+        put(i, 3 + i, 1.0)                      # {x_i, p_j} = delta_ij
+        put(10 + i, 6, q[i])                    # {mom_i, q0} = q_i
+        for j in range(3):
+            eps_q = sum(LEVI[i, j, k] * q[k] for k in range(3))
+            eps_m = sum(LEVI[i, j, k] * m[k] for k in range(3))
+            delta = 1.0 if i == j else 0.0
+            if chart is Chart.INERTIAL_MU:
+                put(10 + i, 7 + j, eps_q - q0 * delta)   # {mu_i, q_j}
+                J[10 + i, 10 + j] = 2.0 * eps_m          # {mu_i, mu_j}
+            else:
+                put(10 + i, 7 + j, -q0 * delta - eps_q)  # {M_i, q_j}
+                J[10 + i, 10 + j] = -2.0 * eps_m         # {M_i, M_j}
+    return J
+
+
+def test_structure_tensor_matches_documented_table(rng):
+    for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
+        for i in range(200):
+            pt = random_phase_point(rng, chart, small_q0=(i % 10 == 0))
+            np.testing.assert_array_equal(structure_tensor(pt).j,
+                                          _readme_bracket_table(pt.coords(), chart))
+
+
+def test_jacobi_exact_on_affine_basis():
+    # J is affine and dJ constant, so the cyclic Jacobi sum is affine in z: it
+    # vanishes everywhere iff it vanishes at z = 0 and at the 13 basis vectors.
+    def worst_cyclic(chart, corrupt):
+        dJ = structure_jacobian(chart, corrupt)
+        worst = 0.0
+        for z in np.vstack([np.zeros(13), np.eye(13)]):
+            A = np.einsum("ijl,lk->ijk", dJ, _tensor_components(z, chart, corrupt))
+            cyc = A + np.transpose(A, (2, 0, 1)) + np.transpose(A, (1, 2, 0))
+            worst = max(worst, float(np.max(np.abs(cyc))))
+        return worst
+
+    for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
+        assert worst_cyclic(chart, False) == 0.0
+        assert worst_cyclic(chart, True) > 0.1

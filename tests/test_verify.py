@@ -46,3 +46,12 @@ def test_all_suites_pass_at_small_sizes():
 def test_corrupt_flag_breaks_jacobi():
     results = verify.run_suite("jacobi", seed=2, n_points=25, corrupt=True)
     assert any(not r.passed for r in results)
+
+
+def test_check_inventory_per_suite():
+    # the check counts the benchmark's verify workload expects
+    expected = {"algebra": 12, "brackets": 7, "jacobi": 3, "poisson_map": 1,
+                "maurer_cartan": 2, "symplectic": 4, "dynamics_oracle": 6}
+    assert set(expected) == set(verify.SUITES)
+    for name, count in expected.items():
+        assert len(verify.run_suite(name, seed=3, n_points=5)) == count, name
