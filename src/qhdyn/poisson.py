@@ -174,8 +174,7 @@ def structure_tensor(point: PhasePoint, full: bool = True) -> StructureTensor:
     Returns the 13x13 tensor over (x, p, q, mom) by default, or the 7x7
     rotational block over (q, mom) with ``full=False``.
     """
-    point.q.require_unit(TOL_UNIT, "phase-point quaternion")
-    J = _tensor_components(point.coords(), point.chart)
+    J = _point_tensor(point)
     labels = coordinate_labels(point.chart)
     if not full:
         return StructureTensor(J[_Q0:, _Q0:], labels[_Q0:], point.chart)
@@ -346,26 +345,19 @@ def _rotation_gradients(q0: float, qv: np.ndarray) -> np.ndarray:
 def rotation_entry_variable(i: int, j: int) -> DynamicVariable:
     """Entry (i, j), 0-based, of the rotation matrix as a function of q.
 
-    Uses the quadratic form Q_ab = 2[(q0^2 - 1/2) d_ab + q_a q_b - q0 q_l eps_lab]
-    with an analytic gradient over the quaternion block.
+    The value is entry (i, j) of ``so3`` Q(q); the gradient over the
+    quaternion block is analytic.
     """
     if not (0 <= i < 3 and 0 <= j < 3):
         raise DomainError("rotation entry indices must be 0..2")
-    delta = 1.0 if i == j else 0.0
-    eps_col = LEVI[:, i, j]  # eps_lab over l
-
-    def fn(z: np.ndarray) -> float:
-        q0 = z[6]
-        qv = z[7:10]
-        return 2.0 * ((q0 * q0 - 0.5) * delta + qv[i] * qv[j] - q0 * float(eps_col @ qv))
-
-    return DynamicVariable(fn, lambda z: _rotation_gradients(z[6], z[7:10])[i, j],
+    return DynamicVariable(lambda z: float(so3._matrix(z[6:10])[i, j]),
+                           lambda z: _rotation_gradients(z[6], z[7:10])[i, j],
                            name=f"Q{i + 1}{j + 1}")
 
 
-def _point_tensor(point: PhasePoint) -> np.ndarray:
+def _point_tensor(point: PhasePoint, corrupt: bool = False) -> np.ndarray:
     point.q.require_unit(TOL_UNIT, "phase-point quaternion")
-    return _tensor_components(point.coords(), point.chart)
+    return _tensor_components(point.coords(), point.chart, corrupt)
 
 
 def _require_variable_chart(var: DynamicVariable, point: PhasePoint) -> None:
@@ -403,9 +395,7 @@ def jacobi_residual(point: PhasePoint, corrupt: bool = False) -> float:
     rounding) at every valid point; ``corrupt=True`` flips one bracket-table
     sign and serves as the negative control.
     """
-    point.q.require_unit(TOL_UNIT, "phase-point quaternion")
-    z = point.coords()
-    J = _tensor_components(z, point.chart, corrupt)
+    J = _point_tensor(point, corrupt)
     dJ = structure_jacobian(point.chart, corrupt)
     A = np.einsum("ijl,lk->ijk", dJ, J)
     cyc = A + np.transpose(A, (2, 0, 1)) + np.transpose(A, (1, 2, 0))

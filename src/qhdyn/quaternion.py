@@ -1,8 +1,8 @@
 """Scalar-first quaternion algebra and the rotation action on 3-vectors.
 
-Quaternions are value objects q = q0*e0 + q1*e1 + q2*e2 + q3*e3 with scalar
-part ``q0`` and vector part ``qv = (q1, q2, q3)``.  The generators satisfy
-``e_r e_s = -delta_rs e0 + eps_rst e_t``, which fixes the product law
+Quaternions are immutable 4-tuples q = q0*e0 + q1*e1 + q2*e2 + q3*e3 with
+scalar part ``q0`` and vector part ``qv = (q1, q2, q3)``.  The generators
+satisfy ``e_r e_s = -delta_rs e0 + eps_rst e_t``, which fixes the product law
 
     a b = (a0*b0 - <av, bv>) e0 + a0*bv + b0*av + av x bv
 
@@ -19,6 +19,7 @@ pure quaternion (zero scalar part) via :meth:`Quaternion.pure`.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -33,33 +34,35 @@ Vec3 = np.ndarray
 Matrix4 = np.ndarray
 
 
-class Quaternion:
-    """Immutable quaternion with scalar part ``q0`` and vector part ``qv``.
+class Quaternion(tuple):
+    """Immutable scalar-first 4-tuple of floats, ``Quaternion(q0, (q1, q2, q3))``.
 
-    Components are stored scalar-first: ``Quaternion(q0, (q1, q2, q3))``.
-    Instances support ``+``, ``-``, unary ``-``, scalar scaling and ``*`` as
-    the quaternion product; the named module functions are the primary API.
+    Compares and hashes as the plain tuple; tuple ordering means nothing here.
+    ``+``, ``-``, unary ``-``, scalar scaling and ``*`` (the quaternion
+    product) replace the tuple operators; the module functions are the API.
     """
 
-    __slots__ = ("q0", "q1", "q2", "q3")
+    __slots__ = ()
 
-    def __init__(self, q0: float, qv: Sequence[float] = (0.0, 0.0, 0.0)):
+    def __new__(cls, q0: float, qv: Sequence[float] = (0.0, 0.0, 0.0)):
         q1, q2, q3 = qv
-        object.__setattr__(self, "q0", float(q0))
-        object.__setattr__(self, "q1", float(q1))
-        object.__setattr__(self, "q2", float(q2))
-        object.__setattr__(self, "q3", float(q3))
-        if not (math.isfinite(self.q0) and math.isfinite(self.q1)
-                and math.isfinite(self.q2) and math.isfinite(self.q3)):
+        self = super().__new__(cls, (float(q0), float(q1), float(q2), float(q3)))
+        if not all(map(math.isfinite, self)):
             raise DomainError(f"quaternion components must be finite, got {self!r}")
+        return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Quaternion is immutable")
+    def __getnewargs__(self):
+        return (self[0], self[1:])
+
+    q0 = property(operator.itemgetter(0))
+    q1 = property(operator.itemgetter(1))
+    q2 = property(operator.itemgetter(2))
+    q3 = property(operator.itemgetter(3))
 
     @property
     def qv(self) -> Vec3:
         """Vector part (q1, q2, q3) as a fresh numpy array."""
-        return np.array([self.q1, self.q2, self.q3])
+        return np.array(self[1:])
 
     @classmethod
     def from_array(cls, a: Sequence[float]) -> "Quaternion":
@@ -80,16 +83,13 @@ class Quaternion:
         """Generator e_mu for mu in 0..3 (e0 is the algebra unit)."""
         if mu not in (0, 1, 2, 3):
             raise DomainError(f"basis index must be 0..3, got {mu}")
-        comps = [0.0, 0.0, 0.0, 0.0]
-        comps[mu] = 1.0
-        return cls.from_array(comps)
+        return cls.from_array(np.eye(4)[mu])
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.q0, self.q1, self.q2, self.q3])
+        return np.array(self)
 
     def is_unit(self, tol: float = TOL_UNIT) -> bool:
-        return abs(self.q0 * self.q0 + self.q1 * self.q1
-                   + self.q2 * self.q2 + self.q3 * self.q3 - 1.0) <= tol
+        return abs(_norm2(self) - 1.0) <= tol
 
     def require_unit(self, tol: float = TOL_UNIT, what: str = "quaternion") -> None:
         if not self.is_unit(tol):
@@ -99,24 +99,22 @@ class Quaternion:
     def __add__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 + other.q0,
-                          (self.q1 + other.q1, self.q2 + other.q2, self.q3 + other.q3))
+        return Quaternion.from_array(map(operator.add, self, other))
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         if not isinstance(other, Quaternion):
             return NotImplemented
-        return Quaternion(self.q0 - other.q0,
-                          (self.q1 - other.q1, self.q2 - other.q2, self.q3 - other.q3))
+        return Quaternion.from_array(map(operator.sub, self, other))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.q0, (-self.q1, -self.q2, -self.q3))
+        return Quaternion.from_array(map(operator.neg, self))
 
     def __mul__(self, other):
         if isinstance(other, Quaternion):
             return quat_mul(self, other)
         if isinstance(other, (int, float)):
             s = float(other)
-            return Quaternion(self.q0 * s, (self.q1 * s, self.q2 * s, self.q3 * s))
+            return Quaternion.from_array([c * s for c in self])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -124,16 +122,36 @@ class Quaternion:
             return self.__mul__(other)
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Quaternion)
-                and self.q0 == other.q0 and self.q1 == other.q1
-                and self.q2 == other.q2 and self.q3 == other.q3)
-
-    def __hash__(self):
-        return hash((self.q0, self.q1, self.q2, self.q3))
-
     def __repr__(self) -> str:
-        return f"Quaternion({self.q0!r}, ({self.q1!r}, {self.q2!r}, {self.q3!r}))"
+        return "Quaternion({!r}, ({!r}, {!r}, {!r}))".format(*self)
+
+
+# Formula kernels on scalar-first 4-sequences of floats or equal-shape arrays;
+# the public functions and the array-valued verifiers both call them.
+
+
+def _mul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
+            a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
+            a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1)
+
+
+def _conj(q):
+    q0, q1, q2, q3 = q
+    return (q0, -q1, -q2, -q3)
+
+
+def _norm2(q):
+    q0, q1, q2, q3 = q
+    return q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
+
+
+def _inv(q):
+    n2 = _norm2(q)
+    return tuple(c / n2 for c in _conj(q))
 
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
@@ -142,24 +160,17 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     Bilinear and associative; the scalar part is ``a0*b0 - <av, bv>`` and the
     vector part is ``a0*bv + b0*av + av x bv``.
     """
-    a0, a1, a2, a3 = a.q0, a.q1, a.q2, a.q3
-    b0, b1, b2, b3 = b.q0, b.q1, b.q2, b.q3
-    return Quaternion(
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        (a0 * b1 + b0 * a1 + a2 * b3 - a3 * b2,
-         a0 * b2 + b0 * a2 + a3 * b1 - a1 * b3,
-         a0 * b3 + b0 * a3 + a1 * b2 - a2 * b1),
-    )
+    return Quaternion.from_array(_mul(a, b))
 
 
 def quat_conj(q: Quaternion) -> Quaternion:
     """Conjugate: flips the sign of the vector part."""
-    return Quaternion(q.q0, (-q.q1, -q.q2, -q.q3))
+    return Quaternion.from_array(_conj(q))
 
 
 def quat_norm(q: Quaternion) -> float:
     """Euclidean norm sqrt(q q^dag), always >= 0."""
-    return math.sqrt(q.q0 * q.q0 + q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3)
+    return math.sqrt(_norm2(q))
 
 
 def quat_inverse(q: Quaternion) -> Quaternion:
@@ -171,10 +182,9 @@ def quat_inverse(q: Quaternion) -> Quaternion:
         If ``|q| = 0``; zero is the one element of the division ring without
         an inverse.
     """
-    n2 = q.q0 * q.q0 + q.q1 * q.q1 + q.q2 * q.q2 + q.q3 * q.q3
-    if n2 == 0.0:
+    if _norm2(q) == 0.0:
         raise DomainError("zero quaternion has no inverse")
-    return Quaternion(q.q0 / n2, (-q.q1 / n2, -q.q2 / n2, -q.q3 / n2))
+    return Quaternion.from_array(_inv(q))
 
 
 def quat_normalize(q: Quaternion) -> Quaternion:
@@ -182,7 +192,7 @@ def quat_normalize(q: Quaternion) -> Quaternion:
     n = quat_norm(q)
     if n == 0.0:
         raise DomainError("cannot normalize the zero quaternion")
-    return Quaternion(q.q0 / n, (q.q1 / n, q.q2 / n, q.q3 / n))
+    return Quaternion.from_array([c / n for c in q])
 
 
 def rotate_vector(q: Quaternion, x: Sequence[float]) -> Vec3:
@@ -203,10 +213,7 @@ def rotate_vector(q: Quaternion, x: Sequence[float]) -> Vec3:
     (3,) ndarray
     """
     q.require_unit(TOL_UNIT, "rotation quaternion")
-    x1, x2, x3 = (float(c) for c in x)
-    xq = Quaternion(0.0, (x1, x2, x3))
-    y = quat_mul(quat_mul(q, xq), quat_conj(q))
-    return np.array([y.q1, y.q2, y.q3])
+    return Quaternion.from_array(_mul(_mul(q, Quaternion.pure(x)), _conj(q))).qv
 
 
 def axis_angle_to_quat(axis: Sequence[float], phi: float) -> Quaternion:
@@ -233,9 +240,10 @@ def right_action_matrix(b: Quaternion) -> Matrix4:
     """4x4 matrix R_b of right multiplication by b on column quaternions.
 
     ``R_b @ q.as_array()`` equals ``quat_mul(q, b).as_array()`` for every q.
-    Row-major layout, components ordered (q0, q1, q2, q3).
+    Row-major layout, components ordered (q0, q1, q2, q3).  Array-valued
+    components of ``b`` give a (4, 4, n) stack.
     """
-    b0, b1, b2, b3 = b.q0, b.q1, b.q2, b.q3
+    b0, b1, b2, b3 = b
     return np.array([
         [b0, -b1, -b2, -b3],
         [b1, b0, b3, -b2],

@@ -16,20 +16,12 @@ of a rotation path satisfies ``vee(dQ/dt Q^T) = 2 * vec(dq/dt q^-1)``, which
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
-from .quaternion import (
-    Quaternion,
-    Vec3,
-    TOL_UNIT,
-    quat_conj,
-    quat_mul,
-    rotate_vector,
-)
+from .quaternion import Quaternion, Vec3, TOL_UNIT, _conj, _mul, rotate_vector
 
 # Max-norm tolerance on Q^T Q - I for accepted rotation matrices.  Invalid
 # inputs are rejected, never silently re-orthogonalized.
@@ -96,6 +88,17 @@ def require_rotation(Q: np.ndarray, tol: float = TOL_ORTH) -> np.ndarray:
     return Q
 
 
+def _matrix(q) -> RotationMatrix:
+    # Q(q) from scalar-first components: (3, 3), or (3, 3, n) for (n,) arrays.
+    q0, q1, q2, q3 = q
+    d = q0 * q0 - 0.5
+    return 2.0 * np.array([
+        [d + q1 * q1, q1 * q2 - q0 * q3, q1 * q3 + q0 * q2],
+        [q1 * q2 + q0 * q3, d + q2 * q2, q2 * q3 - q0 * q1],
+        [q1 * q3 - q0 * q2, q2 * q3 + q0 * q1, d + q3 * q3],
+    ])
+
+
 def quat_to_matrix(q: Quaternion) -> RotationMatrix:
     """Rotation matrix of a unit quaternion, entrywise
     ``Q_ik = 2[(q0^2 - 1/2) d_ik + q_i q_k - q0 q_j eps_jik]``.
@@ -104,13 +107,35 @@ def quat_to_matrix(q: Quaternion) -> RotationMatrix:
     and satisfies ``quat_to_matrix(-q) == quat_to_matrix(q)``.
     """
     q.require_unit(TOL_UNIT, "quaternion for quat_to_matrix")
-    q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
-    d = q0 * q0 - 0.5
-    return 2.0 * np.array([
-        [d + q1 * q1, q1 * q2 - q0 * q3, q1 * q3 + q0 * q2],
-        [q1 * q2 + q0 * q3, d + q2 * q2, q2 * q3 - q0 * q1],
-        [q1 * q3 - q0 * q2, q2 * q3 + q0 * q1, d + q3 * q3],
+    return _matrix(q)
+
+
+def _quat_of_matrix(Q: np.ndarray):
+    # Largest-pivot components and pivot of a (3, 3) or (3, 3, n) matrix
+    # array: components (4,) or (4, n), pivot an int or an (n,) array.
+    t = 0.25 * np.array([
+        1.0 + Q[0, 0] + Q[1, 1] + Q[2, 2],
+        1.0 + Q[0, 0] - Q[1, 1] - Q[2, 2],
+        1.0 - Q[0, 0] + Q[1, 1] - Q[2, 2],
+        1.0 - Q[0, 0] - Q[1, 1] + Q[2, 2],
     ])
+    pivot = np.argmax(t, axis=0)
+    s = np.sqrt(np.maximum(t.max(axis=0), 0.0))
+    # Products 4 q_mu q_nu of distinct components, from the off-diagonals.
+    d01 = Q[2, 1] - Q[1, 2]
+    d02 = Q[0, 2] - Q[2, 0]
+    d03 = Q[1, 0] - Q[0, 1]
+    s12 = Q[0, 1] + Q[1, 0]
+    s13 = Q[0, 2] + Q[2, 0]
+    s23 = Q[1, 2] + Q[2, 1]
+    f = 1.0 / (4.0 * s)
+    comps = np.choose(pivot, [
+        (s, d01 * f, d02 * f, d03 * f),
+        (d01 * f, s, s12 * f, s13 * f),
+        (d02 * f, s12 * f, s, s23 * f),
+        (d03 * f, s13 * f, s23 * f, s),
+    ])
+    return comps, pivot
 
 
 def matrix_to_quat(Q: np.ndarray, return_pivot: bool = False):
@@ -134,33 +159,9 @@ def matrix_to_quat(Q: np.ndarray, return_pivot: bool = False):
     return_pivot : bool
         If true, also return the pivot index 0..3 that was chosen.
     """
-    Q = require_rotation(Q)
-    t = 0.25 * np.array([
-        1.0 + Q[0, 0] + Q[1, 1] + Q[2, 2],
-        1.0 + Q[0, 0] - Q[1, 1] - Q[2, 2],
-        1.0 - Q[0, 0] + Q[1, 1] - Q[2, 2],
-        1.0 - Q[0, 0] - Q[1, 1] + Q[2, 2],
-    ])
-    pivot = int(np.argmax(t))
-    s = math.sqrt(max(t[pivot], 0.0))
-    # Products 4 q_mu q_nu of distinct components, from the off-diagonals.
-    d01 = Q[2, 1] - Q[1, 2]
-    d02 = Q[0, 2] - Q[2, 0]
-    d03 = Q[1, 0] - Q[0, 1]
-    s12 = Q[0, 1] + Q[1, 0]
-    s13 = Q[0, 2] + Q[2, 0]
-    s23 = Q[1, 2] + Q[2, 1]
-    f = 1.0 / (4.0 * s)
-    if pivot == 0:
-        comps = (s, d01 * f, d02 * f, d03 * f)
-    elif pivot == 1:
-        comps = (d01 * f, s, s12 * f, s13 * f)
-    elif pivot == 2:
-        comps = (d02 * f, s12 * f, s, s23 * f)
-    else:
-        comps = (d03 * f, s13 * f, s23 * f, s)
-    q = Quaternion(comps[0], comps[1:])
-    return (q, pivot) if return_pivot else q
+    comps, pivot = _quat_of_matrix(require_rotation(Q))
+    q = Quaternion.from_array(comps)
+    return (q, int(pivot)) if return_pivot else q
 
 
 def Ad(q: Quaternion, xi: Sequence[float]) -> Vec3:
@@ -205,12 +206,6 @@ def maurer_cartan_residual(path: Callable[[float], Quaternion], t: float, h: flo
     dQ = (Qp - Qm) / (2.0 * h)
     # The dual contraction discards the O(h^2) symmetric part of the product.
     lhs = _vee_unchecked(dQ @ Qc.T)
-    dq = Quaternion(
-        (qp.q0 - qm.q0) / (2.0 * h),
-        ((qp.q1 - qm.q1) / (2.0 * h),
-         (qp.q2 - qm.q2) / (2.0 * h),
-         (qp.q3 - qm.q3) / (2.0 * h)),
-    )
-    w = quat_mul(dq, quat_conj(qc))
-    rhs = 2.0 * np.array([w.q1, w.q2, w.q3])
+    dq = (np.array(qp) - np.array(qm)) / (2.0 * h)
+    rhs = 2.0 * np.array(_mul(dq, _conj(qc))[1:])
     return float(np.max(np.abs(lhs - rhs)))

@@ -20,11 +20,12 @@ from . import dynamics, poisson, so3
 from .poisson import Chart, DynamicVariable, PhasePoint, coordinate
 from .quaternion import (
     Quaternion,
+    _conj,
+    _inv,
+    _mul,
+    _norm2,
     axis_angle_to_quat,
-    quat_conj,
-    quat_inverse,
     quat_mul,
-    quat_norm,
     right_action_matrix,
     rotate_vector,
 )
@@ -98,15 +99,21 @@ def random_polynomial(rng: np.random.Generator, chart: Optional[Chart] = None,
 # quaternion algebra and the rotation maps
 
 
-def _comp_dist(a: Quaternion, b: Quaternion) -> float:
-    return max(abs(a.q0 - b.q0), abs(a.q1 - b.q1), abs(a.q2 - b.q2), abs(a.q3 - b.q3))
+def _worst(x, y) -> float:
+    """Largest componentwise |x - y| over all samples (0.0 for no samples)."""
+    return float(np.max(np.abs(np.subtract(x, y)), initial=0.0))
+
+
+def _stack(m: np.ndarray) -> np.ndarray:
+    """(k, k, n) matrix array as a C-contiguous (n, k, k) stack for np.matmul."""
+    return np.ascontiguousarray(np.moveaxis(m, -1, 0))
 
 
 def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Identities of the quaternion product, conjugation, norm and inverse."""
     e = [Quaternion.basis(mu) for mu in range(4)]
-    # plain-float batch; three operands per sample
-    draw = rng.standard_normal((n, 3, 4)).tolist()
+    # three (4, n) operands, one column per sample
+    a, b, c = rng.standard_normal((n, 3, 4)).transpose(1, 2, 0)
 
     worst = 0.0
     for r in range(1, 4):
@@ -121,42 +128,29 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
             worst = max(worst, float(np.max(np.abs(prod - expect))))
     out = [CheckResult("defining relations e_r e_s", worst, 0.0, 9)]
 
-    e0 = Quaternion.identity()
-    w_ident = w_assoc = w_conj = w_norm = w_inv = w_pure = w_ract = 0.0
-    for i in range(n):
-        a = Quaternion.from_array(draw[i][0])
-        b = Quaternion.from_array(draw[i][1])
-        c = Quaternion.from_array(draw[i][2])
-        ab = quat_mul(a, b)
+    e0 = e[0].as_array()[:, None]
+    ab = _mul(a, b)
+    w_ident = max(_worst(_mul(e[0], a), a), _worst(_mul(a, e[0]), a))
+    w_assoc = _worst(_mul(a, _mul(b, c)), _mul(ab, c))
+    w_conj = _worst(_conj(ab), _mul(_conj(b), _conj(a)))
+    na = np.sqrt(_norm2(a))
+    nab = na * np.sqrt(_norm2(b))
+    w_norm = _worst((np.sqrt(_norm2(ab)) - nab) / np.maximum(nab, 1e-300), 0.0)
+    big = a[:, na > 1e-8]
+    w_inv = _worst(_mul(big, _inv(big)), e0)
 
-        w_ident = max(w_ident, _comp_dist(quat_mul(e[0], a), a),
-                      _comp_dist(quat_mul(a, e[0]), a))
-        w_assoc = max(w_assoc, _comp_dist(quat_mul(a, quat_mul(b, c)), quat_mul(ab, c)))
-        w_conj = max(w_conj, _comp_dist(quat_conj(ab),
-                                        quat_mul(quat_conj(b), quat_conj(a))))
-        na, nb = quat_norm(a), quat_norm(b)
-        w_norm = max(w_norm, abs(quat_norm(ab) - na * nb) / max(na * nb, 1e-300))
-        if na > 1e-8:
-            w_inv = max(w_inv, _comp_dist(quat_mul(a, quat_inverse(a)), e0))
+    x1, x2, x3 = a[1:]
+    y1, y2, y3 = b[1:]
+    xy = np.array(_mul((0.0, x1, x2, x3), (0.0, y1, y2, y3)))
+    yx = np.array(_mul((0.0, y1, y2, y3), (0.0, x1, x2, x3)))
+    zero = np.zeros(n)
+    dot = x1 * y1 + x2 * y2 + x3 * y3
+    cross = (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+    w_pure = max(_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
+                 _worst(0.5 * (xy - yx), (zero, *cross)))
 
-        x1, x2, x3 = draw[i][0][1:]
-        y1, y2, y3 = draw[i][1][1:]
-        xy = quat_mul(Quaternion.pure((x1, x2, x3)), Quaternion.pure((y1, y2, y3)))
-        yx = quat_mul(Quaternion.pure((y1, y2, y3)), Quaternion.pure((x1, x2, x3)))
-        dot = x1 * y1 + x2 * y2 + x3 * y3
-        w_pure = max(
-            w_pure,
-            abs(-0.5 * (xy.q0 + yx.q0) - dot),
-            abs(0.5 * (xy.q1 + yx.q1)), abs(0.5 * (xy.q2 + yx.q2)),
-            abs(0.5 * (xy.q3 + yx.q3)), abs(0.5 * (xy.q0 - yx.q0)),
-            abs(0.5 * (xy.q1 - yx.q1) - (x2 * y3 - x3 * y2)),
-            abs(0.5 * (xy.q2 - yx.q2) - (x3 * y1 - x1 * y3)),
-            abs(0.5 * (xy.q3 - yx.q3) - (x1 * y2 - x2 * y1)),
-        )
-
-        lhs = right_action_matrix(b) @ a.as_array()
-        w_ract = max(w_ract, abs(lhs[0] - ab.q0), abs(lhs[1] - ab.q1),
-                     abs(lhs[2] - ab.q2), abs(lhs[3] - ab.q3))
+    lhs = np.matmul(_stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
+    w_ract = _worst(lhs[:, :, 0].T, ab)
 
     out.append(CheckResult("identity element e0", w_ident, 0.0, n))
     out.append(CheckResult("associativity a(bc) = (ab)c", w_assoc, 1e-13, n))
@@ -173,30 +167,20 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out = []
     units = rng.standard_normal((n, 2, 4))
     units /= np.linalg.norm(units, axis=2, keepdims=True)
-    worst = 0.0
-    for i in range(n):
-        q1 = Quaternion.from_array(units[i, 0])
-        q2 = Quaternion.from_array(units[i, 1])
-        lhs = so3.quat_to_matrix(quat_mul(q1, q2))
-        rhs = so3.quat_to_matrix(q1) @ so3.quat_to_matrix(q2)
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    q1, q2 = units.transpose(1, 2, 0)
+    product = np.matmul(_stack(so3._matrix(q1)), _stack(so3._matrix(q2)))
+    worst = _worst(_stack(so3._matrix(_mul(q1, q2))), product)
     out.append(CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", worst, 1e-13, n))
 
-    worst = 0.0
-    for i in range(n):
-        q = Quaternion.from_array(units[i, 0])
-        worst = max(worst, float(np.max(np.abs(
-            so3.quat_to_matrix(-q) - so3.quat_to_matrix(q)))))
+    worst = _worst(so3._matrix(-q1), so3._matrix(q1))
     out.append(CheckResult("double cover G(-q) = G(q)", worst, 0.0, n))
 
-    worst = 0.0
-    flags = _small_q0_flags(rng, n)
-    for i in range(n):
-        q = (random_unit_quat(rng, small_q0=True) if flags[i]
-             else Quaternion.from_array(units[i, 1]))
-        r = so3.matrix_to_quat(so3.quat_to_matrix(q))
-        d = min(_comp_dist(r, q), _comp_dist(r, -q))
-        worst = max(worst, d)
+    q = q2.copy()
+    for i in np.flatnonzero(_small_q0_flags(rng, n)):
+        q[:, i] = random_unit_quat(rng, small_q0=True)
+    r, _ = so3._quat_of_matrix(so3._matrix(q))
+    worst = float(np.max(np.minimum(np.max(np.abs(r - q), axis=0),
+                                    np.max(np.abs(r + q), axis=0)), initial=0.0))
     out.append(CheckResult("roundtrip matrix_to_quat(quat_to_matrix(q)) in {q,-q}",
                            worst, 1e-12, n))
 
@@ -440,8 +424,7 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
         g = params.potential.gradient_q(pt.x, q4)
         q0, qv = q4[0], q4[1:]
         expanded = g[0] * qv - q0 * g[1:] - np.cross(g[1:], qv)
-        w = quat_mul(quat_conj(pt.q), Quaternion.from_array(g))
-        compact = -np.array([w.q1, w.q2, w.q3])
+        compact = -np.array(_mul(_conj(pt.q), g)[1:])
         worst = max(worst, float(np.max(np.abs(expanded - compact))))
     out.append(CheckResult("expanded and compact torque forms agree", worst, 1e-12,
                            min(n, 200)))

@@ -1,12 +1,16 @@
 """Quaternion algebra: product law, conjugation, norm, inverse, rotation."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qhdyn import (
+    Chart,
     DomainError,
+    PhasePoint,
     PreconditionError,
     Quaternion,
     axis_angle_to_quat,
@@ -267,3 +271,30 @@ def test_value_semantics():
     assert q == Quaternion.from_array([1.0, 2.0, 3.0, 4.0])
     assert q != quat_conj(q)
     assert (2.0 * q).as_array() == pytest.approx([2.0, 4.0, 6.0, 8.0])
+    q0, q1, q2, q3 = q
+    assert [type(c) for c in (q0, q1, q2, q3)] == [float] * 4
+    assert (q0, q1, q2, q3) == (1.0, 2.0, 3.0, 4.0)
+    assert np.array(q).shape == (4,)
+    assert hash(q) == hash(tuple(q))
+    with pytest.raises(TypeError):
+        q[0] = 1.0
+    with pytest.raises(AttributeError):
+        q.q0 = 1.0
+
+
+def test_copy_and_pickle_roundtrip():
+    q = Quaternion(0.5, (-1.25, 2.0, -0.0))
+    pt = PhasePoint(x=[1.0, -2.0, 0.5], p=[0.0, 3.0, -1.0], q=quat_normalize(q),
+                    mom=[0.25, -0.75, 1.5], chart=Chart.MIXED_M)
+    pickles = [pickle.loads(pickle.dumps(pt, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in [copy.copy(pt), copy.deepcopy(pt), *pickles]:
+        assert type(clone.q) is Quaternion
+        assert clone.chart is pt.chart
+        assert clone.coords().tobytes() == pt.coords().tobytes()
+    pickles = [pickle.loads(pickle.dumps(q, proto))
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in [copy.copy(q), copy.deepcopy(q), *pickles]:
+        assert type(clone) is Quaternion
+        assert clone.as_array().tobytes() == q.as_array().tobytes()
+        assert (clone.q0, clone.q1, clone.q2, clone.q3) == (0.5, -1.25, 2.0, -0.0)

@@ -3,7 +3,17 @@
 import numpy as np
 import pytest
 
-from qhdyn import verify
+from qhdyn import (
+    Quaternion,
+    matrix_to_quat,
+    quat_conj,
+    quat_inverse,
+    quat_mul,
+    quat_norm,
+    quat_to_matrix,
+    right_action_matrix,
+    verify,
+)
 from qhdyn.poisson import Chart
 
 
@@ -55,3 +65,62 @@ def test_check_inventory_per_suite():
     assert set(expected) == set(verify.SUITES)
     for name, count in expected.items():
         assert len(verify.run_suite(name, seed=3, n_points=5)) == count, name
+
+
+def _dist(p, q):
+    return float(np.max(np.abs(p.as_array() - q.as_array())))
+
+
+def _algebra_reference(rng, n):
+    """The algebra residuals after the defining relations, one sample at a time
+    through the scalar API, drawing from ``rng`` as ``algebra_checks`` does."""
+    e0 = Quaternion.identity()
+    w = [0.0] * 7
+    for a, b, c in rng.standard_normal((n, 3, 4)):
+        a, b, c = (Quaternion.from_array(v) for v in (a, b, c))
+        ab = quat_mul(a, b)
+        na, nb = quat_norm(a), quat_norm(b)
+        x1, x2, x3 = a[1:]
+        y1, y2, y3 = b[1:]
+        x, y = Quaternion.pure(a[1:]), Quaternion.pure(b[1:])
+        lhs = right_action_matrix(b) @ a.as_array()
+        w = [max(old, new) for old, new in zip(w, [
+            max(_dist(quat_mul(e0, a), a), _dist(quat_mul(a, e0), a)),
+            _dist(quat_mul(a, quat_mul(b, c)), quat_mul(ab, c)),
+            _dist(quat_conj(ab), quat_mul(quat_conj(b), quat_conj(a))),
+            abs(quat_norm(ab) - na * nb) / max(na * nb, 1e-300),
+            _dist(quat_mul(a, quat_inverse(a)), e0) if na > 1e-8 else 0.0,
+            max(_dist(0.5 * (quat_mul(x, y) + quat_mul(y, x)),
+                      Quaternion(-(x1 * y1 + x2 * y2 + x3 * y3))),
+                _dist(0.5 * (quat_mul(x, y) - quat_mul(y, x)),
+                      Quaternion.pure((x2 * y3 - x3 * y2, x3 * y1 - x1 * y3,
+                                       x1 * y2 - x2 * y1)))),
+            float(np.max(np.abs(lhs - ab.as_array()))),
+        ])]
+    return w
+
+
+def _rotation_reference(rng, n):
+    """Homomorphism, double-cover and round-trip residuals, one sample at a
+    time, drawing from ``rng`` as ``rotation_checks`` does."""
+    units = rng.standard_normal((n, 2, 4))
+    units /= np.linalg.norm(units, axis=2, keepdims=True)
+    hom = cover = trip = 0.0
+    for u1, u2 in units:
+        q1, q2 = Quaternion.from_array(u1), Quaternion.from_array(u2)
+        product = quat_to_matrix(q1) @ quat_to_matrix(q2)
+        hom = max(hom, float(np.max(np.abs(quat_to_matrix(quat_mul(q1, q2)) - product))))
+        cover = max(cover, float(np.max(np.abs(quat_to_matrix(-q1) - quat_to_matrix(q1)))))
+    for small, u2 in zip(verify._small_q0_flags(rng, n), units[:, 1]):
+        q = verify.random_unit_quat(rng, small_q0=True) if small else Quaternion.from_array(u2)
+        r = matrix_to_quat(quat_to_matrix(q))
+        trip = max(trip, min(_dist(r, q), _dist(r, -q)))
+    return [hom, cover, trip]
+
+
+@pytest.mark.parametrize("seed, n", [(0, 1), (1, 2), (2, 7), (3, 400)])
+def test_array_suites_match_per_sample_reference(seed, n):
+    algebra = verify.algebra_checks(np.random.default_rng(seed), n)[1:]
+    rotation = verify.rotation_checks(np.random.default_rng(seed), n)[:3]
+    assert [r.residual for r in algebra] == _algebra_reference(np.random.default_rng(seed), n)
+    assert [r.residual for r in rotation] == _rotation_reference(np.random.default_rng(seed), n)
