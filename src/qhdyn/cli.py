@@ -38,6 +38,10 @@ log = logging.getLogger("qhdyn")
 # 6 monitors), so 10**7 samples hold about 1.6 GB of buffers.
 MAX_SAMPLES = 10**7
 
+# Largest accepted ``verify --points``.  The algebra suite, the largest per
+# point, traces about 650 bytes per point, so 10**6 points stay under 1 GB.
+MAX_POINTS = 10**6
+
 CSV_HEADER = ("t,x1,x2,x3,p1,p2,p3,q0,q1,q2,q3,M1,M2,M3,H,qnorm,pi1,pi2,pi3")
 
 
@@ -369,8 +373,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config)
         if args.command == "verify":
-            if args.points is not None and args.points < 1:
-                print("--points must be >= 1", file=sys.stderr)
+            if args.points is not None and not 1 <= args.points <= MAX_POINTS:
+                print(f"--points must be between 1 and {MAX_POINTS}", file=sys.stderr)
+                return EXIT_USAGE
+            if args.seed < 0:
+                print("--seed must be >= 0", file=sys.stderr)
                 return EXIT_USAGE
             return cmd_verify(args.suite, args.seed, args.points,
                               corrupt=args.corrupt_tensor)

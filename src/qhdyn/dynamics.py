@@ -26,8 +26,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ChartError, DomainError, IntegrationAborted
-from .poisson import Chart, DynamicVariable, PhasePoint, _fd_partials
+from .errors import DomainError, IntegrationAborted
+from .poisson import Chart, DynamicVariable, PhasePoint, _fd_partials, _point_coords
 from .quaternion import TOL_UNIT
 
 Vec3 = np.ndarray
@@ -219,9 +219,7 @@ def spin_kinetic(M: Sequence[float], inertia: InertiaTensor) -> float:
 
 def hamiltonian_eval(state: PhasePoint, params: BodyParams) -> float:
     """Total energy p^2/(2m) + T_spin(M) + V(x, q)."""
-    if state.chart is not Chart.MIXED_M:
-        raise ChartError("hamiltonian_eval expects a MIXED_M phase point")
-    return _energy(state.coords().tolist(), params)
+    return _energy(_point_coords(state, Chart.MIXED_M, "hamiltonian_eval", None).tolist(), params)
 
 
 def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
@@ -230,22 +228,24 @@ def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
     The gradient is assembled analytically from the potential gradients
     (which themselves may fall back to finite differences).
     """
-    m = params.mass
-    inv4 = 0.25 / params.inertia.as_array()
-    pot = params.potential
+    grad_h = _make_grad_h(params)
+    return DynamicVariable(lambda z: _energy(z.tolist(), params),
+                           lambda z: np.array(grad_h(z.tolist()), dtype=float),
+                           name="H", chart=Chart.MIXED_M)
 
-    def fn(z: np.ndarray) -> float:
-        return _energy(z.tolist(), params)
 
-    def grad(z: np.ndarray) -> np.ndarray:
-        g = np.empty(13)
-        g[0:3] = pot.gradient_x(z[0:3], z[6:10])
-        g[3:6] = z[3:6] / m
-        g[6:10] = pot.gradient_q(z[0:3], z[6:10])
-        g[10:13] = z[10:13] * inv4
-        return g
+def _make_grad_h(params: BodyParams) -> Callable[[Sequence], list]:
+    """grad(H) as a list of 13, like :func:`_make_rhs` over 13 floats or 13
+    equal-shape arrays (columns of many points)."""
+    m, pot = params.mass, params.potential
+    inv4 = [0.25 / i for i in (params.inertia.i1, params.inertia.i2, params.inertia.i3)]
 
-    return DynamicVariable(fn, grad, name="H", chart=Chart.MIXED_M)
+    def grad(z: Sequence) -> list:
+        x, q4 = (z[0], z[1], z[2]), (z[6], z[7], z[8], z[9])
+        return [*pot._grad_x(x, q4), z[3] / m, z[4] / m, z[5] / m, *pot._grad_q(x, q4),
+                z[10] * inv4[0], z[11] * inv4[1], z[12] * inv4[2]]
+
+    return grad
 
 
 def _make_rhs(params: BodyParams) -> Callable[[list[float]], list[float]]:
@@ -304,10 +304,8 @@ def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -
     PreconditionError
         If |q| deviates from 1 by more than ``unit_tol``.
     """
-    if state.chart is not Chart.MIXED_M:
-        raise ChartError("eom_rhs expects a MIXED_M phase point")
-    state.q.require_unit(unit_tol, "state quaternion")
-    return np.array(_make_rhs(params)(state.coords().tolist()))
+    z = _point_coords(state, Chart.MIXED_M, "eom_rhs", unit_tol)
+    return np.array(_make_rhs(params)(z.tolist()))
 
 
 def _rk4(z: list[float], h: float, rhs: Callable[[list[float]], list[float]]) -> list[float]:
@@ -327,11 +325,8 @@ def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
     """One classical fourth-order Runge-Kutta step; no renormalization."""
     if h <= 0.0:
         raise DomainError(f"step size h must be positive, got {h!r}")
-    if state.chart is not Chart.MIXED_M:
-        raise ChartError("rk4_step expects a MIXED_M phase point")
-    state.q.require_unit(TOL_UNIT, "state quaternion")
-    z = _rk4(state.coords().tolist(), h, _make_rhs(params))
-    return PhasePoint.from_coords(z, Chart.MIXED_M)
+    z = _point_coords(state, Chart.MIXED_M, "rk4_step").tolist()
+    return PhasePoint.from_coords(_rk4(z, h, _make_rhs(params)), Chart.MIXED_M)
 
 
 def _apply_renorm(z: list[float], policy: RenormPolicy) -> None:
@@ -366,9 +361,8 @@ def _monitor_row(z: list[float], params: BodyParams) -> tuple[float, ...]:
 
 def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord:
     """Energy, |q|, |M| and the spatial momentum pi = vec(q M q^-1) / 2."""
-    if state.chart is not Chart.MIXED_M:
-        raise ChartError("conserved_quantities expects a MIXED_M phase point")
-    energy, qn, mom_norm, *pi = _monitor_row(state.coords().tolist(), params)
+    z = _point_coords(state, Chart.MIXED_M, "conserved_quantities", None)
+    energy, qn, mom_norm, *pi = _monitor_row(z.tolist(), params)
     return MonitorRecord(energy, qn, mom_norm, np.array(pi))
 
 
@@ -393,12 +387,9 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if sample_stride < 1:
         raise DomainError(f"sample_stride must be >= 1, got {sample_stride}")
-    if state0.chart is not Chart.MIXED_M:
-        raise ChartError("integrate expects a MIXED_M phase point")
-    state0.q.require_unit(TOL_UNIT, "initial quaternion")
+    z = _point_coords(state0, Chart.MIXED_M, "integrate").tolist()
 
     rhs = _make_rhs(params)
-    z = state0.coords().tolist()
     k = 1 + -(-n_steps // sample_stride)  # step 0, each stride, and the last step
     times = np.empty(k)
     states = np.empty((k, 13))

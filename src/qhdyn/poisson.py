@@ -47,6 +47,7 @@ from .errors import ChartError, DomainError, PreconditionError
 from .quaternion import (
     Quaternion,
     TOL_UNIT,
+    _mul,
     quat_conj,
     quat_mul,
     right_action_matrix,
@@ -102,12 +103,7 @@ class PhasePoint:
 
     def coords(self) -> np.ndarray:
         """All 13 coordinates in the fixed (x, p, q, mom) order."""
-        z = np.empty(N_COORDS)
-        z[0:3] = self.x
-        z[3:6] = self.p
-        z[6:10] = self.q.as_array()
-        z[10:13] = self.mom
-        return z
+        return np.concatenate([self.x, self.p, self.q, self.mom])
 
     @classmethod
     def from_coords(cls, z: Sequence[float], chart: Chart) -> "PhasePoint":
@@ -158,9 +154,18 @@ def _table(chart: Chart, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]
 
 
 def _tensor_components(z: np.ndarray, chart: Chart, corrupt: bool = False) -> np.ndarray:
-    """Raw 13x13 tensor J0 + dJ @ z from coordinates; no point validation."""
+    """J0 + dJ z without point validation or a copy of the cached table: (13, 13)
+    at (13,) coordinates, a C-contiguous (n, 13, 13) stack at (13, n) columns.
+    Each entry is +-1 or +-2 times one coordinate: exact in any summation order."""
     J0, dJ = _table(chart, corrupt)
-    return J0 + dJ @ z
+    return J0 + (np.transpose(z) @ dJ.reshape(-1, N_COORDS).T).reshape(np.shape(z)[1:] + J0.shape)
+
+
+def _stack(m: np.ndarray) -> np.ndarray:
+    """(k, l) or (k, l, n) matrices as a C-contiguous (k, l) or (n, k, l) stack:
+    ``np.matmul`` then makes each sample's BLAS call of the 2-D product, so
+    every column keeps the per-point bits (an einsum sums in another order)."""
+    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
 
 
 def structure_jacobian(chart: Chart, corrupt: bool = False) -> np.ndarray:
@@ -174,11 +179,9 @@ def structure_tensor(point: PhasePoint, full: bool = True) -> StructureTensor:
     Returns the 13x13 tensor over (x, p, q, mom) by default, or the 7x7
     rotational block over (q, mom) with ``full=False``.
     """
-    J = _point_tensor(point)
-    labels = coordinate_labels(point.chart)
-    if not full:
-        return StructureTensor(J[_Q0:, _Q0:], labels[_Q0:], point.chart)
-    return StructureTensor(J, labels, point.chart)
+    k = 0 if full else _Q0
+    J = _tensor_components(_point_coords(point), point.chart)
+    return StructureTensor(J[k:, k:], coordinate_labels(point.chart)[k:], point.chart)
 
 
 _FD_STEP = float(np.cbrt(np.finfo(float).eps))
@@ -327,18 +330,20 @@ def momentum_along(xi: Sequence[float], chart: Chart = Chart.INERTIAL_MU) -> Dyn
                            name="<mom,xi>", chart=chart)
 
 
-def _rotation_gradients(q0: float, qv: np.ndarray) -> np.ndarray:
-    """(3, 3, 13) gradients of the rotation-matrix entries Q_ab over all coordinates.
+def _rotation_gradients(q0, qv) -> np.ndarray:
+    """Gradients of the rotation-matrix entries Q_ab over all coordinates.
 
     From Q_ab = 2[(q0^2 - 1/2) d_ab + q_a q_b - q0 q_l eps_lab]:
     dQ_ab/dq0 = 4 q0 d_ab - 2 eps_lab q_l and
     dQ_ab/dq_c = 2 (d_ca q_b + d_cb q_a) - 2 q0 eps_cab.
+    A float ``q0`` and (3,) ``qv`` give (3, 3, 13); (n,) and (3, n) columns
+    give an (n, 3, 3, 13) stack.  (eps_lab = eps_abl.)
     """
     eye = np.eye(3)
-    g = np.zeros((3, 3, N_COORDS))
-    g[:, :, _Q0] = 4.0 * q0 * eye - 2.0 * (LEVI @ qv)  # eps_lab = eps_abl
-    g[:, :, _Q0 + 1:_MOM0] = 2.0 * (np.einsum("ca,b->abc", eye, qv)
-                                    + np.einsum("cb,a->abc", eye, qv) - q0 * LEVI)
+    g = np.zeros(np.shape(q0) + (3, 3, N_COORDS))
+    g[..., _Q0] = np.multiply.outer(4.0 * q0, eye) - 2.0 * np.tensordot(qv, LEVI, (0, 2))
+    t = np.einsum("ca,b...->...abc", eye, qv)  # d_ca q_b; swapping a, b gives d_cb q_a
+    g[..., _Q0 + 1:_MOM0] = 2.0 * (t + np.swapaxes(t, -3, -2) - np.multiply.outer(q0, LEVI))
     return g
 
 
@@ -355,9 +360,14 @@ def rotation_entry_variable(i: int, j: int) -> DynamicVariable:
                            name=f"Q{i + 1}{j + 1}")
 
 
-def _point_tensor(point: PhasePoint, corrupt: bool = False) -> np.ndarray:
-    point.q.require_unit(TOL_UNIT, "phase-point quaternion")
-    return _tensor_components(point.coords(), point.chart, corrupt)
+def _point_coords(point: PhasePoint, chart: Optional[Chart] = None, who: str = "",
+                  unit_tol: Optional[float] = TOL_UNIT) -> np.ndarray:
+    """Coordinates after checking the chart ``who`` needs and ||q| - 1| <= unit_tol (None: skip)."""
+    if chart is not None and point.chart is not chart:
+        raise ChartError(f"{who} requires the {chart.name} chart")
+    if unit_tol is not None:
+        point.q.require_unit(unit_tol, "phase-point quaternion")
+    return point.coords()
 
 
 def _require_variable_chart(var: DynamicVariable, point: PhasePoint) -> None:
@@ -372,8 +382,8 @@ def poisson_bracket(F: DynamicVariable, G: DynamicVariable, point: PhasePoint) -
     """
     _require_variable_chart(F, point)
     _require_variable_chart(G, point)
-    z = point.coords()
-    return float(F.gradient(z) @ _point_tensor(point) @ G.gradient(z))
+    z = _point_coords(point)
+    return float(F.gradient(z) @ _tensor_components(z, point.chart) @ G.gradient(z))
 
 
 def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarray:
@@ -383,8 +393,8 @@ def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarra
     along the returned 13-vector.
     """
     _require_variable_chart(H, point)
-    J = _point_tensor(point)
-    return J @ H.gradient(point.coords())
+    z = _point_coords(point)
+    return _tensor_components(z, point.chart) @ H.gradient(z)
 
 
 def jacobi_residual(point: PhasePoint, corrupt: bool = False) -> float:
@@ -395,11 +405,17 @@ def jacobi_residual(point: PhasePoint, corrupt: bool = False) -> float:
     rounding) at every valid point; ``corrupt=True`` flips one bracket-table
     sign and serves as the negative control.
     """
-    J = _point_tensor(point, corrupt)
-    dJ = structure_jacobian(point.chart, corrupt)
-    A = np.einsum("ijl,lk->ijk", dJ, J)
-    cyc = A + np.transpose(A, (2, 0, 1)) + np.transpose(A, (1, 2, 0))
-    return float(np.max(np.abs(cyc)))
+    return float(_jacobi_residuals(_point_coords(point), point.chart, corrupt))
+
+
+def _jacobi_residuals(z: np.ndarray, chart: Chart, corrupt: bool = False) -> np.ndarray:
+    """:func:`jacobi_residual` at (13,) or (13, n) coordinates, one per sample; only the
+    (q, mom) block is formed, since dJ is 0 off it and J0 couples x to p alone."""
+    r = slice(_Q0, None)
+    dJ = structure_jacobian(chart, corrupt)[r, r, r]
+    A = dJ @ _tensor_components(z, chart, corrupt)[..., None, r, r]
+    cyc = A + np.moveaxis(A, -1, -3) + np.moveaxis(A, -3, -1)
+    return np.abs(cyc).max(axis=(-3, -2, -1))
 
 
 def poisson_map_residual(point: PhasePoint) -> float:
@@ -414,19 +430,23 @@ def poisson_map_residual(point: PhasePoint) -> float:
 
     returning the largest absolute deviation.  Inertial chart only.
     """
-    if point.chart is not Chart.INERTIAL_MU:
-        raise ChartError("poisson_map_residual requires the INERTIAL_MU chart")
-    Q = so3.quat_to_matrix(point.q)
-    z = point.coords()
-    G = np.zeros((12, N_COORDS))
-    G[0:3, _MOM0:] = 0.5 * np.eye(3)
-    G[3:12] = _rotation_gradients(z[6], z[7:10]).reshape(9, N_COORDS)
-    pi_q = np.einsum("ijl,lk->ijk", LEVI, Q).reshape(3, 9)
-    expect = np.zeros((12, 12))
-    expect[0:3, 0:3] = LEVI @ (0.5 * point.mom)
-    expect[0:3, 3:12] = pi_q
-    expect[3:12, 0:3] = -pi_q.T
-    return float(np.max(np.abs(G @ _point_tensor(point) @ G.T - expect)))
+    z = _point_coords(point, Chart.INERTIAL_MU, "poisson_map_residual")
+    return float(_poisson_map_residuals(z))
+
+
+def _poisson_map_residuals(z: np.ndarray) -> np.ndarray:
+    """:func:`poisson_map_residual` at (13,) or (13, n) inertial coordinates."""
+    lead = np.shape(z)[1:]
+    G = np.zeros(lead + (12, N_COORDS))
+    G[..., 0:3, _MOM0:] = 0.5 * np.eye(3)
+    G[..., 3:12, :] = _rotation_gradients(z[_Q0], z[_Q0 + 1:_MOM0]).reshape(lead + (9, N_COORDS))
+    pi_q = np.einsum("ijl,lk...->...ijk", LEVI, so3._matrix(z[_Q0:_MOM0])).reshape(lead + (3, 9))
+    expect = np.zeros(lead + (12, 12))
+    expect[..., 0:3, 0:3] = np.tensordot(0.5 * z[_MOM0:], LEVI, (0, 2))
+    expect[..., 0:3, 3:12] = pi_q
+    expect[..., 3:12, 0:3] = -np.swapaxes(pi_q, -1, -2)
+    brackets = G @ _tensor_components(z, Chart.INERTIAL_MU) @ np.swapaxes(G, -1, -2)
+    return np.abs(brackets - expect).max(axis=(-2, -1))
 
 
 def right_translation_covariance_check(point: PhasePoint, b: Quaternion) -> float:
@@ -437,13 +457,18 @@ def right_translation_covariance_check(point: PhasePoint, b: Quaternion) -> floa
     form the 3x4 block J[mom, q] R_b^T / 2.  Compares it against
     -1/2 (e_i (q b))_mu and returns the max residual.  Inertial chart only.
     """
-    if point.chart is not Chart.INERTIAL_MU:
-        raise ChartError("right_translation_covariance_check requires the INERTIAL_MU chart")
+    z = _point_coords(point, Chart.INERTIAL_MU, "right_translation_covariance_check")
     b.require_unit(TOL_UNIT, "right-translation quaternion")
-    qb = quat_mul(point.q, b)
-    ei_qb = np.array([quat_mul(Quaternion.basis(i + 1), qb).as_array() for i in range(3)])
-    lhs = 0.5 * _point_tensor(point)[_MOM0:, _Q0:_MOM0] @ right_action_matrix(b).T
-    return float(np.max(np.abs(lhs + 0.5 * ei_qb)))
+    return float(_covariance_residuals(z, b))
+
+
+def _covariance_residuals(z: np.ndarray, b) -> np.ndarray:
+    """:func:`right_translation_covariance_check` at (13,) or (13, n) columns."""
+    qb = _mul(z[_Q0:_MOM0], b)
+    ei_qb = np.array([_mul(Quaternion.basis(i + 1), qb) for i in range(3)])
+    J = _tensor_components(z, Chart.INERTIAL_MU)[..., _MOM0:, _Q0:_MOM0]
+    lhs = 0.5 * J @ np.swapaxes(_stack(right_action_matrix(b)), -1, -2)
+    return np.abs(lhs + 0.5 * _stack(ei_qb)).max(axis=(-2, -1))
 
 
 def _rotational_vector(vec) -> np.ndarray:
@@ -470,9 +495,7 @@ def liouville_form_eval(point: PhasePoint, u) -> float:
     ``u`` is a 7-vector (q-block, mom-block) or a full 13-vector whose
     rotational block is used; its q-part must be tangent: <q, u_q> = 0.
     """
-    if point.chart is not Chart.INERTIAL_MU:
-        raise ChartError("liouville_form_eval requires the INERTIAL_MU chart")
-    point.q.require_unit(TOL_UNIT, "phase-point quaternion")
+    _point_coords(point, Chart.INERTIAL_MU, "liouville_form_eval")
     du = _dq_of(point.q, _rotational_vector(u), "u")
     return float(point.mom @ du)
 
@@ -487,9 +510,7 @@ def symplectic_form_eval(point: PhasePoint, u, v) -> float:
     For Hamiltonian fields X_F, X_G this reproduces the bracket:
     Omega(X_F, X_G) = {F, G}.
     """
-    if point.chart is not Chart.INERTIAL_MU:
-        raise ChartError("symplectic_form_eval requires the INERTIAL_MU chart")
-    point.q.require_unit(TOL_UNIT, "phase-point quaternion")
+    _point_coords(point, Chart.INERTIAL_MU, "symplectic_form_eval")
     u7 = _rotational_vector(u)
     v7 = _rotational_vector(v)
     du = _dq_of(point.q, u7, "u")

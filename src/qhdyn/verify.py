@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics, poisson, so3
-from .poisson import Chart, DynamicVariable, PhasePoint, coordinate
+from .poisson import N_COORDS, Chart, DynamicVariable, PhasePoint, coordinate
 from .quaternion import (
     Quaternion,
     _conj,
@@ -61,15 +61,23 @@ def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quater
     return Quaternion.from_array(a / np.linalg.norm(a))
 
 
+def _phase_points(rng: np.random.Generator, flags, quat_after: bool = False) -> np.ndarray:
+    """(13, n) coordinates of n = len(flags) phase points, drawn one point at a
+    time as :func:`random_phase_point` draws them (flags[i]: |q0| <= SMALL_Q0);
+    ``quat_after`` draws a unit quaternion after each point into rows 13-16."""
+    z = np.empty((len(flags), 17 if quat_after else N_COORDS))
+    for row, small in zip(z, flags):
+        row[0:6] = rng.uniform(-2.0, 2.0, 6)
+        row[6:10] = random_unit_quat(rng, small)
+        row[10:13] = rng.uniform(-2.0, 2.0, 3)
+        if quat_after:
+            row[13:17] = random_unit_quat(rng)
+    return z.T
+
+
 def random_phase_point(rng: np.random.Generator, chart: Chart,
                        small_q0: bool = False) -> PhasePoint:
-    return PhasePoint(
-        x=rng.uniform(-2.0, 2.0, 3),
-        p=rng.uniform(-2.0, 2.0, 3),
-        q=random_unit_quat(rng, small_q0),
-        mom=rng.uniform(-2.0, 2.0, 3),
-        chart=chart,
-    )
+    return PhasePoint.from_coords(_phase_points(rng, [small_q0])[:, 0], chart)
 
 
 def _small_q0_flags(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -78,6 +86,15 @@ def _small_q0_flags(rng: np.random.Generator, n: int) -> np.ndarray:
     flags[:k] = True
     rng.shuffle(flags)
     return flags
+
+
+# Phase points per array pass, in consecutive blocks of flags, so that the
+# temporaries of a pass (at most a few MB) do not grow with the point count.
+_BLOCK = 256
+
+
+def _blocks(flags: np.ndarray):
+    return (flags[i:i + _BLOCK] for i in range(0, len(flags), _BLOCK))
 
 
 def random_polynomial(rng: np.random.Generator, chart: Optional[Chart] = None,
@@ -104,33 +121,19 @@ def _worst(x, y) -> float:
     return float(np.max(np.abs(np.subtract(x, y)), initial=0.0))
 
 
-def _stack(m: np.ndarray) -> np.ndarray:
-    """(k, k, n) matrix array as a C-contiguous (n, k, k) stack for np.matmul."""
-    return np.ascontiguousarray(np.moveaxis(m, -1, 0))
-
-
 def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Identities of the quaternion product, conjugation, norm and inverse."""
-    e = [Quaternion.basis(mu) for mu in range(4)]
     # three (4, n) operands, one column per sample
     a, b, c = rng.standard_normal((n, 3, 4)).transpose(1, 2, 0)
+    e0, gen = np.eye(4)[:, :1], np.eye(4)[:, 1:]  # basis columns
 
-    worst = 0.0
-    for r in range(1, 4):
-        for s in range(1, 4):
-            prod = quat_mul(e[r], e[s]).as_array()
-            expect = np.zeros(4)
-            if r == s:
-                expect[0] = -1.0
-            else:
-                t = ({1, 2, 3} - {r, s}).pop()
-                expect[t] = poisson.LEVI[r - 1, s - 1, t - 1]
-            worst = max(worst, float(np.max(np.abs(prod - expect))))
-    out = [CheckResult("defining relations e_r e_s", worst, 0.0, 9)]
+    # e_r e_s = -delta_rs e0 + eps_rst e_t, all nine products at once
+    prods = _mul(gen[:, :, None], gen[:, None, :])
+    expect = np.concatenate([-np.eye(3)[None], np.moveaxis(poisson.LEVI, 2, 0)])
+    out = [CheckResult("defining relations e_r e_s", _worst(prods, expect), 0.0, 9)]
 
-    e0 = e[0].as_array()[:, None]
     ab = _mul(a, b)
-    w_ident = max(_worst(_mul(e[0], a), a), _worst(_mul(a, e[0]), a))
+    w_ident = max(_worst(_mul(e0, a), a), _worst(_mul(a, e0), a))
     w_assoc = _worst(_mul(a, _mul(b, c)), _mul(ab, c))
     w_conj = _worst(_conj(ab), _mul(_conj(b), _conj(a)))
     na = np.sqrt(_norm2(a))
@@ -149,7 +152,7 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     w_pure = max(_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
                  _worst(0.5 * (xy - yx), (zero, *cross)))
 
-    lhs = np.matmul(_stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
+    lhs = np.matmul(poisson._stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
     w_ract = _worst(lhs[:, :, 0].T, ab)
 
     out.append(CheckResult("identity element e0", w_ident, 0.0, n))
@@ -168,8 +171,8 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     units = rng.standard_normal((n, 2, 4))
     units /= np.linalg.norm(units, axis=2, keepdims=True)
     q1, q2 = units.transpose(1, 2, 0)
-    product = np.matmul(_stack(so3._matrix(q1)), _stack(so3._matrix(q2)))
-    worst = _worst(_stack(so3._matrix(_mul(q1, q2))), product)
+    product = np.matmul(poisson._stack(so3._matrix(q1)), poisson._stack(so3._matrix(q2)))
+    worst = _worst(poisson._stack(so3._matrix(_mul(q1, q2))), product)
     out.append(CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", worst, 1e-13, n))
 
     worst = _worst(so3._matrix(-q1), so3._matrix(q1))
@@ -230,32 +233,25 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
 
 def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Structure-tensor tables against the quaternion-product forms."""
-    out = []
-    worst_anti = 0.0
-    worst_mu = 0.0
-    worst_m = 0.0
-    worst_xp = 0.0
-    flags = _small_q0_flags(rng, n)
-    for i in range(n):
-        small = bool(flags[i])
-        pt_mu = random_phase_point(rng, Chart.INERTIAL_MU, small)
-        pt_m = random_phase_point(rng, Chart.MIXED_M, small)
-        J_mu = poisson.structure_tensor(pt_mu).j
-        J_m = poisson.structure_tensor(pt_m).j
-        worst_anti = max(worst_anti,
-                         float(np.max(np.abs(J_mu + J_mu.T))),
-                         float(np.max(np.abs(J_m + J_m.T))))
+    worst_anti = worst_mu = worst_m = worst_xp = 0.0
+    for flags in _blocks(_small_q0_flags(rng, n)):
+        # each sample draws an inertial point, then a mixed one
+        z = _phase_points(rng, np.repeat(flags, 2))
+        z_mu, z_m = z[:, 0::2], z[:, 1::2]
+        J_mu = poisson._tensor_components(z_mu, Chart.INERTIAL_MU)
+        J_m = poisson._tensor_components(z_m, Chart.MIXED_M)
+        worst_anti = max(worst_anti, _worst(J_mu, -np.swapaxes(J_mu, 1, 2)),
+                         _worst(J_m, -np.swapaxes(J_m, 1, 2)))
         # {q_mu, mom_i} columns against the product forms e_i q and q e_i
         for k in range(3):
-            ei_q = quat_mul(Quaternion.basis(k + 1), pt_mu.q).as_array()
-            worst_mu = max(worst_mu, float(np.max(np.abs(J_mu[6:10, 10 + k] - ei_q))))
-            q_ei = quat_mul(pt_m.q, Quaternion.basis(k + 1)).as_array()
-            worst_m = max(worst_m, float(np.max(np.abs(J_m[6:10, 10 + k] - q_ei))))
-        worst_xp = max(worst_xp, float(np.max(np.abs(J_mu[0:3, 3:6] - np.eye(3)))))
-    out.append(CheckResult("antisymmetry J + J^T = 0", worst_anti, 0.0, n))
-    out.append(CheckResult("inertial chart: {q, mu_i} = e_i q", worst_mu, 1e-14, n))
-    out.append(CheckResult("mixed chart: {q, M_i} = q e_i", worst_m, 1e-14, n))
-    out.append(CheckResult("canonical block {x_i, p_j} = delta_ij", worst_xp, 0.0, n))
+            e = Quaternion.basis(k + 1)
+            worst_mu = max(worst_mu, _worst(J_mu[:, 6:10, 10 + k].T, _mul(e, z_mu[6:10])))
+            worst_m = max(worst_m, _worst(J_m[:, 6:10, 10 + k].T, _mul(z_m[6:10], e)))
+        worst_xp = max(worst_xp, _worst(J_mu[:, 0:3, 3:6], np.eye(3)))
+    out = [CheckResult("antisymmetry J + J^T = 0", worst_anti, 0.0, n),
+           CheckResult("inertial chart: {q, mu_i} = e_i q", worst_mu, 1e-14, n),
+           CheckResult("mixed chart: {q, M_i} = q e_i", worst_m, 1e-14, n),
+           CheckResult("canonical block {x_i, p_j} = delta_ij", worst_xp, 0.0, n)]
 
     worst = 0.0
     nc = max(1, n // 10)
@@ -270,26 +266,22 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
         worst = max(worst, abs(lhs - rhs))
     out.append(CheckResult("Leibniz rule {FG, H} = F{G,H} + G{F,H}", worst, 1e-10, nc))
 
-    norm_sq = DynamicVariable(
-        lambda z: float(z[6:10] @ z[6:10]),
-        lambda z: np.concatenate([np.zeros(6), 2.0 * z[6:10], np.zeros(3)]),
-        name="|q|^2")
     worst = 0.0
-    for _ in range(nc):
-        for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
-            pt = random_phase_point(rng, chart)
-            for idx in range(13):
-                worst = max(worst, abs(poisson.poisson_bracket(norm_sq, coordinate(idx), pt)))
+    for flags in _blocks(np.zeros(nc, dtype=bool)):
+        # an inertial point, then a mixed one; {|q|^2, z_I} for all 13
+        # coordinates is the row grad(|q|^2) J
+        z = _phase_points(rng, np.repeat(flags, 2))
+        for zc, chart in ((z[:, 0::2], Chart.INERTIAL_MU), (z[:, 1::2], Chart.MIXED_M)):
+            grad = np.zeros((zc.shape[1], 1, N_COORDS))
+            grad[:, 0, 6:10] = 2.0 * zc[6:10].T
+            worst = max(worst, _worst(grad @ poisson._tensor_components(zc, chart), 0.0))
     out.append(CheckResult("norm function commutes with all generators", worst, 1e-11, nc))
 
     worst = 0.0
-    flags = _small_q0_flags(rng, n)
-    for i in range(n):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU, small_q0=bool(flags[i]))
-        b = random_unit_quat(rng)
-        worst = max(worst, poisson.right_translation_covariance_check(pt, b))
-        if flags[i]:
-            worst = max(worst, poisson.right_translation_covariance_check(pt, Quaternion.identity()))
+    for flags in _blocks(_small_q0_flags(rng, n)):
+        z = _phase_points(rng, flags, quat_after=True)
+        worst = max(worst, _worst(poisson._covariance_residuals(z[:13], z[13:]), 0.0),
+                    _worst(poisson._covariance_residuals(z[:13, flags], Quaternion.identity()), 0.0))
     out.append(CheckResult("right-translated q b obeys the same brackets", worst, 1e-11, n))
     return out
 
@@ -297,27 +289,24 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 def jacobi_checks(rng: np.random.Generator, n: int, corrupt: bool = False) -> list[CheckResult]:
     out = []
     for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
-        flags = _small_q0_flags(rng, n)
         worst = 0.0
-        for i in range(n):
-            pt = random_phase_point(rng, chart, small_q0=bool(flags[i]))
-            worst = max(worst, poisson.jacobi_residual(pt, corrupt=corrupt))
+        for flags in _blocks(_small_q0_flags(rng, n)):
+            z = _phase_points(rng, flags)
+            worst = max(worst, _worst(poisson._jacobi_residuals(z, chart, corrupt), 0.0))
         out.append(CheckResult(f"Jacobi cyclic residual ({chart.value})", worst, 1e-12, n))
     control = 0.0
-    for _ in range(min(n, 100)):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU)
-        control = max(control, poisson.jacobi_residual(pt, corrupt=True))
+    for flags in _blocks(np.zeros(min(n, 100), dtype=bool)):
+        z = _phase_points(rng, flags)
+        control = max(control, _worst(poisson._jacobi_residuals(z, Chart.INERTIAL_MU, True), 0.0))
     out.append(CheckResult("negative control (flipped sign) residual", control, 0.1,
                            min(n, 100), mode="min"))
     return out
 
 
 def poisson_map_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    flags = _small_q0_flags(rng, n)
     worst = 0.0
-    for i in range(n):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU, small_q0=bool(flags[i]))
-        worst = max(worst, poisson.poisson_map_residual(pt))
+    for flags in _blocks(_small_q0_flags(rng, n)):
+        worst = max(worst, _worst(poisson._poisson_map_residuals(_phase_points(rng, flags)), 0.0))
     return [CheckResult("push-forward brackets to (Q, pi)", worst, 1e-11, n)]
 
 
@@ -350,11 +339,10 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
             ek_q = quat_mul(Quaternion.basis(k + 1), pt.q).as_array()
             worst = max(worst, float(np.max(np.abs(fields[k][6:10] - ek_q))))
             # Liouville form on the left-invariant field returns mu_k
-            u = np.concatenate([ek_q, 2.0 * np.cross(_basis3(k), pt.mom)])
+            u = np.concatenate([ek_q, 2.0 * np.cross(np.eye(3)[k], pt.mom)])
             worst = max(worst, abs(poisson.liouville_form_eval(pt, u) - pt.mom[k]))
         # q-block columns of the momentum fields against the closed-form table
-        eta = np.stack([np.array([fields[k][6 + mu] for k in range(3)])
-                        for mu in range(4)])
+        eta = np.array(fields)[:, 6:10].T
         q0, q1, q2, q3 = pt.q.as_array()
         eta_expect = np.array([
             [-q1, -q2, -q3],
@@ -376,12 +364,6 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("orientation-only functions commute; fields are pure momentum",
                            worst, 1e-15, n))
     return out
-
-
-def _basis3(k: int) -> np.ndarray:
-    e = np.zeros(3)
-    e[k] = 1.0
-    return e
 
 
 def _random_tangent(rng: np.random.Generator, pt: PhasePoint) -> np.ndarray:
@@ -406,13 +388,14 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
     """Algebraic equations of motion against the bracket engine J grad(H)."""
     out = []
     for params in _oracle_params():
-        H = dynamics.hamiltonian_variable(params)
+        rhs = dynamics._make_rhs(params)
+        grad_h = dynamics._make_grad_h(params)
         worst = 0.0
-        for _ in range(n):
-            pt = random_phase_point(rng, Chart.MIXED_M)
-            rhs = dynamics.eom_rhs(pt, params)
-            field = poisson.hamiltonian_vector_field(H, pt)
-            worst = max(worst, float(np.max(np.abs(rhs - field))))
+        for flags in _blocks(np.zeros(n, dtype=bool)):
+            z = _phase_points(rng, flags)
+            grad = np.array([np.broadcast_to(g, z.shape[1:]) for g in grad_h(list(z))])
+            field = poisson._tensor_components(z, Chart.MIXED_M) @ poisson._stack(grad[:, None])
+            worst = max(worst, *map(_worst, rhs(list(z)), field[:, :, 0].T))
         out.append(CheckResult(f"eom_rhs = J grad(H), potential {params.potential.name}",
                                worst, 1e-9, n))
 
@@ -436,10 +419,7 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
         omega = dynamics.angular_velocity(M, inertia)
         h = 1e-6
         for i in range(3):
-            dp = M.copy()
-            dm = M.copy()
-            dp[i] += h
-            dm[i] -= h
+            dp, dm = M + h * np.eye(3)[i], M - h * np.eye(3)[i]
             fd = (dynamics.spin_kinetic(dp, inertia) - dynamics.spin_kinetic(dm, inertia)) / (2 * h)
             worst = max(worst, abs(2.0 * fd - omega[i]))
     out.append(CheckResult("2 dT_spin/dM equals the angular velocity", worst, 1e-8,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qhdyn
-from qhdyn import dynamics
+from qhdyn import cli, dynamics, verify
 from qhdyn.cli import main
 
 FREE_TOP = {
@@ -50,6 +50,20 @@ DENSE_OUTPUT_RUN = {
 GOLDEN_CSV_SHA256 = {
     "sim_heavy_top": "e744e058c5411b1354b4740a38fb7689b9ad89e1e0cb68302c607c077a7372cd",
     "sim_dense_output": "0d27e58c8a4bcecefaa0680d39bb850e214c6a00be1252f36402275e5241e50c",
+}
+
+# sha256 of the stdout of ``qhdyn verify <suite> --seed 0`` at default sizes,
+# recorded while the bracket, Jacobi, Poisson-map and oracle suites still ran
+# one phase point at a time.  A rewrite that moves any printed residual digit,
+# check name or count changes its suite's digest.
+GOLDEN_VERIFY_SHA256 = {
+    "algebra": "f1d5032bb1431060e4def5a6eaac182a8906a8b6d975c623de397e7f2a66cdc4",
+    "brackets": "d1c5a8cbc6c748f1d8961952eecb4d79e0aee314f6788491eb5685632524fd81",
+    "dynamics_oracle": "f61b8ba36de0a222ae32a18cd680795159761d9188540a960541790522e4b7f0",
+    "jacobi": "0324db43c0551e772c11d27ded2d634b41adde27c6d1275537928c82af6bafbf",
+    "maurer_cartan": "83f971fe7d57b7cdf4758457a7154524253746cc7c7b07a59906893d87ae2a3a",
+    "poisson_map": "3cd7f286fe239afcd2e8ee23c2d18d4a3f2fb0d3130cd57ce068dedebca136a1",
+    "symplectic": "aae4bbdce04742aa1eb2e303118837eece1df6f2050456ad9b36646f7447d6de",
 }
 
 
@@ -279,6 +293,35 @@ def test_verify_corrupt_tensor_fails(capsys):
     assert main(["verify", "jacobi", "--seed", "1", "--points", "20",
                  "--corrupt-tensor"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_golden_output(capsys, suite):
+    assert main(["verify", suite, "--seed", "0"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN_VERIFY_SHA256[suite]
+
+
+def _suite_must_not_run(*args, **kwargs):
+    raise AssertionError("a suite ran before its arguments were checked")
+
+
+def test_verify_rejects_points_above_cap(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", _suite_must_not_run)
+    for points in (0, cli.MAX_POINTS + 1, 10**9):
+        assert main(["verify", "algebra", "--points", str(points)]) == 2
+        assert "--points" in capsys.readouterr().err
+    # the cap itself is accepted and reaches the suite unchanged
+    calls = []
+    monkeypatch.setattr(verify, "run_suite", lambda *a, **kw: calls.append(kw["n_points"]) or [])
+    assert main(["verify", "algebra", "--points", str(cli.MAX_POINTS)]) == 0
+    assert calls == [cli.MAX_POINTS]
+
+
+def test_verify_rejects_negative_seed(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "run_suite", _suite_must_not_run)
+    assert main(["verify", "maurer_cartan", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_exits_2():

@@ -1,4 +1,5 @@
-"""The private formula kernels on (4, n) arrays against the scalar public API.
+"""The private formula kernels on (4, n) and (13, n) arrays against the
+scalar public API.
 
 Each kernel is written once and runs on float components (the public
 functions) and on array components (the verify suites).  Every column of a
@@ -14,14 +15,26 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qhdyn import (  # noqa: E402
+    Chart,
+    PhasePoint,
     Quaternion,
+    eom_rhs,
+    hamiltonian_variable,
+    hamiltonian_vector_field,
+    jacobi_residual,
     matrix_to_quat,
+    poisson,
+    poisson_map_residual,
     quat_conj,
     quat_inverse,
     quat_mul,
     quat_norm,
     quat_to_matrix,
+    right_translation_covariance_check,
+    structure_tensor,
+    verify,
 )
+from qhdyn.dynamics import _make_grad_h, _make_rhs  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
 
@@ -91,3 +104,39 @@ def test_rotation_kernels_match_scalar_api(cols):
 def test_pivot_ties_take_the_first_index():
     _, pivot = _quat_of_matrix(_matrix(SPECIAL.T))
     np.testing.assert_array_equal(pivot[:11], [1, 2, 1, 1, 2, 1, 1, 1, 0, 0, 0])
+
+
+coord = st.floats(-2.0, 2.0, allow_nan=False)
+phase_point = st.tuples(st.tuples(*[coord] * 6), units, st.tuples(coord, coord, coord)).map(
+    lambda t: (*t[0], *t[1], *t[2]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(phase_point, units), min_size=1, max_size=12))
+def test_phase_point_kernels_match_scalar_api(cols):
+    z = np.array([c for c, _ in cols]).T
+    b = np.array([bq for _, bq in cols]).T
+    jacobi = {(chart, corrupt): poisson._jacobi_residuals(z, chart, corrupt)
+              for chart in Chart for corrupt in (False, True)}
+    tensors = {chart: poisson._tensor_components(z, chart) for chart in Chart}
+    pmap = poisson._poisson_map_residuals(z)
+    cov = poisson._covariance_residuals(z, b)
+    oracle = []
+    for params in verify._oracle_params():
+        grad = np.array(np.broadcast_arrays(*_make_grad_h(params)(list(z))))
+        field = tensors[Chart.MIXED_M] @ poisson._stack(grad[:, None])
+        rhs = np.array(np.broadcast_arrays(*_make_rhs(params)(list(z))))
+        oracle.append((params, hamiltonian_variable(params), field[:, :, 0].T, rhs))
+    for k, (col, bq) in enumerate(cols):
+        for chart in Chart:
+            pt = PhasePoint.from_coords(col, chart)
+            assert _bits(tensors[chart][k]) == _bits(structure_tensor(pt).j)
+            for corrupt in (False, True):
+                assert _bits(jacobi[chart, corrupt][k]) == _bits(jacobi_residual(pt, corrupt))
+        pt = PhasePoint.from_coords(col, Chart.INERTIAL_MU)
+        assert _bits(pmap[k]) == _bits(poisson_map_residual(pt))
+        assert _bits(cov[k]) == _bits(right_translation_covariance_check(pt, Quaternion.from_array(bq)))
+        pt = PhasePoint.from_coords(col, Chart.MIXED_M)
+        for params, H, field, rhs in oracle:
+            assert _bits(field[:, k]) == _bits(hamiltonian_vector_field(H, pt))
+            assert _bits(rhs[:, k]) == _bits(eom_rhs(pt, params))

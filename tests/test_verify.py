@@ -1,17 +1,29 @@
 """Verification-suite runner: determinism, registry, sampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qhdyn import (
+    DynamicVariable,
     Quaternion,
+    coordinate,
+    eom_rhs,
+    hamiltonian_variable,
+    hamiltonian_vector_field,
+    jacobi_residual,
     matrix_to_quat,
+    poisson_bracket,
+    poisson_map_residual,
     quat_conj,
     quat_inverse,
     quat_mul,
     quat_norm,
     quat_to_matrix,
     right_action_matrix,
+    right_translation_covariance_check,
+    structure_tensor,
     verify,
 )
 from qhdyn.poisson import Chart
@@ -118,9 +130,108 @@ def _rotation_reference(rng, n):
     return [hom, cover, trip]
 
 
+def _max_abs(x):
+    return float(np.max(np.abs(x)))
+
+
+def _bracket_reference(rng, n):
+    """The seven bracket residuals, one phase point at a time through the
+    public per-point functions, drawing from ``rng`` as ``bracket_checks`` does."""
+    anti = mu = m = xp = 0.0
+    for small in verify._small_q0_flags(rng, n):
+        pt_mu = verify.random_phase_point(rng, Chart.INERTIAL_MU, small)
+        pt_m = verify.random_phase_point(rng, Chart.MIXED_M, small)
+        J_mu, J_m = structure_tensor(pt_mu).j, structure_tensor(pt_m).j
+        anti = max(anti, _max_abs(J_mu + J_mu.T), _max_abs(J_m + J_m.T))
+        for k in range(3):
+            e = Quaternion.basis(k + 1)
+            mu = max(mu, _max_abs(J_mu[6:10, 10 + k] - quat_mul(e, pt_mu.q).as_array()))
+            m = max(m, _max_abs(J_m[6:10, 10 + k] - quat_mul(pt_m.q, e).as_array()))
+        xp = max(xp, _max_abs(J_mu[0:3, 3:6] - np.eye(3)))
+    nc = max(1, n // 10)
+    leibniz = 0.0
+    for _ in range(nc):
+        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
+        F, G, H = (verify.random_polynomial(rng, Chart.INERTIAL_MU) for _ in range(3))
+        lhs = poisson_bracket(F * G, H, pt)
+        rhs = F.value(pt) * poisson_bracket(G, H, pt) + G.value(pt) * poisson_bracket(F, H, pt)
+        leibniz = max(leibniz, abs(lhs - rhs))
+    norm_sq = DynamicVariable(
+        lambda z: float(z[6:10] @ z[6:10]),
+        lambda z: np.concatenate([np.zeros(6), 2.0 * z[6:10], np.zeros(3)]))
+    norm = 0.0
+    for _ in range(nc):
+        for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
+            pt = verify.random_phase_point(rng, chart)
+            norm = max(norm, *(abs(poisson_bracket(norm_sq, coordinate(i), pt))
+                               for i in range(13)))
+    cov = 0.0
+    for small in verify._small_q0_flags(rng, n):
+        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU, small)
+        cov = max(cov, right_translation_covariance_check(pt, verify.random_unit_quat(rng)))
+        if small:
+            cov = max(cov, right_translation_covariance_check(pt, Quaternion.identity()))
+    return [anti, mu, m, xp, leibniz, norm, cov]
+
+
+def _jacobi_reference(rng, n):
+    """Both chart residuals and the negative control, one point at a time."""
+    out = []
+    for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
+        out.append(max(jacobi_residual(verify.random_phase_point(rng, chart, small))
+                       for small in verify._small_q0_flags(rng, n)))
+    out.append(max(jacobi_residual(verify.random_phase_point(rng, Chart.INERTIAL_MU),
+                                   corrupt=True) for _ in range(min(n, 100))))
+    return out
+
+
+def _poisson_map_reference(rng, n):
+    return [max(poisson_map_residual(verify.random_phase_point(rng, Chart.INERTIAL_MU, small))
+                for small in verify._small_q0_flags(rng, n))]
+
+
+def _oracle_reference(rng, n):
+    """The four eom_rhs = J grad(H) rows, one state at a time."""
+    out = []
+    for params in verify._oracle_params():
+        H = hamiltonian_variable(params)
+        worst = 0.0
+        for _ in range(n):
+            pt = verify.random_phase_point(rng, Chart.MIXED_M)
+            worst = max(worst, _max_abs(eom_rhs(pt, params) - hamiltonian_vector_field(H, pt)))
+        out.append(worst)
+    return out
+
+
+# (array suite, the residuals a reference reproduces, per-sample reference)
+_REFERENCES = [
+    (verify.algebra_checks, slice(1, None), _algebra_reference),
+    (verify.rotation_checks, slice(0, 3), _rotation_reference),
+    (verify.bracket_checks, slice(None), _bracket_reference),
+    (verify.jacobi_checks, slice(None), _jacobi_reference),
+    (verify.poisson_map_checks, slice(None), _poisson_map_reference),
+    (verify.dynamics_oracle_checks, slice(0, 4), _oracle_reference),
+]
+
+
 @pytest.mark.parametrize("seed, n", [(0, 1), (1, 2), (2, 7), (3, 400)])
 def test_array_suites_match_per_sample_reference(seed, n):
-    algebra = verify.algebra_checks(np.random.default_rng(seed), n)[1:]
-    rotation = verify.rotation_checks(np.random.default_rng(seed), n)[:3]
-    assert [r.residual for r in algebra] == _algebra_reference(np.random.default_rng(seed), n)
-    assert [r.residual for r in rotation] == _rotation_reference(np.random.default_rng(seed), n)
+    for checks, picked, reference in _REFERENCES:
+        got = [r.residual for r in checks(np.random.default_rng(seed), n)[picked]]
+        assert got == reference(np.random.default_rng(seed), n), checks.__name__
+
+
+def test_phase_point_suites_memory_bounded():
+    # the phase-point suites work through fixed blocks of points, so at
+    # default sizes none of them traces more memory than the algebra suite
+    def traced_peak(name):
+        tracemalloc.start()
+        try:
+            verify.run_suite(name, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    limit = traced_peak("algebra")
+    for name in ("brackets", "jacobi", "poisson_map", "dynamics_oracle"):
+        assert traced_peak(name) <= limit, name
