@@ -47,9 +47,8 @@ from .errors import ChartError, DomainError, PreconditionError
 from .quaternion import (
     Quaternion,
     TOL_UNIT,
+    _conj,
     _mul,
-    quat_conj,
-    quat_mul,
     right_action_matrix,
 )
 from . import so3
@@ -165,7 +164,21 @@ def _stack(m: np.ndarray) -> np.ndarray:
     """(k, l) or (k, l, n) matrices as a C-contiguous (k, l) or (n, k, l) stack:
     ``np.matmul`` then makes each sample's BLAS call of the 2-D product, so
     every column keeps the per-point bits (an einsum sums in another order)."""
-    return np.ascontiguousarray(np.moveaxis(m, (0, 1), (-2, -1)))
+    return np.ascontiguousarray(np.transpose(m, (*range(2, np.ndim(m)), 0, 1)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b of (k,) vectors, or per (k, n) column by the BLAS call of ``a @ b`` on a copy."""
+    return (np.ascontiguousarray(a.T)[..., None, :] @ np.ascontiguousarray(b.T)[..., None])[..., 0, 0]
+
+
+def _j_grad(z: np.ndarray, chart: Chart, left, grad: np.ndarray):
+    """J(z) grad (``left`` None: a Hamiltonian field) or the bracket (left J) grad,
+    at (13,) coordinates or per (13, n) column, in the one-point product order."""
+    J, right = _tensor_components(z, chart), np.ascontiguousarray(grad.T)[..., None]
+    if left is None:
+        return (J @ right)[..., 0].T
+    return ((np.ascontiguousarray(left.T)[..., None, :] @ J) @ right)[..., 0, 0]
 
 
 def structure_jacobian(chart: Chart, corrupt: bool = False) -> np.ndarray:
@@ -270,8 +283,10 @@ class DynamicVariable:
                                name=f"(-{self.name})", chart=self.chart)
 
     def __sub__(self, other):
-        add = self.__add__(-other if isinstance(other, DynamicVariable) else -float(other))
-        return add
+        return self + -other if isinstance(other, (DynamicVariable, int, float)) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, (int, float)) else NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, DynamicVariable):
@@ -316,16 +331,14 @@ def coordinate(which: Union[int, str], chart: Optional[Chart] = None) -> Dynamic
         if not 0 <= idx < N_COORDS:
             raise DomainError(f"coordinate index must be 0..12, got {idx}")
         name = f"z{idx}"
-    e = np.zeros(N_COORDS)
-    e[idx] = 1.0
+    e = np.eye(N_COORDS)[idx]
     return DynamicVariable(lambda z: z[idx], lambda z, e=e: e.copy(), name=name, chart=chart)
 
 
 def momentum_along(xi: Sequence[float], chart: Chart = Chart.INERTIAL_MU) -> DynamicVariable:
     """Linear momentum variable <mom, xi> for a fixed 3-vector xi."""
     xi = np.asarray(xi, dtype=float)
-    g = np.zeros(N_COORDS)
-    g[_MOM0:] = xi
+    g = np.concatenate([np.zeros(_MOM0), xi])
     return DynamicVariable(lambda z: float(z[_MOM0:] @ xi), lambda z, g=g: g.copy(),
                            name="<mom,xi>", chart=chart)
 
@@ -383,7 +396,7 @@ def poisson_bracket(F: DynamicVariable, G: DynamicVariable, point: PhasePoint) -
     _require_variable_chart(F, point)
     _require_variable_chart(G, point)
     z = _point_coords(point)
-    return float(F.gradient(z) @ _tensor_components(z, point.chart) @ G.gradient(z))
+    return float(_j_grad(z, point.chart, F.gradient(z), G.gradient(z)))
 
 
 def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarray:
@@ -394,7 +407,7 @@ def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarra
     """
     _require_variable_chart(H, point)
     z = _point_coords(point)
-    return _tensor_components(z, point.chart) @ H.gradient(z)
+    return _j_grad(z, point.chart, None, H.gradient(z))
 
 
 def jacobi_residual(point: PhasePoint, corrupt: bool = False) -> float:
@@ -473,20 +486,28 @@ def _covariance_residuals(z: np.ndarray, b) -> np.ndarray:
 
 def _rotational_vector(vec) -> np.ndarray:
     v = np.asarray(vec, dtype=float)
-    if v.shape == (N_COORDS,):
-        return v[_Q0:]
-    if v.shape == (7,):
-        return v
-    raise DomainError(f"expected a 7- or 13-vector, got shape {v.shape}")
+    if v.shape not in ((N_COORDS,), (7,)):
+        raise DomainError(f"expected a 7- or 13-vector, got shape {v.shape}")
+    return v[-7:]
 
 
-def _dq_of(q: Quaternion, u7: np.ndarray, what: str) -> np.ndarray:
-    """Value of the right-invariant form dq q^-1 on a tangent vector."""
-    uq = u7[0:4]
-    if abs(float(q.as_array() @ uq)) > 1e-9 * max(1.0, float(np.linalg.norm(uq))):
+def _dq_of(q, u, what: str) -> np.ndarray:
+    """Vector part of dq q^-1 on the q-blocks u[0:4]; each must be tangent: <q, u_q> = 0."""
+    uq = u[0:4]
+    if np.any(np.abs(_dot(q, uq)) > 1e-9 * np.maximum(1.0, np.sqrt(_dot(uq, uq)))):
         raise PreconditionError(f"{what} is not tangent to the unit sphere at q")
-    w = quat_mul(Quaternion.from_array(uq), quat_conj(q))
-    return np.array([w.q1, w.q2, w.q3])
+    return np.array(_mul(uq, _conj(q))[1:])
+
+
+def _forms(z, u, v):
+    """Liouville form <mu, dq(u)> (``v`` None) or symplectic form Omega(u, v) at
+    (13,) or (13, n) inertial coordinates, for (7,) or (7, n) (q, mom) vectors."""
+    q, mom = z[_Q0:_MOM0], z[_MOM0:]
+    du = _dq_of(q, u, "u")
+    if v is None:
+        return _dot(mom, du)
+    dv = _dq_of(q, v, "v")
+    return (_dot(du, v[4:7]) - _dot(dv, u[4:7])) + -2.0 * _dot(mom, np.cross(du, dv, axis=0))
 
 
 def liouville_form_eval(point: PhasePoint, u) -> float:
@@ -495,9 +516,8 @@ def liouville_form_eval(point: PhasePoint, u) -> float:
     ``u`` is a 7-vector (q-block, mom-block) or a full 13-vector whose
     rotational block is used; its q-part must be tangent: <q, u_q> = 0.
     """
-    _point_coords(point, Chart.INERTIAL_MU, "liouville_form_eval")
-    du = _dq_of(point.q, _rotational_vector(u), "u")
-    return float(point.mom @ du)
+    z = _point_coords(point, Chart.INERTIAL_MU, "liouville_form_eval")
+    return float(_forms(z, _rotational_vector(u), None))
 
 
 def symplectic_form_eval(point: PhasePoint, u, v) -> float:
@@ -510,11 +530,5 @@ def symplectic_form_eval(point: PhasePoint, u, v) -> float:
     For Hamiltonian fields X_F, X_G this reproduces the bracket:
     Omega(X_F, X_G) = {F, G}.
     """
-    _point_coords(point, Chart.INERTIAL_MU, "symplectic_form_eval")
-    u7 = _rotational_vector(u)
-    v7 = _rotational_vector(v)
-    du = _dq_of(point.q, u7, "u")
-    dv = _dq_of(point.q, v7, "v")
-    pairing = float(du @ v7[4:7]) - float(dv @ u7[4:7])
-    twist = -2.0 * float(point.mom @ np.cross(du, dv))
-    return pairing + twist
+    z = _point_coords(point, Chart.INERTIAL_MU, "symplectic_form_eval")
+    return float(_forms(z, _rotational_vector(u), _rotational_vector(v)))

@@ -10,6 +10,7 @@ forces |q0| <= 1e-6 to probe the nearly-pure-quaternion regime.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -17,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics, poisson, so3
-from .poisson import N_COORDS, Chart, DynamicVariable, PhasePoint, coordinate
+from .poisson import N_COORDS, Chart, DynamicVariable, PhasePoint, _dot, _forms, _j_grad
 from .quaternion import (
     Quaternion,
     _conj,
@@ -27,11 +28,11 @@ from .quaternion import (
     axis_angle_to_quat,
     quat_mul,
     right_action_matrix,
-    rotate_vector,
 )
 
 SMALL_Q0 = 1e-6
 SMALL_Q0_FRACTION = 0.1
+_MU = Chart.INERTIAL_MU
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,18 @@ def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quater
     a = rng.standard_normal(4)
     if small_q0:
         a[0] = rng.uniform(-SMALL_Q0, SMALL_Q0)
-        n = np.linalg.norm(a[1:])
-        a[1:] *= math.sqrt(max(1.0 - a[0] ** 2, 0.0)) / n
+        a[1:] *= math.sqrt(max(1.0 - a[0] ** 2, 0.0)) / np.linalg.norm(a[1:])
         return Quaternion.from_array(a)
     return Quaternion.from_array(a / np.linalg.norm(a))
 
 
-def _phase_points(rng: np.random.Generator, flags, quat_after: bool = False) -> np.ndarray:
-    """(13, n) coordinates of n = len(flags) phase points, drawn one point at a
-    time as :func:`random_phase_point` draws them (flags[i]: |q0| <= SMALL_Q0);
-    ``quat_after`` draws a unit quaternion after each point into rows 13-16."""
-    z = np.empty((len(flags), 17 if quat_after else N_COORDS))
-    for row, small in zip(z, flags):
-        row[0:6] = rng.uniform(-2.0, 2.0, 6)
-        row[6:10] = random_unit_quat(rng, small)
-        row[10:13] = rng.uniform(-2.0, 2.0, 3)
-        if quat_after:
-            row[13:17] = random_unit_quat(rng)
-    return z.T
+def _phase_points(rng: np.random.Generator, flags, *draws) -> np.ndarray:
+    """(13 + k, n) columns of n = len(flags) phase points, drawn one point at a
+    time as :func:`random_phase_point` draws them (flags[i]: |q0| <= SMALL_Q0),
+    each followed by the floats of every ``draw(rng)`` in turn."""
+    return np.array([[*rng.uniform(-2.0, 2.0, 6).tolist(), *random_unit_quat(rng, small),
+                      *rng.uniform(-2.0, 2.0, 3).tolist(), *(x for draw in draws for x in draw(rng))]
+                     for small in flags]).T
 
 
 def random_phase_point(rng: np.random.Generator, chart: Chart,
@@ -93,23 +88,47 @@ def _small_q0_flags(rng: np.random.Generator, n: int) -> np.ndarray:
 _BLOCK = 256
 
 
-def _blocks(flags: np.ndarray):
-    return (flags[i:i + _BLOCK] for i in range(0, len(flags), _BLOCK))
+def _blocks(rng: np.random.Generator, flags: np.ndarray, *draws):
+    """Per block of ``flags``, the block and its columns from :func:`_phase_points`."""
+    for i in range(0, len(flags), _BLOCK):
+        yield flags[i:i + _BLOCK], _phase_points(rng, flags[i:i + _BLOCK], *draws)
+
+
+def _polynomial_terms(rng: np.random.Generator, indices, n_terms: int) -> np.ndarray:
+    """(3, n_terms) terms (coef, a, b) of a random polynomial; see :func:`random_polynomial`."""
+    terms = np.full((3, max(1, n_terms)), -1.0)
+    for t in range(terms.shape[1]):
+        terms[1, t] = indices[rng.integers(len(indices))]
+        if t and rng.uniform() < 0.5:
+            terms[2, t] = indices[rng.integers(len(indices))]
+        terms[0, t] = rng.uniform(-1, 1)
+    return terms
+
+
+def _polynomial(terms: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and gradient of (3, T) terms at (13,) coordinates, or of (3, T, n)
+    terms, one polynomial per column, at (13, n) columns, with the operations of
+    the DynamicVariable tree of the terms: c (z_a z_b) and c (z_a e_b + z_b e_a),
+    summed from the first term.  Index -1 reads z = 1 and e = 0, which gives a
+    linear term c z_a and c e_a exactly."""
+    coef, a, b = terms[0], terms[1].astype(int), terms[2].astype(int)
+    z1 = np.concatenate([z, np.ones_like(z[:1])])
+    za, zb = np.take_along_axis(z1, a, axis=0), np.take_along_axis(z1, b, axis=0)
+    e = np.eye(N_COORDS, N_COORDS + 1)  # column -1 is zero
+    grads = coef * (za * e[:, b] + zb * e[:, a])
+    return functools.reduce(np.add, coef * (za * zb)), functools.reduce(np.add, grads.swapaxes(0, 1))
 
 
 def random_polynomial(rng: np.random.Generator, chart: Optional[Chart] = None,
                       indices: tuple[int, ...] = tuple(range(6, 13)),
                       n_terms: int = 5) -> DynamicVariable:
-    """Random degree-<=2 polynomial in the chosen coordinates, analytic grad."""
-    var = coordinate(int(rng.choice(indices)), chart) * float(rng.uniform(-1, 1))
-    for _ in range(n_terms - 1):
-        a = coordinate(int(rng.choice(indices)), chart)
-        if rng.uniform() < 0.5:
-            b = coordinate(int(rng.choice(indices)), chart)
-            var = var + float(rng.uniform(-1, 1)) * (a * b)
-        else:
-            var = var + float(rng.uniform(-1, 1)) * a
-    return var
+    """Random degree-<=2 polynomial in the chosen coordinates, analytic grad:
+    the sum of ``n_terms`` terms (coef, a, b), each c z_a z_b or, for b = -1,
+    c z_a, with indices drawn from ``indices`` and c uniform in [-1, 1]; the
+    first term is linear, each later one quadratic with probability 1/2."""
+    terms = _polynomial_terms(rng, indices, n_terms)
+    return DynamicVariable(lambda z: _polynomial(terms, z)[0], lambda z: _polynomial(terms, z)[1],
+                           name="polynomial", chart=chart)
 
 
 # ---------------------------------------------------------------------------
@@ -142,15 +161,12 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     big = a[:, na > 1e-8]
     w_inv = _worst(_mul(big, _inv(big)), e0)
 
-    x1, x2, x3 = a[1:]
-    y1, y2, y3 = b[1:]
-    xy = np.array(_mul((0.0, x1, x2, x3), (0.0, y1, y2, y3)))
-    yx = np.array(_mul((0.0, y1, y2, y3), (0.0, x1, x2, x3)))
+    x, y = a[1:], b[1:]
+    xy, yx = np.array(_mul((0.0, *x), (0.0, *y))), np.array(_mul((0.0, *y), (0.0, *x)))
     zero = np.zeros(n)
-    dot = x1 * y1 + x2 * y2 + x3 * y3
-    cross = (x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1)
+    dot = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
     w_pure = max(_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
-                 _worst(0.5 * (xy - yx), (zero, *cross)))
+                 _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0))))
 
     lhs = np.matmul(poisson._stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
     w_ract = _worst(lhs[:, :, 0].T, ab)
@@ -187,28 +203,26 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("roundtrip matrix_to_quat(quat_to_matrix(q)) in {q,-q}",
                            worst, 1e-12, n))
 
-    worst = 0.0
-    for _ in range(max(1, n // 10)):
-        q = random_unit_quat(rng)
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        rx, ry = rotate_vector(q, x), rotate_vector(q, y)
-        worst = max(worst, abs(float(rx @ ry) - float(x @ y)),
-                    float(np.max(np.abs(np.cross(rx, ry) - rotate_vector(q, np.cross(x, y))))))
-    out.append(CheckResult("rotation preserves dot and cross", worst, 1e-13, max(1, n // 10)))
+    # per sample: a unit quaternion as random_unit_quat draws it, then x and y
+    m = max(1, n // 10)
+    w = rng.standard_normal((m, 10)).T
+    q, x, y = w[0:4] / np.sqrt(_dot(w[0:4], w[0:4])), w[4:7], w[7:10]
+    # rotate_vector: the vector part of q v q^dag
+    rx, ry, rxy = (np.array(_mul(_mul(q, (0.0, *v)), _conj(q))[1:])
+                   for v in (x, y, np.cross(x, y, axis=0)))
+    worst = max(_worst(_dot(rx, ry), _dot(x, y)), _worst(np.cross(rx, ry, axis=0), rxy))
+    out.append(CheckResult("rotation preserves dot and cross", worst, 1e-13, m))
     return out
 
 
 def maurer_cartan_checks(rng: np.random.Generator, n: int,
                          h: float = 1e-4) -> list[CheckResult]:
     """Right-invariant derivative identity under central differences."""
-    residuals = []
-    ratios = []
+    residuals, ratios = [], []
     for _ in range(n):
         base = random_unit_quat(rng)
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        alpha = rng.uniform(0.2, 0.8)
-        beta = rng.uniform(0.2, 0.8)
+        u, v = rng.standard_normal(3), rng.standard_normal(3)
+        alpha, beta = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
 
         def path(t, base=base, u=u, v=v, alpha=alpha, beta=beta):
             return quat_mul(quat_mul(axis_angle_to_quat(u, alpha * t), base),
@@ -234,9 +248,8 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
 def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Structure-tensor tables against the quaternion-product forms."""
     worst_anti = worst_mu = worst_m = worst_xp = 0.0
-    for flags in _blocks(_small_q0_flags(rng, n)):
-        # each sample draws an inertial point, then a mixed one
-        z = _phase_points(rng, np.repeat(flags, 2))
+    # each sample draws an inertial point, then a mixed one
+    for _, z in _blocks(rng, np.repeat(_small_q0_flags(rng, n), 2)):
         z_mu, z_m = z[:, 0::2], z[:, 1::2]
         J_mu = poisson._tensor_components(z_mu, Chart.INERTIAL_MU)
         J_m = poisson._tensor_components(z_m, Chart.MIXED_M)
@@ -255,22 +268,16 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
     worst = 0.0
     nc = max(1, n // 10)
-    for _ in range(nc):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU)
-        F = random_polynomial(rng, Chart.INERTIAL_MU)
-        G = random_polynomial(rng, Chart.INERTIAL_MU)
-        H = random_polynomial(rng, Chart.INERTIAL_MU)
-        lhs = poisson.poisson_bracket(F * G, H, pt)
-        rhs = (F.value(pt) * poisson.poisson_bracket(G, H, pt)
-               + G.value(pt) * poisson.poisson_bracket(F, H, pt))
-        worst = max(worst, abs(lhs - rhs))
+    for z, (vF, gF), (vG, gG), (_, gH) in _with_polynomials(rng, nc, 3, range(6, 13)):
+        lhs = _j_grad(z, _MU, vF * gG + vG * gF, gH)  # grad(FG) = F grad(G) + G grad(F)
+        rhs = vF * _j_grad(z, _MU, gG, gH) + vG * _j_grad(z, _MU, gF, gH)
+        worst = max(worst, _worst(lhs, rhs))
     out.append(CheckResult("Leibniz rule {FG, H} = F{G,H} + G{F,H}", worst, 1e-10, nc))
 
     worst = 0.0
-    for flags in _blocks(np.zeros(nc, dtype=bool)):
-        # an inertial point, then a mixed one; {|q|^2, z_I} for all 13
-        # coordinates is the row grad(|q|^2) J
-        z = _phase_points(rng, np.repeat(flags, 2))
+    # an inertial point, then a mixed one; {|q|^2, z_I} for all 13
+    # coordinates is the row grad(|q|^2) J
+    for _, z in _blocks(rng, np.zeros(2 * nc, bool)):
         for zc, chart in ((z[:, 0::2], Chart.INERTIAL_MU), (z[:, 1::2], Chart.MIXED_M)):
             grad = np.zeros((zc.shape[1], 1, N_COORDS))
             grad[:, 0, 6:10] = 2.0 * zc[6:10].T
@@ -278,8 +285,7 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("norm function commutes with all generators", worst, 1e-11, nc))
 
     worst = 0.0
-    for flags in _blocks(_small_q0_flags(rng, n)):
-        z = _phase_points(rng, flags, quat_after=True)
+    for flags, z in _blocks(rng, _small_q0_flags(rng, n), random_unit_quat):
         worst = max(worst, _worst(poisson._covariance_residuals(z[:13], z[13:]), 0.0),
                     _worst(poisson._covariance_residuals(z[:13, flags], Quaternion.identity()), 0.0))
     out.append(CheckResult("right-translated q b obeys the same brackets", worst, 1e-11, n))
@@ -290,13 +296,11 @@ def jacobi_checks(rng: np.random.Generator, n: int, corrupt: bool = False) -> li
     out = []
     for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
         worst = 0.0
-        for flags in _blocks(_small_q0_flags(rng, n)):
-            z = _phase_points(rng, flags)
+        for _, z in _blocks(rng, _small_q0_flags(rng, n)):
             worst = max(worst, _worst(poisson._jacobi_residuals(z, chart, corrupt), 0.0))
         out.append(CheckResult(f"Jacobi cyclic residual ({chart.value})", worst, 1e-12, n))
     control = 0.0
-    for flags in _blocks(np.zeros(min(n, 100), dtype=bool)):
-        z = _phase_points(rng, flags)
+    for _, z in _blocks(rng, np.zeros(min(n, 100), bool)):
         control = max(control, _worst(poisson._jacobi_residuals(z, Chart.INERTIAL_MU, True), 0.0))
     out.append(CheckResult("negative control (flipped sign) residual", control, 0.1,
                            min(n, 100), mode="min"))
@@ -305,72 +309,55 @@ def jacobi_checks(rng: np.random.Generator, n: int, corrupt: bool = False) -> li
 
 def poisson_map_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     worst = 0.0
-    for flags in _blocks(_small_q0_flags(rng, n)):
-        worst = max(worst, _worst(poisson._poisson_map_residuals(_phase_points(rng, flags)), 0.0))
+    for _, z in _blocks(rng, _small_q0_flags(rng, n)):
+        worst = max(worst, _worst(poisson._poisson_map_residuals(z), 0.0))
     return [CheckResult("push-forward brackets to (Q, pi)", worst, 1e-11, n)]
 
 
+def _with_polynomials(rng: np.random.Generator, n: int, k: int, indices):
+    """Per block of n phase points, each followed by k random polynomials: z, (value, grad), ..."""
+    draws = [lambda rng: _polynomial_terms(rng, indices, 5).ravel()] * k
+    for _, z in _blocks(rng, np.zeros(n, bool), *draws):
+        yield (z[:13], *(_polynomial(t, z[:13]) for t in z[13:].reshape(k, 3, 5, -1)))
+
+
 def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    out = []
     worst = 0.0
-    for _ in range(n):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU)
-        F = random_polynomial(rng, Chart.INERTIAL_MU)
-        G = random_polynomial(rng, Chart.INERTIAL_MU)
-        xf = poisson.hamiltonian_vector_field(F, pt)
-        xg = poisson.hamiltonian_vector_field(G, pt)
-        omega = poisson.symplectic_form_eval(pt, xf, xg)
-        worst = max(worst, abs(omega - poisson.poisson_bracket(F, G, pt)))
-    out.append(CheckResult("duality Omega(X_F, X_G) = {F, G}", worst, 1e-9, n))
+    for z, (_, gF), (_, gG) in _with_polynomials(rng, n, 2, range(6, 13)):
+        omega = _forms(z, _j_grad(z, _MU, None, gF)[6:], _j_grad(z, _MU, None, gG)[6:])
+        worst = max(worst, _worst(omega, _j_grad(z, _MU, gF, gG)))
+    out = [CheckResult("duality Omega(X_F, X_G) = {F, G}", worst, 1e-9, n)]
 
     worst = 0.0
-    for _ in range(n):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU)
-        u = _random_tangent(rng, pt)
-        worst = max(worst, abs(poisson.symplectic_form_eval(pt, u, u)))
+    # after each point a tangent: w - <w, q> q and a mom-block
+    for _, z in _blocks(rng, np.zeros(n, bool), lambda rng: rng.standard_normal(4),
+                        lambda rng: rng.uniform(-2.0, 2.0, 3)):
+        w, q = z[13:17], z[6:10]
+        u = np.concatenate([w - _dot(w, q) * q, z[17:20]])
+        worst = max(worst, _worst(_forms(z[:13], u, u), 0.0))
     out.append(CheckResult("antisymmetry Omega(u, u) = 0", worst, 0.0, n))
 
     worst = 0.0
-    for _ in range(n):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU)
-        fields = [poisson.hamiltonian_vector_field(coordinate(f"mu{k + 1}"), pt)
-                  for k in range(3)]
+    for _, z in _blocks(rng, np.zeros(n, bool)):
+        q0, q1, q2, q3 = q = z[6:10]
+        # q-block columns of the momentum fields: the closed-form eta table
+        eta = [(-q1, q0, -q3, q2), (-q2, q3, q0, -q1), (-q3, -q2, q1, q0)]
         for k in range(3):
-            ek_q = quat_mul(Quaternion.basis(k + 1), pt.q).as_array()
-            worst = max(worst, float(np.max(np.abs(fields[k][6:10] - ek_q))))
+            field = _j_grad(z, _MU, None, np.eye(N_COORDS)[:, [10 + k] * len(q0)])
+            ek_q = np.array(_mul(Quaternion.basis(k + 1), q))
             # Liouville form on the left-invariant field returns mu_k
-            u = np.concatenate([ek_q, 2.0 * np.cross(np.eye(3)[k], pt.mom)])
-            worst = max(worst, abs(poisson.liouville_form_eval(pt, u) - pt.mom[k]))
-        # q-block columns of the momentum fields against the closed-form table
-        eta = np.array(fields)[:, 6:10].T
-        q0, q1, q2, q3 = pt.q.as_array()
-        eta_expect = np.array([
-            [-q1, -q2, -q3],
-            [q0, q3, -q2],
-            [-q3, q0, q1],
-            [q2, -q1, q0],
-        ])
-        worst = max(worst, float(np.max(np.abs(eta - eta_expect))))
+            u = np.concatenate([ek_q, 2.0 * np.cross(np.eye(3)[:, k, None], z[10:], axis=0)])
+            worst = max(worst, _worst(field[6:10], ek_q), _worst(field[6:10], eta[k]),
+                        _worst(_forms(z, u, None), z[10 + k]))
     out.append(CheckResult("left-invariant fields and the eta table", worst, 1e-13, n))
 
     worst = 0.0
-    for _ in range(n):
-        pt = random_phase_point(rng, Chart.INERTIAL_MU)
-        F = random_polynomial(rng, Chart.INERTIAL_MU, indices=tuple(range(6, 10)))
-        G = random_polynomial(rng, Chart.INERTIAL_MU, indices=tuple(range(6, 10)))
-        field = poisson.hamiltonian_vector_field(F, pt)
-        worst = max(worst, float(np.max(np.abs(field[0:10]))),
-                    abs(poisson.poisson_bracket(F, G, pt)))
+    for z, (_, gF), (_, gG) in _with_polynomials(rng, n, 2, range(6, 10)):
+        worst = max(worst, _worst(_j_grad(z, _MU, None, gF)[0:10], 0.0),
+                    _worst(_j_grad(z, _MU, gF, gG), 0.0))
     out.append(CheckResult("orientation-only functions commute; fields are pure momentum",
                            worst, 1e-15, n))
     return out
-
-
-def _random_tangent(rng: np.random.Generator, pt: PhasePoint) -> np.ndarray:
-    q4 = pt.q.as_array()
-    w = rng.standard_normal(4)
-    w -= (w @ q4) * q4
-    return np.concatenate([w, rng.uniform(-2.0, 2.0, 3)])
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +375,12 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
     """Algebraic equations of motion against the bracket engine J grad(H)."""
     out = []
     for params in _oracle_params():
-        rhs = dynamics._make_rhs(params)
-        grad_h = dynamics._make_grad_h(params)
+        rhs, grad_h = dynamics._make_rhs(params), dynamics._make_grad_h(params)
         worst = 0.0
-        for flags in _blocks(np.zeros(n, dtype=bool)):
-            z = _phase_points(rng, flags)
+        for _, z in _blocks(rng, np.zeros(n, bool)):
             grad = np.array([np.broadcast_to(g, z.shape[1:]) for g in grad_h(list(z))])
-            field = poisson._tensor_components(z, Chart.MIXED_M) @ poisson._stack(grad[:, None])
-            worst = max(worst, *map(_worst, rhs(list(z)), field[:, :, 0].T))
+            field = _j_grad(z, Chart.MIXED_M, None, grad)
+            worst = max(worst, *map(_worst, rhs(list(z)), field))
         out.append(CheckResult(f"eom_rhs = J grad(H), potential {params.potential.name}",
                                worst, 1e-9, n))
 
@@ -405,8 +390,7 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
         pt = random_phase_point(rng, Chart.MIXED_M)
         q4 = pt.q.as_array()
         g = params.potential.gradient_q(pt.x, q4)
-        q0, qv = q4[0], q4[1:]
-        expanded = g[0] * qv - q0 * g[1:] - np.cross(g[1:], qv)
+        expanded = g[0] * q4[1:] - q4[0] * g[1:] - np.cross(g[1:], q4[1:])
         compact = -np.array(_mul(_conj(pt.q), g)[1:])
         worst = max(worst, float(np.max(np.abs(expanded - compact))))
     out.append(CheckResult("expanded and compact torque forms agree", worst, 1e-12,

@@ -66,6 +66,16 @@ GOLDEN_VERIFY_SHA256 = {
     "symplectic": "aae4bbdce04742aa1eb2e303118837eece1df6f2050456ad9b36646f7447d6de",
 }
 
+# sha256 over the stdouts of ``qhdyn verify <suite> --seed s`` for s = 0..11, in
+# seed order, at default sizes, recorded while the symplectic checks, the
+# Leibniz check of ``brackets`` and the dot/cross check of ``algebra`` still
+# ran one sample at a time.
+GOLDEN_VERIFY_SEEDS_SHA256 = {
+    "algebra": "8f04492a831827407405e8dd0cf8ca66e7ae6fa2cad3c7e6826acdb8034b189a",
+    "brackets": "e171268530365bd929eefe7dee9ec82c7440c72fca0b32b4e6ca716303e12902",
+    "symplectic": "00eda66118689563b578b138951ddebdc71b388762165f4fb565885df7cd24bb",
+}
+
 
 def write_config(tmp_path, cfg, name="run.json"):
     cfg = json.loads(json.dumps(cfg))
@@ -300,6 +310,15 @@ def test_verify_golden_output(capsys, suite):
     assert main(["verify", suite, "--seed", "0"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == GOLDEN_VERIFY_SHA256[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SEEDS_SHA256))
+def test_verify_golden_output_seeds_0_to_11(capsys, suite):
+    digest = hashlib.sha256()
+    for seed in range(12):
+        assert main(["verify", suite, "--seed", str(seed)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == GOLDEN_VERIFY_SEEDS_SHA256[suite]
 
 
 def _suite_must_not_run(*args, **kwargs):

@@ -17,11 +17,14 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from qhdyn import (  # noqa: E402
     Chart,
     PhasePoint,
+    PreconditionError,
     Quaternion,
+    coordinate,
     eom_rhs,
     hamiltonian_variable,
     hamiltonian_vector_field,
     jacobi_residual,
+    liouville_form_eval,
     matrix_to_quat,
     poisson,
     poisson_map_residual,
@@ -32,6 +35,7 @@ from qhdyn import (  # noqa: E402
     quat_to_matrix,
     right_translation_covariance_check,
     structure_tensor,
+    symplectic_form_eval,
     verify,
 )
 from qhdyn.dynamics import _make_grad_h, _make_rhs  # noqa: E402
@@ -140,3 +144,68 @@ def test_phase_point_kernels_match_scalar_api(cols):
         for params, H, field, rhs in oracle:
             assert _bits(field[:, k]) == _bits(hamiltonian_vector_field(H, pt))
             assert _bits(rhs[:, k]) == _bits(eom_rhs(pt, params))
+
+
+def _tree(terms):
+    """The DynamicVariable of (3, T) terms (coef, a, b), b = -1 for c z_a."""
+    var = None
+    for c, a, b in terms.T:
+        term = coordinate(int(a)) if b < 0 else coordinate(int(a)) * coordinate(int(b))
+        var = float(c) * term if var is None else var + float(c) * term
+    return var
+
+
+index = st.integers(0, 12)
+term = st.tuples(st.floats(-1.0, 1.0, allow_nan=False), index, st.one_of(st.just(-1), index))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(1, 6).flatmap(
+    lambda t: st.lists(st.tuples(phase_point, st.lists(term, min_size=t, max_size=t)),
+                       min_size=1, max_size=8)))
+def test_polynomial_kernel_matches_dynamic_variable_tree(cols):
+    z = np.array([c for c, _ in cols]).T
+    terms = np.array([np.array(ts, dtype=float).T for _, ts in cols]).transpose(1, 2, 0)
+    value, grad = verify._polynomial(terms, z)
+    assert value.shape == z.shape[1:] and grad.shape == z.shape
+    for k, col in enumerate(z.T):
+        F = _tree(terms[:, :, k])
+        one_value, one_grad = verify._polynomial(terms[:, :, k], col)
+        assert _bits(value[k]) == _bits(one_value) == _bits(F.value(col))
+        assert _bits(grad[:, k]) == _bits(one_grad) == _bits(F.gradient(col))
+
+
+def _tangent(q, w):
+    q, w = np.array(q), np.array(w)
+    return w - (w @ q) * q
+
+
+vec7 = st.tuples(*[coord] * 7)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(phase_point, vec7, vec7), min_size=1, max_size=12))
+def test_form_kernels_match_scalar_api(cols):
+    z = np.array([c for c, _, _ in cols]).T
+    u = np.array([np.concatenate([_tangent(c[6:10], a[:4]), a[4:]]) for c, a, _ in cols]).T
+    v = np.array([np.concatenate([_tangent(c[6:10], b[:4]), b[4:]]) for c, _, b in cols]).T
+    omega, theta = poisson._forms(z, u, v), poisson._forms(z, u, None)
+    assert omega.shape == theta.shape == z.shape[1:]
+    for k in range(z.shape[1]):
+        pt = PhasePoint.from_coords(z[:, k], Chart.INERTIAL_MU)
+        assert _bits(omega[k]) == _bits(symplectic_form_eval(pt, u[:, k], v[:, k]))
+        assert _bits(theta[k]) == _bits(liouville_form_eval(pt, u[:, k]))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(st.tuples(phase_point, vec7), min_size=1, max_size=8), st.data())
+def test_form_kernels_check_tangency_on_every_column(cols, data):
+    z = np.array([c for c, _ in cols]).T
+    u = np.array([np.concatenate([_tangent(c[6:10], a[:4]), a[4:]]) for c, a in cols]).T
+    k = data.draw(st.integers(0, z.shape[1] - 1))
+    u[0:4, k] = z[6:10, k]  # radial: not tangent
+    for v in (None, u[:, ::-1]):
+        with pytest.raises(PreconditionError, match="u is not tangent"):
+            poisson._forms(z, u, v)
+    with pytest.raises(PreconditionError, match="v is not tangent"):
+        poisson._forms(z, np.zeros_like(u), u)

@@ -153,6 +153,26 @@ def test_dynamic_variable_arithmetic_gradients(rng):
     assert combo.value(z) == pytest.approx(2.0 * z[7] * z[11] + z[7] - 0.5)
 
 
+def test_dynamic_variable_scalar_subtraction(rng):
+    z = random_phase_point(rng, Chart.INERTIAL_MU).coords()
+    a = coordinate("q0")
+    for combo, value, grad in ((1.0 - a, 1.0 - z[6], -1.0), (a - 1, z[6] - 1.0, 1.0),
+                               (2 - a * a, 2.0 - z[6] * z[6], -2.0 * z[6])):
+        assert combo.value(z) == value
+        expect = np.zeros(13)
+        expect[6] = grad
+        np.testing.assert_array_equal(combo.gradient(z), expect)
+
+
+def test_dynamic_variable_rejects_non_numbers():
+    a = coordinate("q0")
+    for other in ("a", None, [1.0]):
+        with pytest.raises(TypeError):
+            a - other
+        with pytest.raises(TypeError):
+            other - a
+
+
 def _jacobi_bruteforce(z, chart):
     J = _tensor_components(z, chart)
     dJ = structure_jacobian(chart)

@@ -17,7 +17,15 @@ from qhdyn import (
     quat_mul,
     symplectic_form_eval,
 )
-from qhdyn.verify import random_phase_point, random_polynomial, _random_tangent
+from qhdyn.verify import random_phase_point, random_polynomial
+
+
+def _random_tangent(rng, pt):
+    """A random 7-vector whose q-block is tangent to the unit sphere at pt.q."""
+    q4 = pt.q.as_array()
+    w = rng.standard_normal(4)
+    w -= (w @ q4) * q4
+    return np.concatenate([w, rng.uniform(-2.0, 2.0, 3)])
 
 
 @pytest.fixture

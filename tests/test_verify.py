@@ -13,6 +13,7 @@ from qhdyn import (
     hamiltonian_variable,
     hamiltonian_vector_field,
     jacobi_residual,
+    liouville_form_eval,
     matrix_to_quat,
     poisson_bracket,
     poisson_map_residual,
@@ -23,7 +24,9 @@ from qhdyn import (
     quat_to_matrix,
     right_action_matrix,
     right_translation_covariance_check,
+    rotate_vector,
     structure_tensor,
+    symplectic_form_eval,
     verify,
 )
 from qhdyn.poisson import Chart
@@ -79,6 +82,10 @@ def test_check_inventory_per_suite():
         assert len(verify.run_suite(name, seed=3, n_points=5)) == count, name
 
 
+def _max_abs(x):
+    return float(np.max(np.abs(x)))
+
+
 def _dist(p, q):
     return float(np.max(np.abs(p.as_array() - q.as_array())))
 
@@ -113,8 +120,8 @@ def _algebra_reference(rng, n):
 
 
 def _rotation_reference(rng, n):
-    """Homomorphism, double-cover and round-trip residuals, one sample at a
-    time, drawing from ``rng`` as ``rotation_checks`` does."""
+    """Homomorphism, double-cover, round-trip and dot/cross residuals, one
+    sample at a time, drawing from ``rng`` as ``rotation_checks`` does."""
     units = rng.standard_normal((n, 2, 4))
     units /= np.linalg.norm(units, axis=2, keepdims=True)
     hom = cover = trip = 0.0
@@ -127,11 +134,14 @@ def _rotation_reference(rng, n):
         q = verify.random_unit_quat(rng, small_q0=True) if small else Quaternion.from_array(u2)
         r = matrix_to_quat(quat_to_matrix(q))
         trip = max(trip, min(_dist(r, q), _dist(r, -q)))
-    return [hom, cover, trip]
-
-
-def _max_abs(x):
-    return float(np.max(np.abs(x)))
+    dot_cross = 0.0
+    for _ in range(max(1, n // 10)):
+        q = verify.random_unit_quat(rng)
+        x, y = rng.standard_normal(3), rng.standard_normal(3)
+        rx, ry = rotate_vector(q, x), rotate_vector(q, y)
+        dot_cross = max(dot_cross, abs(float(rx @ ry) - float(x @ y)),
+                        _max_abs(np.cross(rx, ry) - rotate_vector(q, np.cross(x, y))))
+    return [hom, cover, trip, dot_cross]
 
 
 def _bracket_reference(rng, n):
@@ -203,14 +213,62 @@ def _oracle_reference(rng, n):
     return out
 
 
+def _random_tangent(rng, pt):
+    q4 = pt.q.as_array()
+    w = rng.standard_normal(4)
+    w -= (w @ q4) * q4
+    return np.concatenate([w, rng.uniform(-2.0, 2.0, 3)])
+
+
+def _symplectic_reference(rng, n):
+    """The four symplectic residuals, one phase point and its random_polynomial
+    variables at a time, through the public per-point functions, drawing from
+    ``rng`` as ``symplectic_checks`` does."""
+    duality = 0.0
+    for _ in range(n):
+        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
+        F = verify.random_polynomial(rng, Chart.INERTIAL_MU)
+        G = verify.random_polynomial(rng, Chart.INERTIAL_MU)
+        omega = symplectic_form_eval(pt, hamiltonian_vector_field(F, pt),
+                                     hamiltonian_vector_field(G, pt))
+        duality = max(duality, abs(omega - poisson_bracket(F, G, pt)))
+    anti = 0.0
+    for _ in range(n):
+        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
+        u = _random_tangent(rng, pt)
+        anti = max(anti, abs(symplectic_form_eval(pt, u, u)))
+    left = 0.0
+    for _ in range(n):
+        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
+        fields = [hamiltonian_vector_field(coordinate(f"mu{k + 1}"), pt) for k in range(3)]
+        for k in range(3):
+            ek_q = quat_mul(Quaternion.basis(k + 1), pt.q).as_array()
+            left = max(left, _max_abs(fields[k][6:10] - ek_q))
+            u = np.concatenate([ek_q, 2.0 * np.cross(np.eye(3)[k], pt.mom)])
+            left = max(left, abs(liouville_form_eval(pt, u) - pt.mom[k]))
+        eta = np.array(fields)[:, 6:10].T
+        q0, q1, q2, q3 = pt.q.as_array()
+        eta_expect = np.array([[-q1, -q2, -q3], [q0, q3, -q2], [-q3, q0, q1], [q2, -q1, q0]])
+        left = max(left, _max_abs(eta - eta_expect))
+    orient = 0.0
+    for _ in range(n):
+        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
+        F = verify.random_polynomial(rng, Chart.INERTIAL_MU, indices=tuple(range(6, 10)))
+        G = verify.random_polynomial(rng, Chart.INERTIAL_MU, indices=tuple(range(6, 10)))
+        orient = max(orient, _max_abs(hamiltonian_vector_field(F, pt)[0:10]),
+                     abs(poisson_bracket(F, G, pt)))
+    return [duality, anti, left, orient]
+
+
 # (array suite, the residuals a reference reproduces, per-sample reference)
 _REFERENCES = [
     (verify.algebra_checks, slice(1, None), _algebra_reference),
-    (verify.rotation_checks, slice(0, 3), _rotation_reference),
+    (verify.rotation_checks, slice(None), _rotation_reference),
     (verify.bracket_checks, slice(None), _bracket_reference),
     (verify.jacobi_checks, slice(None), _jacobi_reference),
     (verify.poisson_map_checks, slice(None), _poisson_map_reference),
     (verify.dynamics_oracle_checks, slice(0, 4), _oracle_reference),
+    (verify.symplectic_checks, slice(None), _symplectic_reference),
 ]
 
 
@@ -233,5 +291,5 @@ def test_phase_point_suites_memory_bounded():
             tracemalloc.stop()
 
     limit = traced_peak("algebra")
-    for name in ("brackets", "jacobi", "poisson_map", "dynamics_oracle"):
+    for name in ("brackets", "jacobi", "poisson_map", "dynamics_oracle", "symplectic"):
         assert traced_peak(name) <= limit, name
