@@ -33,9 +33,9 @@ EXIT_GEOMETRY = 4
 
 log = logging.getLogger("qhdyn")
 
-# Largest accepted sample count 1 + ceil(n_steps / sample_stride).  The
-# integrator preallocates 20 floats per sample (time, 13 coordinates and
-# 6 monitors), so 10**7 samples hold about 1.6 GB of buffers.
+# Largest accepted sample count 1 + ceil(n_steps / sample_stride).  Samples
+# are written as they are stepped, so this bounds the CSV, not memory: a row
+# takes 260-370 bytes (475 at most), so 10**7 rows make 2.6-3.7 GB of CSV.
 MAX_SAMPLES = 10**7
 
 # Largest accepted ``verify --points``.  The algebra suite, the largest per
@@ -216,7 +216,7 @@ def load_config(path: str) -> RunConfig:
     if samples > MAX_SAMPLES:
         raise ConfigError("integrator.n_steps",
                           f"{n_steps} steps at sample_stride {stride} give {samples} samples; "
-                          f"at most {MAX_SAMPLES} are kept in memory")
+                          f"at most {MAX_SAMPLES} CSV rows are written")
     renorm = _build_renorm(integ, "integrator")
 
     out = _as_mapping(_get(root, "output", "<root>"), "output")
@@ -227,47 +227,65 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
 
 
+def _csv_row(t: float, z, row) -> str:
+    """One CSV line: time, the 13 coordinates and a monitor row less its |M|."""
+    energy, qnorm, _, pi1, pi2, pi3 = row
+    return ",".join(map("{:.17g}".format, (t, *z, energy, qnorm, pi1, pi2, pi3))) + "\n"
+
+
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """17-significant-digit CSV with '.' decimals, ',' delimiters, LF endings."""
     table = np.column_stack((traj.times, traj.states, traj.energy, traj.qnorm,
-                             traj.pi_spatial))
-    fmt = "{:.17g}".format
+                             traj.mom_norm, traj.pi_spatial))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         # One row at a time: converting the whole table to Python floats at
         # once would hold every row as objects and raise peak memory.
-        for row in table:
-            fh.write(",".join(map(fmt, row.tolist())) + "\n")
+        for row in map(np.ndarray.tolist, table):
+            fh.write(_csv_row(row[0], row[1:14], row[14:]))
 
 
-def _summarize(traj: Trajectory, wall_time: float) -> dict:
-    h0 = float(traj.energy[0])
-    mom0 = float(traj.mom_norm[0])
-    pi0 = traj.pi_spatial[0]
-    e_drift = float(np.max(np.abs(traj.energy - h0)))
-    pi_abs = np.max(np.abs(traj.pi_spatial - pi0), axis=0)
+def _simulate(cfg: RunConfig) -> dict:
+    """Step the run, write each sample as a CSV row as it arrives, and return
+    the summary, whose drifts are running maxima of |row - row at step 0|.
+    Rows go to a new file, opened like ``open(path, "w")`` so with its mode
+    bits, that replaces output.csv on success and is removed on failure."""
+    tmp = f"{cfg.csv_path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            t0 = time.perf_counter()
+            fh.write(CSV_HEADER + "\n")
+            drift = [0.0] * 6
+            for samples, (step, z, row) in enumerate(dynamics._samples(
+                    cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm, cfg.sample_stride), 1):
+                fh.write(_csv_row(step * cfg.h, z, row))
+                if samples == 1:
+                    ref = (row[0], 1.0, *row[2:])  # |q| drifts from 1
+                drift = [max(d, abs(a - b)) for d, a, b in zip(drift, row, ref)]
+            wall = time.perf_counter() - t0
+        os.replace(tmp, cfg.csv_path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+    h0, _, mom0, *pi0 = ref
+    e_drift, qnorm_drift, mom_drift, *pi_abs = drift
     return {
-        "final_state": {
-            "t": float(traj.times[-1]),
-            "x": traj.states[-1][0:3].tolist(),
-            "p": traj.states[-1][3:6].tolist(),
-            "q": traj.states[-1][6:10].tolist(),
-            "M": traj.states[-1][10:13].tolist(),
-        },
+        "final_state": {"t": step * cfg.h, "x": z[0:3], "p": z[3:6], "q": z[6:10], "M": z[10:]},
         "max_drift": {
             "energy_abs": e_drift,
             "energy_rel": e_drift / max(abs(h0), 1e-300),
-            "qnorm": float(np.max(np.abs(traj.qnorm - 1.0))),
-            "mom_norm_abs": float(np.max(np.abs(traj.mom_norm - mom0))),
-            "mom_norm_rel": float(np.max(np.abs(traj.mom_norm - mom0))) / max(mom0, 1e-300),
-            "pi_abs": pi_abs.tolist(),
-            "pi_rel": (pi_abs / np.maximum(np.abs(pi0), 1e-300)).tolist(),
-            "pi_initial": pi0.tolist(),
+            "qnorm": qnorm_drift,
+            "mom_norm_abs": mom_drift,
+            "mom_norm_rel": mom_drift / max(mom0, 1e-300),
+            "pi_abs": pi_abs,
+            "pi_rel": [a / max(abs(b), 1e-300) for a, b in zip(pi_abs, pi0)],
+            "pi_initial": pi0,
         },
-        "wall_time_s": wall_time,
-        "n_steps": traj.n_steps,
-        "h": traj.h,
-        "samples": len(traj),
+        "wall_time_s": wall,
+        "n_steps": cfg.n_steps,
+        "h": cfg.h,
+        "samples": samples,
     }
 
 
@@ -277,22 +295,18 @@ def cmd_simulate(config_path: str) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    t0 = time.perf_counter()
     try:
-        traj = dynamics.integrate(cfg.state0, cfg.params, cfg.h, cfg.n_steps,
-                                  renorm_policy=cfg.renorm, sample_stride=cfg.sample_stride)
+        summary = _simulate(cfg)
+        log.info("wrote %d samples to %s (%.3f s)", summary["samples"], cfg.csv_path,
+                 summary["wall_time_s"])
+        if cfg.summary_path:
+            with open(cfg.summary_path, "w", encoding="utf-8") as fh:
+                json.dump(summary, fh, indent=2)
+                fh.write("\n")
+            log.info("wrote summary to %s", cfg.summary_path)
     except IntegrationAborted as exc:
         print(f"numerical abort: {exc} (step {exc.step})", file=sys.stderr)
         return EXIT_NUMERIC
-    wall = time.perf_counter() - t0
-    try:
-        write_trajectory_csv(cfg.csv_path, traj)
-        log.info("wrote %d samples to %s (%.3f s)", len(traj), cfg.csv_path, wall)
-        if cfg.summary_path:
-            with open(cfg.summary_path, "w", encoding="utf-8") as fh:
-                json.dump(_summarize(traj, wall), fh, indent=2)
-                fh.write("\n")
-            log.info("wrote summary to %s", cfg.summary_path)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,6 +19,7 @@ the factor 1/8 reflects the doubling M = 2 Pi of the physical momentum.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -323,7 +324,7 @@ def _rk4(z: list[float], h: float, rhs: Callable[[list[float]], list[float]]) ->
 
 def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
     """One classical fourth-order Runge-Kutta step; no renormalization."""
-    if h <= 0.0:
+    if not h > 0.0:  # NaN too
         raise DomainError(f"step size h must be positive, got {h!r}")
     z = _point_coords(state, Chart.MIXED_M, "rk4_step").tolist()
     return PhasePoint.from_coords(_rk4(z, h, _make_rhs(params)), Chart.MIXED_M)
@@ -366,13 +367,46 @@ def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord
     return MonitorRecord(energy, qn, mom_norm, np.array(pi))
 
 
+def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
+             renorm_policy: RenormPolicy, sample_stride: int):
+    """The RK4 step loop: yields ``(step, z, row)`` at step 0, every
+    ``sample_stride`` steps and the last step, ``z`` the 13 coordinates and
+    ``row`` the :func:`_monitor_row`.  Checks its arguments on the first draw."""
+    if not h > 0.0:  # NaN too
+        raise DomainError(f"step size h must be positive, got {h!r}")
+    if n_steps < 1:
+        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
+    if sample_stride < 1:
+        raise DomainError(f"sample_stride must be >= 1, got {sample_stride}")
+    z = _point_coords(state0, Chart.MIXED_M, "integrate").tolist()
+    rhs = _make_rhs(params)
+    step = 0
+    try:
+        while True:
+            row = _monitor_row(z, params)
+            if not all(map(math.isfinite, row)):
+                raise IntegrationAborted(step, f"non-finite energy or momentum at step {step}")
+            yield step, z, row
+            if step == n_steps:
+                return
+            for step in range(step + 1, min(step + sample_stride, n_steps) + 1):
+                z = _rk4(z, h, rhs)
+                if not all(map(math.isfinite, z)):
+                    raise IntegrationAborted(step)
+                _apply_renorm(z, renorm_policy)
+    except OverflowError:
+        # float ** and math functions raise where array arithmetic gave inf
+        raise IntegrationAborted(step, f"floating-point overflow at step {step}") from None
+
+
 def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
               renorm_policy: RenormPolicy = DEFAULT_RENORM,
               sample_stride: int = 1) -> Trajectory:
     """Fixed-step RK4 integration with optional quaternion renormalization.
 
     Samples (state plus monitor row) are recorded at step 0, every
-    ``sample_stride`` steps, and at the final step.
+    ``sample_stride`` steps, and at the final step, into buffers of 20 floats
+    per sample (time, 13 coordinates, 6 monitors) sized before the first step.
 
     Raises
     ------
@@ -381,44 +415,16 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         momentum) is not finite, or the arithmetic overflows; the exception
         carries the step index at which integration stopped.
     """
-    if h <= 0.0:
-        raise DomainError(f"step size h must be positive, got {h!r}")
-    if n_steps < 1:
-        raise DomainError(f"n_steps must be >= 1, got {n_steps}")
-    if sample_stride < 1:
-        raise DomainError(f"sample_stride must be >= 1, got {sample_stride}")
-    z = _point_coords(state0, Chart.MIXED_M, "integrate").tolist()
-
-    rhs = _make_rhs(params)
+    samples = _samples(state0, params, h, n_steps, renorm_policy, sample_stride)
+    first = next(samples)  # checks the arguments before the buffers are sized
     k = 1 + -(-n_steps // sample_stride)  # step 0, each stride, and the last step
     times = np.empty(k)
     states = np.empty((k, 13))
     monitors = np.empty((k, 6))
-
-    def record(i: int, step: int, z: list[float]) -> None:
-        row = _monitor_row(z, params)
-        if not all(map(math.isfinite, row)):
-            raise IntegrationAborted(step, f"non-finite energy or momentum at step {step}")
+    for i, (step, z, row) in enumerate(itertools.chain([first], samples)):
         times[i] = step * h
         states[i] = z
         monitors[i] = row
-
-    step = 0
-    try:
-        record(0, 0, z)
-        i = 1
-        for step in range(1, n_steps + 1):
-            z = _rk4(z, h, rhs)
-            if not all(map(math.isfinite, z)):
-                raise IntegrationAborted(step)
-            _apply_renorm(z, renorm_policy)
-            if step % sample_stride == 0 or step == n_steps:
-                record(i, step, z)
-                i += 1
-    except OverflowError:
-        # float ** and math functions raise where array arithmetic gave inf
-        raise IntegrationAborted(step, f"floating-point overflow at step {step}") from None
-
     return Trajectory(times, states, monitors[:, 0], monitors[:, 1], monitors[:, 2],
                       monitors[:, 3:6], h=h, n_steps=n_steps)
 

@@ -174,7 +174,11 @@ def Ad(q: Quaternion, xi: Sequence[float]) -> Vec3:
 
 def ad(xi: Sequence[float], eta: Sequence[float]) -> Vec3:
     """Lie bracket on pure quaternions: ``ad(xi, eta) = 2 xi x eta``."""
-    return 2.0 * np.cross(np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
+    x1, x2, x3 = (float(c) for c in xi)
+    e1, e2, e3 = (float(c) for c in eta)
+    # np.cross's operation order, so the bits match it at a fraction of its cost
+    return np.array([2.0 * (x2 * e3 - x3 * e2), 2.0 * (x3 * e1 - x1 * e3),
+                     2.0 * (x1 * e2 - x2 * e1)])
 
 
 def ad_star(xi: Sequence[float], mu: Sequence[float]) -> Vec3:
@@ -182,7 +186,7 @@ def ad_star(xi: Sequence[float], mu: Sequence[float]) -> Vec3:
 
     Satisfies ``<ad_star(xi, mu), eta> == <mu, ad(xi, eta)>``.
     """
-    return 2.0 * np.cross(np.asarray(mu, dtype=float), np.asarray(xi, dtype=float))
+    return ad(mu, xi)
 
 
 def maurer_cartan_residual(path: Callable[[float], Quaternion], t: float, h: float) -> float:

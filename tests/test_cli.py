@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +181,13 @@ def test_simulate_numerical_abort(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", str(cfg_path)]) == 3
     assert "step" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.json"]  # no CSV, no temporary file
+    # an earlier run's CSV keeps its bytes
+    (tmp_path / "traj.csv").write_bytes(b"earlier run\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["simulate", str(cfg_path)]) == 3
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "traj.csv"]
+    assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
@@ -200,6 +209,7 @@ def test_simulate_output_dir_missing(tmp_path, capsys, monkeypatch, field):
         raise AssertionError("integration started before the output path was checked")
 
     monkeypatch.setattr(dynamics, "integrate", must_not_run)
+    monkeypatch.setattr(dynamics, "_samples", must_not_run)
     assert main(["simulate", str(cfg_path)]) == 2
     assert f"output.{field}" in capsys.readouterr().err
 
@@ -213,6 +223,43 @@ def test_simulate_unwritable_output(tmp_path, capsys, field):
     cfg_path, _ = write_config(tmp_path, cfg)
     assert main(["simulate", str(cfg_path)]) == 2
     assert "output error" in capsys.readouterr().err
+    # no temporary file is left, and the CSV exists only if it was written
+    written = ["traj.csv"] if field == "summary" else []
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "taken", *written]
+    assert os.listdir(tmp_path / "taken") == []
+
+
+def test_simulate_csv_mode_bits_as_plain_open(tmp_path):
+    cfg_path, _ = write_config(tmp_path, FREE_TOP)
+    assert main(["simulate", str(cfg_path)]) == 0
+    with open(tmp_path / "plain", "w"):
+        pass
+    assert (stat.S_IMODE((tmp_path / "traj.csv").stat().st_mode)
+            == stat.S_IMODE((tmp_path / "plain").stat().st_mode))
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_independent_of_sample_count(tmp_path):
+    # Samples are written as they are stepped, so ten times the rows must not
+    # raise the peak; holding them costs 20 floats, 160 bytes, per row or more.
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["integrator"].update(sample_stride=1, n_steps=100)
+    cfg_path, _ = write_config(tmp_path, cfg)
+    _traced_peak(["simulate", str(cfg_path)])  # one-time allocations
+    peaks = []
+    for n_steps in (500, 5000):
+        cfg["integrator"]["n_steps"] = n_steps
+        cfg_path, _ = write_config(tmp_path, cfg)
+        peaks.append(_traced_peak(["simulate", str(cfg_path)]))
+    assert abs(peaks[1] - peaks[0]) <= 256 * 1024, peaks
 
 
 def test_simulate_normalizes_initial_q(tmp_path):
@@ -364,6 +411,7 @@ def test_simulate_rejects_too_many_samples(tmp_path, capsys, monkeypatch):
         raise AssertionError("integration started before the sample count was checked")
 
     monkeypatch.setattr(dynamics, "integrate", must_not_run)
+    monkeypatch.setattr(dynamics, "_samples", must_not_run)
     cfg = json.loads(json.dumps(FREE_TOP))
     cfg["integrator"].update(n_steps=10**12, sample_stride=1)
     cfg_path, _ = write_config(tmp_path, cfg)

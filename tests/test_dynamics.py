@@ -330,6 +330,19 @@ def test_renorm_threshold_rejects_bad_eps(eps):
         RenormPolicy.threshold(eps)
 
 
+# Each bad value but n_steps = 0 also makes the buffer size
+# 1 + ceil(n_steps / sample_stride) fail (too large, negative or a division by
+# zero), so sizing the buffers before the checks raises something else.
+@pytest.mark.parametrize("h, n_steps, stride", [
+    (0.0, 10**18, 1), (-1e-3, 10**18, 1), (math.nan, 10**18, 1),
+    (1e-3, 0, 1), (1e-3, -10**18, 1), (1e-3, 10, 0), (1e-3, 10**18, -1),
+])
+def test_integrate_checks_arguments_before_sizing_buffers(h, n_steps, stride):
+    with pytest.raises(DomainError):
+        integrate(mixed_state(M=(1, 2, 3)), BodyParams(1.0, INERTIA, free()), h, n_steps,
+                  sample_stride=stride)
+
+
 def test_sampling_stride():
     params = BodyParams(1.0, INERTIA, free())
     traj = integrate(mixed_state(M=(1, 2, 3)), params, 1e-3, 105, sample_stride=10)

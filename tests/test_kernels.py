@@ -19,6 +19,8 @@ from qhdyn import (  # noqa: E402
     PhasePoint,
     PreconditionError,
     Quaternion,
+    ad,
+    ad_star,
     coordinate,
     eom_rhs,
     hamiltonian_variable,
@@ -103,6 +105,16 @@ def test_rotation_kernels_match_scalar_api(cols):
         r, p = matrix_to_quat(Qk, return_pivot=True)
         assert p == pivot[k]
         assert _bits(comps[:, k]) == _bits(r)
+
+
+vec3 = st.tuples(*[st.floats(-1e150, 1e150, allow_nan=False)] * 3)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(vec3, vec3)
+def test_adjoint_components_match_np_cross(xi, eta):
+    assert _bits(ad(xi, eta)) == _bits(2.0 * np.cross(xi, eta))
+    assert _bits(ad_star(xi, eta)) == _bits(2.0 * np.cross(eta, xi))
 
 
 def test_pivot_ties_take_the_first_index():
