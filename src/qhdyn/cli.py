@@ -9,6 +9,7 @@ variable (quiet, info, debug) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
 import math
@@ -245,13 +246,23 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
             fh.write(_csv_row(row[0], row[1:14], row[14:]))
 
 
+def _open_tmp(path: str):
+    """``(tmp, fh)``: a new file ``<path>.<pid>.tmp``, opened like
+    ``open(path, "w")`` so with its mode bits, to replace ``path`` when
+    complete.  A ``path`` naming a directory fails here, before any work, as
+    the replace would at the end."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    return tmp, open(tmp, "x", encoding="utf-8", newline="\n")
+
+
 def _simulate(cfg: RunConfig) -> dict:
     """Step the run, write each sample as a CSV row as it arrives, and return
     the summary, whose drifts are running maxima of |row - row at step 0|.
-    Rows go to a new file, opened like ``open(path, "w")`` so with its mode
-    bits, that replaces output.csv on success and is removed on failure."""
-    tmp = f"{cfg.csv_path}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    Rows go to a file from :func:`_open_tmp` that replaces output.csv on
+    success and is removed on failure."""
+    tmp, fh = _open_tmp(cfg.csv_path)
     try:
         with fh:
             t0 = time.perf_counter()
@@ -296,20 +307,31 @@ def cmd_simulate(config_path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        summary = _simulate(cfg)
-        log.info("wrote %d samples to %s (%.3f s)", summary["samples"], cfg.csv_path,
-                 summary["wall_time_s"])
-        if cfg.summary_path:
-            with open(cfg.summary_path, "w", encoding="utf-8") as fh:
-                json.dump(summary, fh, indent=2)
-                fh.write("\n")
-            log.info("wrote summary to %s", cfg.summary_path)
+        # The summary's file is opened before stepping, so an unwritable
+        # summary fails before any integration and leaves output.csv as it was.
+        tmp, fh = _open_tmp(cfg.summary_path) if cfg.summary_path else (None, None)
+        try:
+            summary = _simulate(cfg)
+            if tmp:
+                with fh:
+                    json.dump(summary, fh, indent=2)
+                    fh.write("\n")
+                os.replace(tmp, cfg.summary_path)
+        except BaseException:
+            if tmp:
+                fh.close()
+                os.remove(tmp)
+            raise
     except IntegrationAborted as exc:
         print(f"numerical abort: {exc} (step {exc.step})", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    log.info("wrote %d samples to %s (%.3f s)", summary["samples"], cfg.csv_path,
+             summary["wall_time_s"])
+    if cfg.summary_path:
+        log.info("wrote summary to %s", cfg.summary_path)
     return EXIT_OK
 
 

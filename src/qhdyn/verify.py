@@ -6,6 +6,13 @@ worst observed residual and the tolerance it must stay under.  Phase points
 are drawn with q uniform on the unit sphere (normalized 4-dim Gaussian) and
 positions/momenta componentwise uniform in [-2, 2]; a 10% share of points
 forces |q0| <= 1e-6 to probe the nearly-pure-quaternion regime.
+
+Samples are drawn as raw generator calls, per point in a fixed stream order:
+``rng.random`` doubles and ``rng.standard_normal`` normals, shaped on columns
+afterwards by :func:`_uniform` (numpy's own ``Generator.uniform`` formula) and
+:func:`_unit_quats` (the unit quaternion of :func:`random_unit_quat`).  So a
+block of columns holds the same bits as the same draws made one point at a
+time with ``rng.uniform`` and :func:`random_unit_quat`.
 """
 
 from __future__ import annotations
@@ -52,22 +59,58 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
+def _uniform(u, low: float, high: float):
+    """``rng.uniform(low, high)`` from the raw doubles ``u`` of ``rng.random``:
+    numpy's own formula, so the values are the same bits."""
+    return low + (high - low) * u
+
+
+def _unit_quats(a: np.ndarray, small, q0) -> np.ndarray:
+    """(4, n) unit quaternions from (4, n) standard normal columns ``a``, shaped
+    as :func:`random_unit_quat` shapes one: a / |a|, except that each column
+    that ``small`` selects (a mask, an index or a slice) takes its drawn scalar
+    part from ``q0`` and a vector part rescaled to |q| = 1."""
+    q = a / np.sqrt(_dot(a, a))
+    if len(q0):
+        v = a[1:, small]
+        # on floats, as q0 ** 2 is C pow and an array's q0 ** 2 is q0 * q0,
+        # which can differ in the last bit
+        s = np.array([math.sqrt(max(1.0 - x ** 2, 0.0)) for x in q0.tolist()])
+        q[0, small], q[1:, small] = q0, v * (s / np.sqrt(_dot(v, v)))
+    return q
+
+
 def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quaternion:
-    a = rng.standard_normal(4)
+    a = rng.standard_normal((4, 1))
     if small_q0:
-        a[0] = rng.uniform(-SMALL_Q0, SMALL_Q0)
-        a[1:] *= math.sqrt(max(1.0 - a[0] ** 2, 0.0)) / np.linalg.norm(a[1:])
-        return Quaternion.from_array(a)
-    return Quaternion.from_array(a / np.linalg.norm(a))
+        q = _unit_quats(a, slice(None), _uniform(rng.random(1), -SMALL_Q0, SMALL_Q0))
+    else:
+        q = _unit_quats(a, [], [])
+    return Quaternion.from_array(q[:, 0].tolist())
+
+
+_NO_DRAW = np.zeros(1)  # the q0 slot of a point not drawn with small q0
 
 
 def _phase_points(rng: np.random.Generator, flags, *draws) -> np.ndarray:
-    """(13 + k, n) columns of n = len(flags) phase points, drawn one point at a
-    time as :func:`random_phase_point` draws them (flags[i]: |q0| <= SMALL_Q0),
-    each followed by the floats of every ``draw(rng)`` in turn."""
-    return np.array([[*rng.uniform(-2.0, 2.0, 6).tolist(), *random_unit_quat(rng, small),
-                      *rng.uniform(-2.0, 2.0, 3).tolist(), *(x for draw in draws for x in draw(rng))]
-                     for small in flags]).T
+    """(13 + k, n) columns of n = len(flags) phase points (flags[i]: |q0| <=
+    SMALL_Q0), each followed by the k floats of every ``draw(rng)`` in turn.
+    Per point the generator calls are, in order, ``random(6)`` for x and p,
+    ``standard_normal(4)`` for q, ``random()`` for q0 if flagged, ``random(3)``
+    for mom and then the draws; :func:`_uniform` and :func:`_unit_quats` shape
+    the raw values on the columns afterwards."""
+    flags = np.asarray(flags, bool)
+    if not flags.size:
+        return np.empty((13, 0))
+    random, normal = rng.random, rng.standard_normal
+    raw = []
+    for small in flags.tolist():
+        raw += (random(6), normal(4), random(1) if small else _NO_DRAW, random(3),
+                *(draw(rng) for draw in draws))
+    raw = np.concatenate(raw).reshape(len(flags), -1).T
+    q = _unit_quats(raw[6:10], flags, _uniform(raw[10, flags], -SMALL_Q0, SMALL_Q0))
+    return np.concatenate([_uniform(raw[0:6], -2.0, 2.0), q, _uniform(raw[11:14], -2.0, 2.0),
+                           raw[14:]])
 
 
 def random_phase_point(rng: np.random.Generator, chart: Chart,
@@ -99,9 +142,9 @@ def _polynomial_terms(rng: np.random.Generator, indices, n_terms: int) -> np.nda
     terms = np.full((3, max(1, n_terms)), -1.0)
     for t in range(terms.shape[1]):
         terms[1, t] = indices[rng.integers(len(indices))]
-        if t and rng.uniform() < 0.5:
+        if t and rng.random() < 0.5:
             terms[2, t] = indices[rng.integers(len(indices))]
-        terms[0, t] = rng.uniform(-1, 1)
+        terms[0, t] = _uniform(rng.random(), -1.0, 1.0)
     return terms
 
 
@@ -195,8 +238,12 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("double cover G(-q) = G(q)", worst, 0.0, n))
 
     q = q2.copy()
-    for i in np.flatnonzero(_small_q0_flags(rng, n)):
-        q[:, i] = random_unit_quat(rng, small_q0=True)
+    small = np.flatnonzero(_small_q0_flags(rng, n))
+    raw = np.empty((len(small), 5))  # per point random_unit_quat's draws: normals, q0
+    for row in raw:
+        rng.standard_normal(out=row[:4])
+        rng.random(out=row[4:])
+    q[:, small] = _unit_quats(raw[:, :4].T, slice(None), _uniform(raw[:, 4], -SMALL_Q0, SMALL_Q0))
     r, _ = so3._quat_of_matrix(so3._matrix(q))
     worst = float(np.max(np.minimum(np.max(np.abs(r - q), axis=0),
                                     np.max(np.abs(r + q), axis=0)), initial=0.0))
@@ -206,7 +253,7 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     # per sample: a unit quaternion as random_unit_quat draws it, then x and y
     m = max(1, n // 10)
     w = rng.standard_normal((m, 10)).T
-    q, x, y = w[0:4] / np.sqrt(_dot(w[0:4], w[0:4])), w[4:7], w[7:10]
+    q, x, y = _unit_quats(w[0:4], [], []), w[4:7], w[7:10]
     # rotate_vector: the vector part of q v q^dag
     rx, ry, rxy = (np.array(_mul(_mul(q, (0.0, *v)), _conj(q))[1:])
                    for v in (x, y, np.cross(x, y, axis=0)))
@@ -219,16 +266,22 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
                          h: float = 1e-4) -> list[CheckResult]:
     """Right-invariant derivative identity under central differences."""
     residuals, ratios = [], []
-    for _ in range(n):
-        base = random_unit_quat(rng)
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        alpha, beta = rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)
+    # per sample: the normals of a random_unit_quat base, u and v, then the
+    # doubles of alpha, beta and t0; all drawn first, then evaluated one by one
+    raw = np.empty((n, 13))
+    for row in raw:
+        rng.standard_normal(out=row[:10])
+        rng.random(out=row[10:])
+    alphas, betas = _uniform(raw[:, 10:12].T, 0.2, 0.8).tolist()
+    for base, u, v, alpha, beta, t0 in zip(_unit_quats(raw[:, :4].T, [], []).T.tolist(),
+                                           raw[:, 4:7], raw[:, 7:10], alphas, betas,
+                                           _uniform(raw[:, 12], -1.0, 1.0).tolist()):
+        base = Quaternion.from_array(base)
 
         def path(t, base=base, u=u, v=v, alpha=alpha, beta=beta):
             return quat_mul(quat_mul(axis_angle_to_quat(u, alpha * t), base),
                             axis_angle_to_quat(v, beta * t))
 
-        t0 = rng.uniform(-1.0, 1.0)
         r_h = so3.maurer_cartan_residual(path, t0, h)
         r_half = so3.maurer_cartan_residual(path, t0, 0.5 * h)
         residuals.append(r_h)
@@ -285,8 +338,10 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("norm function commutes with all generators", worst, 1e-11, nc))
 
     worst = 0.0
-    for flags, z in _blocks(rng, _small_q0_flags(rng, n), random_unit_quat):
-        worst = max(worst, _worst(poisson._covariance_residuals(z[:13], z[13:]), 0.0),
+    for flags, z in _blocks(rng, _small_q0_flags(rng, n),
+                            lambda rng: rng.standard_normal(4)):
+        b = _unit_quats(z[13:], [], [])  # a random_unit_quat per point
+        worst = max(worst, _worst(poisson._covariance_residuals(z[:13], b), 0.0),
                     _worst(poisson._covariance_residuals(z[:13, flags], Quaternion.identity()), 0.0))
     out.append(CheckResult("right-translated q b obeys the same brackets", worst, 1e-11, n))
     return out
@@ -331,9 +386,9 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     worst = 0.0
     # after each point a tangent: w - <w, q> q and a mom-block
     for _, z in _blocks(rng, np.zeros(n, bool), lambda rng: rng.standard_normal(4),
-                        lambda rng: rng.uniform(-2.0, 2.0, 3)):
+                        lambda rng: rng.random(3)):
         w, q = z[13:17], z[6:10]
-        u = np.concatenate([w - _dot(w, q) * q, z[17:20]])
+        u = np.concatenate([w - _dot(w, q) * q, _uniform(z[17:20], -2.0, 2.0)])
         worst = max(worst, _worst(_forms(z[:13], u, u), 0.0))
     out.append(CheckResult("antisymmetry Omega(u, u) = 0", worst, 0.0, n))
 
@@ -386,8 +441,8 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
 
     params = _oracle_params()[2]  # heavy top: the only torque-generating builtin
     worst = 0.0
-    for _ in range(min(n, 200)):
-        pt = random_phase_point(rng, Chart.MIXED_M)
+    for z in _phase_points(rng, np.zeros(min(n, 200), bool)).T:
+        pt = PhasePoint.from_coords(z, Chart.MIXED_M)  # as random_phase_point
         q4 = pt.q.as_array()
         g = params.potential.gradient_q(pt.x, q4)
         expanded = g[0] * q4[1:] - q4[0] * g[1:] - np.cross(g[1:], q4[1:])
@@ -398,8 +453,7 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
 
     inertia = dynamics.InertiaTensor(1.0, 2.0, 3.0)
     worst = 0.0
-    for _ in range(min(n, 200)):
-        M = rng.uniform(-2.0, 2.0, 3)
+    for M in _uniform(rng.random((min(n, 200), 3)), -2.0, 2.0):
         omega = dynamics.angular_velocity(M, inertia)
         h = 1e-6
         for i in range(3):

@@ -69,12 +69,18 @@ GOLDEN_VERIFY_SHA256 = {
 }
 
 # sha256 over the stdouts of ``qhdyn verify <suite> --seed s`` for s = 0..11, in
-# seed order, at default sizes, recorded while the symplectic checks, the
-# Leibniz check of ``brackets`` and the dot/cross check of ``algebra`` still
-# ran one sample at a time.
+# seed order, at default sizes.  ``algebra``, ``brackets`` and ``symplectic``
+# were recorded while the symplectic checks, the Leibniz check of ``brackets``
+# and the dot/cross check of ``algebra`` still ran one sample at a time; all
+# seven match the sampler that drew each point with ``rng.uniform`` and
+# ``random_unit_quat``, before draws became raw generator calls.
 GOLDEN_VERIFY_SEEDS_SHA256 = {
     "algebra": "8f04492a831827407405e8dd0cf8ca66e7ae6fa2cad3c7e6826acdb8034b189a",
     "brackets": "e171268530365bd929eefe7dee9ec82c7440c72fca0b32b4e6ca716303e12902",
+    "dynamics_oracle": "ca7ea8ef261eb11a94627fad20770424a321c86aac5086b2e58a46f12ce026fe",
+    "jacobi": "5eb881899889482aa19b61fd3950d8d4fc3dabe28e45e06dbf913012fb6e7f66",
+    "maurer_cartan": "4e6d37218a6fc533320e0f28ee58a58ff7d7041b24ed6d3a2fec50d76c3d1498",
+    "poisson_map": "9d4a662e51f8dc5d6111706ddd53831571075f4a1a02c76bba3cda6c75a050cf",
     "symplectic": "00eda66118689563b578b138951ddebdc71b388762165f4fb565885df7cd24bb",
 }
 
@@ -215,17 +221,22 @@ def test_simulate_output_dir_missing(tmp_path, capsys, monkeypatch, field):
 
 
 @pytest.mark.parametrize("field", ["csv", "summary"])
-def test_simulate_unwritable_output(tmp_path, capsys, field):
-    # the path names an existing directory, so opening it for writing fails
+def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field):
+    # the path names an existing directory, so writing it fails, and that is
+    # found before any integration
     cfg = json.loads(json.dumps(FREE_TOP))
     cfg["output"][field] = "taken"
     (tmp_path / "taken").mkdir()
     cfg_path, _ = write_config(tmp_path, cfg)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integration started before the output path was checked")
+
+    monkeypatch.setattr(dynamics, "_samples", must_not_run)
     assert main(["simulate", str(cfg_path)]) == 2
     assert "output error" in capsys.readouterr().err
-    # no temporary file is left, and the CSV exists only if it was written
-    written = ["traj.csv"] if field == "summary" else []
-    assert sorted(os.listdir(tmp_path)) == ["run.json", "taken", *written]
+    # no temporary file is left, and output.csv is not written
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
     assert os.listdir(tmp_path / "taken") == []
 
 

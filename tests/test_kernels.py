@@ -221,3 +221,57 @@ def test_form_kernels_check_tangency_on_every_column(cols, data):
             poisson._forms(z, u, v)
     with pytest.raises(PreconditionError, match="v is not tangent"):
         poisson._forms(z, np.zeros_like(u), u)
+
+
+# The sampler as it was written before its draws became raw generator calls,
+# one point at a time: the specification of the stream and of every value.
+def _reference_unit_quat(rng, small_q0=False):
+    a = rng.standard_normal(4)
+    if small_q0:
+        a[0] = rng.uniform(-verify.SMALL_Q0, verify.SMALL_Q0)
+        a[1:] *= math.sqrt(max(1.0 - a[0] ** 2, 0.0)) / np.linalg.norm(a[1:])
+        return Quaternion.from_array(a)
+    return Quaternion.from_array(a / np.linalg.norm(a))
+
+
+def _reference_phase_points(rng, flags, *draws):
+    return np.array([[*rng.uniform(-2.0, 2.0, 6).tolist(), *_reference_unit_quat(rng, small),
+                      *rng.uniform(-2.0, 2.0, 3).tolist(), *(x for draw in draws for x in draw(rng))]
+                     for small in flags]).T
+
+
+# the per-point extra draws the suites pass to the sampler
+EXTRA_DRAWS = [lambda rng: rng.standard_normal(4), lambda rng: rng.random(3),
+               lambda rng: verify._polynomial_terms(rng, range(6, 13), 5).ravel()]
+seeds = st.integers(0, 2**32 - 1)
+flag_patterns = st.one_of(st.integers(1, 257).map(lambda n: np.zeros(n, bool)),
+                          st.integers(1, 257).map(lambda n: np.ones(n, bool)),
+                          st.lists(st.booleans(), min_size=1, max_size=257).map(np.array))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seeds, flag_patterns, st.lists(st.sampled_from(EXTRA_DRAWS), max_size=3))
+@example(0, np.array([False]), []).via("one regular point")
+@example(0, np.array([True]), []).via("one small-q0 point")
+@example(7, np.arange(257) % 10 == 3, EXTRA_DRAWS).via("more than one block, mixed")
+def test_sampler_keeps_the_stream_and_the_bits(seed, flags, draws):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    z, expect = verify._phase_points(rng, flags, *draws), _reference_phase_points(ref, flags, *draws)
+    assert z.shape == expect.shape and np.array_equal(z, expect) and _bits(z) == _bits(expect)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    for small in flags[:12]:
+        got = verify.random_phase_point(rng, Chart.MIXED_M, small).coords()
+        assert _bits(got) == _bits(_reference_phase_points(ref, [small])[:, 0])
+        assert _bits(verify.random_unit_quat(rng, small)) == _bits(_reference_unit_quat(ref, small))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seeds, st.sampled_from([(-2.0, 2.0), (-verify.SMALL_Q0, verify.SMALL_Q0), (-1.0, 1.0),
+                               (0.0, 1.0), (0.2, 0.8)]), st.integers(0, 64))
+def test_uniform_is_numpys_formula_on_raw_doubles(seed, bounds, k):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    low, high = bounds
+    assert _bits(verify._uniform(rng.random(k), low, high)) == _bits(ref.uniform(low, high, k))
+    assert _bits(verify._uniform(rng.random(), low, high)) == _bits(ref.uniform(low, high))
+    assert rng.bit_generator.state == ref.bit_generator.state
