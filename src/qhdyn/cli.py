@@ -44,6 +44,8 @@ MAX_SAMPLES = 10**7
 MAX_POINTS = 10**6
 
 CSV_HEADER = ("t,x1,x2,x3,p1,p2,p3,q0,q1,q2,q3,M1,M2,M3,H,qnorm,pi1,pi2,pi3")
+# One CSV line for the 19 columns; "%.17g" prints the bytes "{:.17g}" does.
+_CSV_ROW = ",".join(["%.17g"] * 19) + "\n"
 
 
 def _setup_logging() -> None:
@@ -231,7 +233,7 @@ def load_config(path: str) -> RunConfig:
 def _csv_row(t: float, z, row) -> str:
     """One CSV line: time, the 13 coordinates and a monitor row less its |M|."""
     energy, qnorm, _, pi1, pi2, pi3 = row
-    return ",".join(map("{:.17g}".format, (t, *z, energy, qnorm, pi1, pi2, pi3))) + "\n"
+    return _CSV_ROW % (t, *z, energy, qnorm, pi1, pi2, pi3)
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:

@@ -20,6 +20,7 @@ the factor 1/8 reflects the doubling M = 2 Pi of the physical momentum.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,8 @@ from .poisson import Chart, DynamicVariable, PhasePoint, _fd_partials, _point_co
 from .quaternion import TOL_UNIT
 
 Vec3 = np.ndarray
+
+log = logging.getLogger("qhdyn")
 
 
 @dataclass(frozen=True)
@@ -249,11 +252,13 @@ def _make_grad_h(params: BodyParams) -> Callable[[Sequence], list]:
     return grad
 
 
-def _make_rhs(params: BodyParams) -> Callable[[list[float]], list[float]]:
-    """Right-hand side over the 13 mixed-chart coordinates as a list of floats.
+def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
+    """Right-hand side over the 13 mixed-chart coordinates.
 
-    Plain float arithmetic: on 13 components the per-operation overhead of
-    numpy arrays costs several times the arithmetic itself.
+    Takes any sequence of 13, either Python floats or equal-shape numpy
+    columns of many points, unpacks it once and returns a list of 13 of the
+    same kind.  Plain float arithmetic: on 13 components the per-operation
+    overhead of numpy arrays costs several times the arithmetic itself.
     """
     inv_m = 1.0 / params.mass
     d1 = 0.5 / params.inertia.i1
@@ -262,20 +267,19 @@ def _make_rhs(params: BodyParams) -> Callable[[list[float]], list[float]]:
     grad_x = params.potential._grad_x
     grad_q = params.potential._grad_q
 
-    def rhs(z: list[float]) -> list[float]:
-        x = (z[0], z[1], z[2])
-        q4 = (z[6], z[7], z[8], z[9])
-        q0, q1, q2, q3 = q4
-        m1, m2, m3 = z[10], z[11], z[12]
+    def rhs(z: Sequence) -> list:
+        x0, x1, x2, p0, p1, p2, q0, q1, q2, q3, m1, m2, m3 = z
+        x = (x0, x1, x2)
+        q4 = (q0, q1, q2, q3)
         o1 = m1 * d1
         o2 = m2 * d2
         o3 = m3 * d3
         gx0, gx1, gx2 = grad_x(x, q4)
         g0, g1, g2, g3 = grad_q(x, q4)
         return [
-            z[3] * inv_m,
-            z[4] * inv_m,
-            z[5] * inv_m,
+            p0 * inv_m,
+            p1 * inv_m,
+            p2 * inv_m,
             -gx0,
             -gx1,
             -gx2,
@@ -309,17 +313,35 @@ def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -
     return np.array(_make_rhs(params)(z.tolist()))
 
 
-def _rk4(z: list[float], h: float, rhs: Callable[[list[float]], list[float]]) -> list[float]:
+def _rk4(z: Sequence[float], h: float, rhs: Callable[[Sequence], list]) -> list[float]:
     # Same operations in the same order as the array form
     # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), so trajectories are bit-identical.
+    # Written out: a loop's zips and 13-lists cost more than the four rhs calls.
+    z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11, z12 = z
     half = 0.5 * h
-    k1 = rhs(z)
-    k2 = rhs([a + half * b for a, b in zip(z, k1)])
-    k3 = rhs([a + half * b for a, b in zip(z, k2)])
-    k4 = rhs([a + h * b for a, b in zip(z, k3)])
+    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = rhs(z)
+    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = rhs((
+        z0 + half * a0, z1 + half * a1, z2 + half * a2, z3 + half * a3, z4 + half * a4,
+        z5 + half * a5, z6 + half * a6, z7 + half * a7, z8 + half * a8, z9 + half * a9,
+        z10 + half * a10, z11 + half * a11, z12 + half * a12))
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = rhs((
+        z0 + half * b0, z1 + half * b1, z2 + half * b2, z3 + half * b3, z4 + half * b4,
+        z5 + half * b5, z6 + half * b6, z7 + half * b7, z8 + half * b8, z9 + half * b9,
+        z10 + half * b10, z11 + half * b11, z12 + half * b12))
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = rhs((
+        z0 + h * c0, z1 + h * c1, z2 + h * c2, z3 + h * c3, z4 + h * c4, z5 + h * c5,
+        z6 + h * c6, z7 + h * c7, z8 + h * c8, z9 + h * c9, z10 + h * c10, z11 + h * c11,
+        z12 + h * c12))
     sixth = h / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+    return [
+        z0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0), z1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+        z2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2), z3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+        z4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4), z5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+        z6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6), z7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+        z8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8), z9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
+        z10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
+        z11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
+        z12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)]
 
 
 def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
@@ -379,6 +401,11 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
     if sample_stride < 1:
         raise DomainError(f"sample_stride must be >= 1, got {sample_stride}")
     z = _point_coords(state0, Chart.MIXED_M, "integrate").tolist()
+    pot = params.potential
+    if not (pot.analytic_grad_x and pot.analytic_grad_q):
+        log.info("potential %r steps on finite-difference gradients, several times slower "
+                 "(analytic grad_x %s, grad_q %s)", pot.name, pot.analytic_grad_x,
+                 pot.analytic_grad_q)
     rhs = _make_rhs(params)
     step = 0
     try:

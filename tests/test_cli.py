@@ -53,6 +53,13 @@ GOLDEN_CSV_SHA256 = {
     "sim_heavy_top": "e744e058c5411b1354b4740a38fb7689b9ad89e1e0cb68302c607c077a7372cd",
     "sim_dense_output": "0d27e58c8a4bcecefaa0680d39bb850e214c6a00be1252f36402275e5241e50c",
 }
+# sha256 of the same runs' summary JSON less its ``wall_time_s``, dumped with
+# indent=2 as ``qhdyn simulate`` writes it.  The |M| drift is no CSV column,
+# so only this pins it.
+GOLDEN_SUMMARY_SHA256 = {
+    "sim_heavy_top": "766689da30837780aef2879cf37738c8f5f4dc4b86d798805ff32e649c757a6c",
+    "sim_dense_output": "61e0a9d0f593d36c4a4f9db40ef68a58da959d75644f85447be706c00145d59b",
+}
 
 # sha256 of the stdout of ``qhdyn verify <suite> --seed 0`` at default sizes,
 # recorded while the bracket, Jacobi, Poisson-map and oracle suites still ran
@@ -203,6 +210,37 @@ def test_simulate_golden_csv(tmp_path, name):
     assert main(["simulate", str(cfg_path)]) == 0
     digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[name]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    del summary["wall_time_s"]
+    digest = hashlib.sha256((json.dumps(summary, indent=2) + "\n").encode()).hexdigest()
+    assert digest == GOLDEN_SUMMARY_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_write_trajectory_csv_golden_bytes(tmp_path, name):
+    run = {"sim_heavy_top": HEAVY_TOP_RUN, "sim_dense_output": DENSE_OUTPUT_RUN}[name]
+    cfg = cli.load_config(str(write_config(tmp_path, run)[0]))
+    traj = dynamics.integrate(cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm,
+                              cfg.sample_stride)
+    cli.write_trajectory_csv(str(tmp_path / "written.csv"), traj)
+    digest = hashlib.sha256((tmp_path / "written.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[name]
+
+
+CSV_EDGE_VALUES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1.0, 0.1, 1e16, 1e17]
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+def test_csv_row_prints_the_bytes_of_the_format_join(kind):
+    bits = np.random.default_rng(0).integers(0, 2**64, size=(1000, 20), dtype=np.uint64)
+    rows = bits.view(np.float64).tolist()
+    rows += [CSV_EDGE_VALUES[i:] + CSV_EDGE_VALUES[:i] + CSV_EDGE_VALUES[:6]
+             for i in range(len(CSV_EDGE_VALUES))]
+    for values in rows:
+        v = list(map(kind, values))
+        expect = ",".join(map("{:.17g}".format, (*v[:16], *v[17:]))) + "\n"
+        assert cli._csv_row(v[0], v[1:14], v[14:]) == expect
 
 
 @pytest.mark.parametrize("field", ["csv", "summary"])

@@ -1,5 +1,6 @@
 """Hamiltonian, equations of motion, integrator and conservation monitors."""
 
+import logging
 import math
 
 import numpy as np
@@ -305,6 +306,32 @@ def test_value_only_heavy_top_matches_analytic():
                    sample_stride=100)
     np.testing.assert_allclose(fd.states, ref.states, rtol=0, atol=1e-8)
     np.testing.assert_allclose(fd.energy, ref.energy, rtol=0, atol=1e-8)
+
+
+def _no_step(*args):
+    raise RuntimeError("stepped")
+
+
+@pytest.mark.parametrize("analytic_x", [True, False])
+@pytest.mark.parametrize("analytic_q", [True, False])
+def test_finite_difference_fallback_logs_once_before_stepping(caplog, monkeypatch, analytic_x,
+                                                              analytic_q):
+    top = heavy_top(1.0, 9.81, 1.0)
+    pot = PotentialSpec("partial", top.value, top.gradient_x if analytic_x else None,
+                        top.gradient_q if analytic_q else None)
+    params = BodyParams(1.0, INERTIA, pot)
+    state = mixed_state(q=axis_angle_to_quat([1, 0, 0], 0.4), M=(0.2, 0.3, 5.0))
+    expect = [] if analytic_x and analytic_q else [
+        "potential 'partial' steps on finite-difference gradients, several times slower "
+        f"(analytic grad_x {analytic_x}, grad_q {analytic_q})"]
+    with caplog.at_level(logging.INFO, logger="qhdyn"):
+        integrate(state, params, 1e-3, 20, sample_stride=5)
+        assert [r.getMessage() for r in caplog.records] == expect
+        caplog.clear()
+        monkeypatch.setattr("qhdyn.dynamics._rk4", _no_step)
+        with pytest.raises(RuntimeError, match="stepped"):
+            integrate(state, params, 1e-3, 20)
+        assert [r.getMessage() for r in caplog.records] == expect
 
 
 def test_renorm_policies():

@@ -17,11 +17,13 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from qhdyn import (  # noqa: E402
     Chart,
     PhasePoint,
+    PotentialSpec,
     PreconditionError,
     Quaternion,
     ad,
     ad_star,
     coordinate,
+    dynamics,
     eom_rhs,
     hamiltonian_variable,
     hamiltonian_vector_field,
@@ -40,7 +42,7 @@ from qhdyn import (  # noqa: E402
     symplectic_form_eval,
     verify,
 )
-from qhdyn.dynamics import _make_grad_h, _make_rhs  # noqa: E402
+from qhdyn.dynamics import _make_grad_h, _make_rhs, _rk4  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
 
@@ -275,3 +277,42 @@ def test_uniform_is_numpys_formula_on_raw_doubles(seed, bounds, k):
     assert _bits(verify._uniform(rng.random(k), low, high)) == _bits(ref.uniform(low, high, k))
     assert _bits(verify._uniform(rng.random(), low, high)) == _bits(ref.uniform(low, high))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# The RK4 step as it was written before it was spelled out over the 13
+# coordinates: the specification of every operation and its order.
+def _reference_rk4(z, h, rhs):
+    half = 0.5 * h
+    k1 = rhs(z)
+    k2 = rhs([a + half * b for a, b in zip(z, k1)])
+    k3 = rhs([a + half * b for a, b in zip(z, k2)])
+    k4 = rhs([a + h * b for a, b in zip(z, k3)])
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
+
+
+# the four built-ins, which also run on (13, n) columns
+STEP_PARAMS = verify._oracle_params()
+_top, _spring = STEP_PARAMS[2].potential, STEP_PARAMS[3].potential
+# no analytic gradients: both fall back to finite differences of the value
+VALUE_ONLY = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, PotentialSpec(
+    "value_only", lambda x, q4: _top.value(x, q4) + _spring.value(x, q4)))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(phase_point, min_size=1, max_size=8), st.floats(1e-4, 1e-1))
+@example([(0.5, -0.3, 0.2, 0.1, 0.4, -0.2, 1e-6, 0.6, 0.8, 0.0, 0.2, 0.3, 5.0)], 1e-3).via(
+    "small q0")
+def test_rk4_is_the_loop_form_bit_for_bit(cols, h):
+    z = np.array(cols).T
+    for params in [*STEP_PARAMS, VALUE_ONLY]:
+        rhs = _make_rhs(params)
+        for col in cols:
+            assert _bits(_rk4(list(col), h, rhs)) == _bits(_reference_rk4(list(col), h, rhs))
+        if params is VALUE_ONLY:
+            continue  # the finite-difference gradient takes floats only
+        batch = _rk4(list(z), h, rhs)
+        assert all(np.shape(c) == z.shape[1:] for c in batch)
+        for k, col in enumerate(cols):
+            assert _bits([c[k] for c in batch]) == _bits(_rk4(list(col), h, rhs))
