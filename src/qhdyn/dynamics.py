@@ -10,8 +10,7 @@ Omega_i = M_i / (2 I_i) the equations of motion are purely algebraic:
     dM/dt = -Omega x M - Im(q^-1 grad_q V)
 
 where grad_q V is the 4-component quaternion gradient of the potential and
-Im takes the vector part.  These agree with the structure-tensor route
-J grad(H) of :mod:`qhdyn.poisson`, which the test suite uses as the oracle.
+Im takes the vector part: the field J grad(H) of :mod:`qhdyn.poisson`, its oracle.
 
 The energy is H = p^2/(2m) + (M1^2/I1 + M2^2/I2 + M3^2/I3)/8 + V(x, q);
 the factor 1/8 reflects the doubling M = 2 Pi of the physical momentum.

@@ -32,25 +32,29 @@ is canonical, {x_i, p_j} = delta_ij, and decouples from the rotational block.
 Every tensor is affine in the coordinates, J(z) = J0 + dJ z with constant
 J0 and dJ, which lets :func:`jacobi_residual` use exact coordinate
 derivatives instead of finite differences.
+
+In quaternion algebra, with g^ = (0, g_mom) and mom^ = (0, mom), the field X = J grad is
+
+    mixed:    X = (g_p, -g_x, q g^, -Im(q^dag g_q) - 2 Im(g^ M^))
+    inertial: X = (g_p, -g_x, g^ q, -Im(g_q q^dag) + 2 Im(g^ mu^))
+
+exactly the table on a basis gradient, and {F, G} = grad(F) . X_G.  In the mixed frame
+g_mom = Omega / 2 for H = T_spin(M) + V: dq/dt = (1/2) q Omega and dM/dt = -Omega x M -
+Im(q^dag grad_q V), since Im(Omega^ M^) = Omega x M; the :mod:`qhdyn.dynamics` equations.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ChartError, DomainError, PreconditionError
-from .quaternion import (
-    Quaternion,
-    TOL_UNIT,
-    _conj,
-    _mul,
-    right_action_matrix,
-)
+from .quaternion import Quaternion, TOL_UNIT, _conj, _mul, _norm2
 from . import so3
 
 N_COORDS = 13
@@ -160,25 +164,20 @@ def _tensor_components(z: np.ndarray, chart: Chart, corrupt: bool = False) -> np
     return J0 + (np.transpose(z) @ dJ.reshape(-1, N_COORDS).T).reshape(np.shape(z)[1:] + J0.shape)
 
 
-def _stack(m: np.ndarray) -> np.ndarray:
-    """(k, l) or (k, l, n) matrices as a C-contiguous (k, l) or (n, k, l) stack:
-    ``np.matmul`` then makes each sample's BLAS call of the 2-D product, so
-    every column keeps the per-point bits (an einsum sums in another order)."""
-    return np.ascontiguousarray(np.transpose(m, (*range(2, np.ndim(m)), 0, 1)))
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """a . b of (k,) vectors, or per (k, n) column by the BLAS call of ``a @ b`` on a copy."""
-    return (np.ascontiguousarray(a.T)[..., None, :] @ np.ascontiguousarray(b.T)[..., None])[..., 0, 0]
-
-
-def _j_grad(z: np.ndarray, chart: Chart, left, grad: np.ndarray):
-    """J(z) grad (``left`` None: a Hamiltonian field) or the bracket (left J) grad,
-    at (13,) coordinates or per (13, n) column, in the one-point product order."""
-    J, right = _tensor_components(z, chart), np.ascontiguousarray(grad.T)[..., None]
+def _j_grad(z: Sequence, chart: Chart, left, grad: Sequence):
+    """X = J(z) grad of the module docstring as a list of 13 (``left`` None), or left . X
+    summed in order, on 13 floats or 13 equal-shape columns like ``dynamics._make_rhs``."""
+    q, g_q, g = z[_Q0:_MOM0], grad[_Q0:_MOM0], (0.0, *grad[_MOM0:])
+    if chart is Chart.MIXED_M:
+        dq, rot, k = _mul(q, g), _mul(_conj(q), g_q), -2.0
+    else:
+        dq, rot, k = _mul(g, q), _mul(g_q, _conj(q)), 2.0
+    spin = _mul(g, (0.0, *z[_MOM0:]))
+    X = [*grad[3:6], *(-c for c in grad[0:3]), *dq,
+         *(k * s - r for r, s in zip(rot[1:], spin[1:]))]
     if left is None:
-        return (J @ right)[..., 0].T
-    return ((np.ascontiguousarray(left.T)[..., None, :] @ J) @ right)[..., 0, 0]
+        return X
+    return functools.reduce(operator.add, map(operator.mul, left, X))
 
 
 def structure_jacobian(chart: Chart, corrupt: bool = False) -> np.ndarray:
@@ -396,7 +395,7 @@ def poisson_bracket(F: DynamicVariable, G: DynamicVariable, point: PhasePoint) -
     _require_variable_chart(F, point)
     _require_variable_chart(G, point)
     z = _point_coords(point)
-    return float(_j_grad(z, point.chart, F.gradient(z), G.gradient(z)))
+    return float(_j_grad(z.tolist(), point.chart, F.gradient(z).tolist(), G.gradient(z).tolist()))
 
 
 def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarray:
@@ -407,7 +406,7 @@ def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarra
     """
     _require_variable_chart(H, point)
     z = _point_coords(point)
-    return _j_grad(z, point.chart, None, H.gradient(z))
+    return np.array(_j_grad(z.tolist(), point.chart, None, H.gradient(z).tolist()))
 
 
 def jacobi_residual(point: PhasePoint, corrupt: bool = False) -> float:
@@ -465,23 +464,21 @@ def _poisson_map_residuals(z: np.ndarray) -> np.ndarray:
 def right_translation_covariance_check(point: PhasePoint, b: Quaternion) -> float:
     """Check that p = q b obeys the same brackets with pi as q itself.
 
-    grad(pi_i) is e_{mom_i}/2 and grad((q b)_mu) is row mu of the
-    right-action matrix R_b on the q block, so the brackets {pi_i, (q b)_mu}
-    form the 3x4 block J[mom, q] R_b^T / 2.  Compares it against
-    -1/2 (e_i (q b))_mu and returns the max residual.  Inertial chart only.
+    The field of mu_i = 2 pi_i moves q along e_i q, so {pi_i, (q b)_mu} = -1/2 ((e_i q) b)_mu;
+    returns its max deviation from -1/2 (e_i (q b))_mu.  Inertial chart only.
     """
     z = _point_coords(point, Chart.INERTIAL_MU, "right_translation_covariance_check")
     b.require_unit(TOL_UNIT, "right-translation quaternion")
-    return float(_covariance_residuals(z, b))
+    return float(_covariance_residuals(z.tolist(), b))
 
 
-def _covariance_residuals(z: np.ndarray, b) -> np.ndarray:
-    """:func:`right_translation_covariance_check` at (13,) or (13, n) columns."""
-    qb = _mul(z[_Q0:_MOM0], b)
-    ei_qb = np.array([_mul(Quaternion.basis(i + 1), qb) for i in range(3)])
-    J = _tensor_components(z, Chart.INERTIAL_MU)[..., _MOM0:, _Q0:_MOM0]
-    lhs = 0.5 * J @ np.swapaxes(_stack(right_action_matrix(b)), -1, -2)
-    return np.abs(lhs + 0.5 * _stack(ei_qb)).max(axis=(-2, -1))
+def _covariance_residuals(z, b) -> np.ndarray:
+    """:func:`right_translation_covariance_check` at 13 floats or (13, n) columns."""
+    qb, res = _mul(z[_Q0:_MOM0], b), []
+    for grad in np.eye(N_COORDS)[_MOM0:].tolist():  # grad(mu_i): field q-block e_i q
+        e_q_b = _mul(_j_grad(z, Chart.INERTIAL_MU, None, grad)[_Q0:_MOM0], b)
+        res += map(operator.sub, e_q_b, _mul((0.0, *grad[_MOM0:]), qb))
+    return 0.5 * np.abs(res).max(axis=0)
 
 
 def _rotational_vector(vec) -> np.ndarray:
@@ -491,23 +488,27 @@ def _rotational_vector(vec) -> np.ndarray:
     return v[-7:]
 
 
-def _dq_of(q, u, what: str) -> np.ndarray:
-    """Vector part of dq q^-1 on the q-blocks u[0:4]; each must be tangent: <q, u_q> = 0."""
-    uq = u[0:4]
-    if np.any(np.abs(_dot(q, uq)) > 1e-9 * np.maximum(1.0, np.sqrt(_dot(uq, uq)))):
+def _dq_of(q, u, what: str):
+    """dq = Im(u_q q^dag) on the q-blocks u_q = u[0:4]; Re(u_q q^dag) = <u_q, q> must vanish."""
+    normal, *dq = _mul(u[0:4], _conj(q))
+    if np.any(abs(normal) > 1e-9 * np.maximum(1.0, np.sqrt(_norm2(u[0:4])))):
         raise PreconditionError(f"{what} is not tangent to the unit sphere at q")
-    return np.array(_mul(uq, _conj(q))[1:])
+    return dq
 
 
 def _forms(z, u, v):
     """Liouville form <mu, dq(u)> (``v`` None) or symplectic form Omega(u, v) at
-    (13,) or (13, n) inertial coordinates, for (7,) or (7, n) (q, mom) vectors."""
-    q, mom = z[_Q0:_MOM0], z[_MOM0:]
-    du = _dq_of(q, u, "u")
+    13 floats or (13, n) inertial columns, for 7 (q, mom) floats or columns."""
+    m1, m2, m3 = z[_MOM0:]
+    a1, a2, a3 = _dq_of(z[_Q0:_MOM0], u, "u")
     if v is None:
-        return _dot(mom, du)
-    dv = _dq_of(q, v, "v")
-    return (_dot(du, v[4:7]) - _dot(dv, u[4:7])) + -2.0 * _dot(mom, np.cross(du, dv, axis=0))
+        return m1 * a1 + m2 * a2 + m3 * a3
+    b1, b2, b3 = _dq_of(z[_Q0:_MOM0], v, "v")
+    u1, u2, u3 = u[4:7]
+    v1, v2, v3 = v[4:7]
+    c1, c2, c3 = a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1  # dq(u) x dq(v)
+    return ((a1 * v1 + a2 * v2 + a3 * v3) - (b1 * u1 + b2 * u2 + b3 * u3)) + -2.0 * (
+        m1 * c1 + m2 * c2 + m3 * c3)
 
 
 def liouville_form_eval(point: PhasePoint, u) -> float:
@@ -517,7 +518,7 @@ def liouville_form_eval(point: PhasePoint, u) -> float:
     rotational block is used; its q-part must be tangent: <q, u_q> = 0.
     """
     z = _point_coords(point, Chart.INERTIAL_MU, "liouville_form_eval")
-    return float(_forms(z, _rotational_vector(u), None))
+    return float(_forms(z.tolist(), _rotational_vector(u).tolist(), None))
 
 
 def symplectic_form_eval(point: PhasePoint, u, v) -> float:
@@ -531,4 +532,4 @@ def symplectic_form_eval(point: PhasePoint, u, v) -> float:
     Omega(X_F, X_G) = {F, G}.
     """
     z = _point_coords(point, Chart.INERTIAL_MU, "symplectic_form_eval")
-    return float(_forms(z, _rotational_vector(u), _rotational_vector(v)))
+    return float(_forms(z.tolist(), _rotational_vector(u).tolist(), _rotational_vector(v).tolist()))

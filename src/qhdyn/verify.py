@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics, poisson, so3
-from .poisson import N_COORDS, Chart, DynamicVariable, PhasePoint, _dot, _forms, _j_grad
+from .poisson import N_COORDS, Chart, DynamicVariable, PhasePoint, _forms, _j_grad
 from .quaternion import (
     Quaternion,
     _conj,
@@ -57,6 +57,18 @@ class CheckResult:
         if self.mode == "min":
             return self.residual >= self.tolerance
         return self.residual <= self.tolerance
+
+
+def _stack(m: np.ndarray) -> np.ndarray:
+    """(k, l) or (k, l, n) matrices as a C-contiguous (k, l) or (n, k, l) stack:
+    ``np.matmul`` then makes each sample's BLAS call of the 2-D product, so
+    every column keeps the per-point bits (an einsum sums in another order)."""
+    return np.ascontiguousarray(np.transpose(m, (*range(2, np.ndim(m)), 0, 1)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b of (k,) vectors, or per (k, n) column by the BLAS call of ``a @ b`` on a copy."""
+    return (np.ascontiguousarray(a.T)[..., None, :] @ np.ascontiguousarray(b.T)[..., None])[..., 0, 0]
 
 
 def _uniform(u, low: float, high: float):
@@ -211,7 +223,7 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     w_pure = max(_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
                  _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0))))
 
-    lhs = np.matmul(poisson._stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
+    lhs = np.matmul(_stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
     w_ract = _worst(lhs[:, :, 0].T, ab)
 
     out.append(CheckResult("identity element e0", w_ident, 0.0, n))
@@ -230,8 +242,8 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     units = rng.standard_normal((n, 2, 4))
     units /= np.linalg.norm(units, axis=2, keepdims=True)
     q1, q2 = units.transpose(1, 2, 0)
-    product = np.matmul(poisson._stack(so3._matrix(q1)), poisson._stack(so3._matrix(q2)))
-    worst = _worst(poisson._stack(so3._matrix(_mul(q1, q2))), product)
+    product = np.matmul(_stack(so3._matrix(q1)), _stack(so3._matrix(q2)))
+    worst = _worst(_stack(so3._matrix(_mul(q1, q2))), product)
     out.append(CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", worst, 1e-13, n))
 
     worst = _worst(so3._matrix(-q1), so3._matrix(q1))
@@ -328,13 +340,11 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("Leibniz rule {FG, H} = F{G,H} + G{F,H}", worst, 1e-10, nc))
 
     worst = 0.0
-    # an inertial point, then a mixed one; {|q|^2, z_I} for all 13
-    # coordinates is the row grad(|q|^2) J
+    # an inertial point, then a mixed one; {|q|^2, z_I} for all 13 basis gradients at once
     for _, z in _blocks(rng, np.zeros(2 * nc, bool)):
         for zc, chart in ((z[:, 0::2], Chart.INERTIAL_MU), (z[:, 1::2], Chart.MIXED_M)):
-            grad = np.zeros((zc.shape[1], 1, N_COORDS))
-            grad[:, 0, 6:10] = 2.0 * zc[6:10].T
-            worst = max(worst, _worst(grad @ poisson._tensor_components(zc, chart), 0.0))
+            grad = (*[0.0] * 6, *(2.0 * zc[6:10]), 0.0, 0.0, 0.0)  # grad(|q|^2)
+            worst = max(worst, _worst(_j_grad(zc, chart, grad, np.eye(N_COORDS)[..., None]), 0.0))
     out.append(CheckResult("norm function commutes with all generators", worst, 1e-11, nc))
 
     worst = 0.0
@@ -394,16 +404,14 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
     worst = 0.0
     for _, z in _blocks(rng, np.zeros(n, bool)):
-        q0, q1, q2, q3 = q = z[6:10]
+        q0, q1, q2, q3 = z[6:10]
         # q-block columns of the momentum fields: the closed-form eta table
         eta = [(-q1, q0, -q3, q2), (-q2, q3, q0, -q1), (-q3, -q2, q1, q0)]
         for k in range(3):
-            field = _j_grad(z, _MU, None, np.eye(N_COORDS)[:, [10 + k] * len(q0)])
-            ek_q = np.array(_mul(Quaternion.basis(k + 1), q))
-            # Liouville form on the left-invariant field returns mu_k
-            u = np.concatenate([ek_q, 2.0 * np.cross(np.eye(3)[:, k, None], z[10:], axis=0)])
-            worst = max(worst, _worst(field[6:10], ek_q), _worst(field[6:10], eta[k]),
-                        _worst(_forms(z, u, None), z[10 + k]))
+            field = _j_grad(z, _MU, None, np.eye(N_COORDS)[10 + k])
+            # the Liouville form on the left-invariant field returns mu_k
+            worst = max(worst, _worst(field[6:10], eta[k]),
+                        _worst(_forms(z, field[6:], None), z[10 + k]))
     out.append(CheckResult("left-invariant fields and the eta table", worst, 1e-13, n))
 
     worst = 0.0
@@ -433,33 +441,25 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
         rhs, grad_h = dynamics._make_rhs(params), dynamics._make_grad_h(params)
         worst = 0.0
         for _, z in _blocks(rng, np.zeros(n, bool)):
-            grad = np.array([np.broadcast_to(g, z.shape[1:]) for g in grad_h(list(z))])
-            field = _j_grad(z, Chart.MIXED_M, None, grad)
+            field = _j_grad(z, Chart.MIXED_M, None, grad_h(list(z)))
             worst = max(worst, *map(_worst, rhs(list(z)), field))
         out.append(CheckResult(f"eom_rhs = J grad(H), potential {params.potential.name}",
                                worst, 1e-9, n))
 
     params = _oracle_params()[2]  # heavy top: the only torque-generating builtin
-    worst = 0.0
-    for z in _phase_points(rng, np.zeros(min(n, 200), bool)).T:
-        pt = PhasePoint.from_coords(z, Chart.MIXED_M)  # as random_phase_point
-        q4 = pt.q.as_array()
-        g = params.potential.gradient_q(pt.x, q4)
-        expanded = g[0] * q4[1:] - q4[0] * g[1:] - np.cross(g[1:], q4[1:])
-        compact = -np.array(_mul(_conj(pt.q), g)[1:])
-        worst = max(worst, float(np.max(np.abs(expanded - compact))))
-    out.append(CheckResult("expanded and compact torque forms agree", worst, 1e-12,
-                           min(n, 200)))
+    z = _phase_points(rng, np.zeros(min(n, 200), bool))
+    q = z[6:10]
+    g = np.array(params.potential._grad_q(z[0:3], q))
+    expanded = g[0] * q[1:] - q[0] * g[1:] - np.cross(g[1:], q[1:], axis=0)
+    compact = -np.array(_mul(_conj(q), g)[1:])
+    out.append(CheckResult("expanded and compact torque forms agree", _worst(expanded, compact),
+                           1e-12, min(n, 200)))
 
-    inertia = dynamics.InertiaTensor(1.0, 2.0, 3.0)
-    worst = 0.0
-    for M in _uniform(rng.random((min(n, 200), 3)), -2.0, 2.0):
-        omega = dynamics.angular_velocity(M, inertia)
-        h = 1e-6
-        for i in range(3):
-            dp, dm = M + h * np.eye(3)[i], M - h * np.eye(3)[i]
-            fd = (dynamics.spin_kinetic(dp, inertia) - dynamics.spin_kinetic(dm, inertia)) / (2 * h)
-            worst = max(worst, abs(2.0 * fd - omega[i]))
+    inertia, h = params.inertia, 1e-6
+    M = _uniform(rng.random((min(n, 200), 3)), -2.0, 2.0).T[:, None]  # (3, 1, n) columns
+    dM = h * np.eye(3)[:, :, None]  # dM[:, i]: the step along M_i
+    fd = (dynamics._spin(*(M + dM), inertia) - dynamics._spin(*(M - dM), inertia)) / (2 * h)
+    worst = _worst(2.0 * fd, dynamics.angular_velocity(M[:, 0], inertia))
     out.append(CheckResult("2 dT_spin/dM equals the angular velocity", worst, 1e-8,
                            min(n, 200)))
     return out

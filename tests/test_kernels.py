@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from qhdyn import (  # noqa: E402
     Chart,
+    DynamicVariable,
     PhasePoint,
     PotentialSpec,
     PreconditionError,
@@ -31,6 +32,7 @@ from qhdyn import (  # noqa: E402
     liouville_form_eval,
     matrix_to_quat,
     poisson,
+    poisson_bracket,
     poisson_map_residual,
     quat_conj,
     quat_inverse,
@@ -43,6 +45,7 @@ from qhdyn import (  # noqa: E402
     verify,
 )
 from qhdyn.dynamics import _make_grad_h, _make_rhs, _rk4  # noqa: E402
+from qhdyn.poisson import N_COORDS  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
 
@@ -129,6 +132,16 @@ phase_point = st.tuples(st.tuples(*[coord] * 6), units, st.tuples(coord, coord, 
     lambda t: (*t[0], *t[1], *t[2]))
 
 
+def _columns(values):
+    """A list of floats and equal-shape columns as one array of columns."""
+    return np.array(np.broadcast_arrays(*values))
+
+
+def _unbound(grad_h):
+    """A variable bound to no chart, with the gradient of ``grad_h``; its value is unused."""
+    return DynamicVariable(lambda v: 0.0, lambda v: np.array(grad_h(v.tolist())))
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.lists(st.tuples(phase_point, units), min_size=1, max_size=12))
 def test_phase_point_kernels_match_scalar_api(cols):
@@ -141,16 +154,23 @@ def test_phase_point_kernels_match_scalar_api(cols):
     cov = poisson._covariance_residuals(z, b)
     oracle = []
     for params in verify._oracle_params():
-        grad = np.array(np.broadcast_arrays(*_make_grad_h(params)(list(z))))
-        field = tensors[Chart.MIXED_M] @ poisson._stack(grad[:, None])
-        rhs = np.array(np.broadcast_arrays(*_make_rhs(params)(list(z))))
-        oracle.append((params, hamiltonian_variable(params), field[:, :, 0].T, rhs))
+        field = _columns(poisson._j_grad(z, Chart.MIXED_M, None, _make_grad_h(params)(list(z))))
+        rhs = _columns(_make_rhs(params)(list(z)))
+        oracle.append((params, hamiltonian_variable(params), field, rhs))
+    # {H_a, H_b} of cyclically consecutive oracle Hamiltonians, unbound to a chart
+    grads = [_make_grad_h(params) for params in verify._oracle_params()]
+    pairs = list(zip(grads, grads[1:] + grads[:1]))
+    brackets = {chart: [_columns([poisson._j_grad(z, chart, ga(list(z)), gb(list(z)))])[0]
+                        for ga, gb in pairs] for chart in Chart}
+    variables = [(_unbound(ga), _unbound(gb)) for ga, gb in pairs]
     for k, (col, bq) in enumerate(cols):
         for chart in Chart:
             pt = PhasePoint.from_coords(col, chart)
             assert _bits(tensors[chart][k]) == _bits(structure_tensor(pt).j)
             for corrupt in (False, True):
                 assert _bits(jacobi[chart, corrupt][k]) == _bits(jacobi_residual(pt, corrupt))
+            for (F, G), bracket in zip(variables, brackets[chart]):
+                assert _bits(bracket[k]) == _bits(poisson_bracket(F, G, pt))
         pt = PhasePoint.from_coords(col, Chart.INERTIAL_MU)
         assert _bits(pmap[k]) == _bits(poisson_map_residual(pt))
         assert _bits(cov[k]) == _bits(right_translation_covariance_check(pt, Quaternion.from_array(bq)))
@@ -158,6 +178,21 @@ def test_phase_point_kernels_match_scalar_api(cols):
         for params, H, field, rhs in oracle:
             assert _bits(field[:, k]) == _bits(hamiltonian_vector_field(H, pt))
             assert _bits(rhs[:, k]) == _bits(eom_rhs(pt, params))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(phase_point, min_size=1, max_size=8), st.sampled_from(list(Chart)))
+def test_field_kernel_is_the_bracket_table_exactly(cols, chart):
+    # the quaternion-algebra field of each basis gradient e_J is column J of the
+    # table, and each bracket of two basis gradients is one entry J_IJ, exactly:
+    # so dynamics._make_rhs, checked against this kernel, is checked against the table
+    basis = np.eye(N_COORDS).tolist()
+    for z in (np.array(cols).T, *cols):
+        J = np.moveaxis(poisson._tensor_components(np.array(z), chart), (-2, -1), (0, 1))
+        for j, e_j in enumerate(basis):
+            assert np.array_equal(_columns(poisson._j_grad(z, chart, None, e_j)), J[:, j])
+            for i, e_i in enumerate(basis):
+                assert np.array_equal(poisson._j_grad(z, chart, e_i, e_j), J[i, j])
 
 
 def _tree(terms):
