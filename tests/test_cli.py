@@ -64,11 +64,13 @@ GOLDEN_SUMMARY_SHA256 = {
 # sha256 of the stdout of ``qhdyn verify <suite> --seed 0`` at default sizes,
 # recorded while the bracket, Jacobi, Poisson-map and oracle suites still ran
 # one phase point at a time.  A rewrite that moves any printed residual digit,
-# check name or count changes its suite's digest.
+# check name or count changes its suite's digest.  ``dynamics_oracle`` was
+# re-pinned when J grad(H) became the quaternion-algebra kernel
+# ``poisson._j_grad``: only its four ``eom_rhs = J grad(H)`` residuals moved.
 GOLDEN_VERIFY_SHA256 = {
     "algebra": "f1d5032bb1431060e4def5a6eaac182a8906a8b6d975c623de397e7f2a66cdc4",
     "brackets": "d1c5a8cbc6c748f1d8961952eecb4d79e0aee314f6788491eb5685632524fd81",
-    "dynamics_oracle": "f61b8ba36de0a222ae32a18cd680795159761d9188540a960541790522e4b7f0",
+    "dynamics_oracle": "46989ab22327fb3d30089b78a5f27de1927937ece9242739864e92aa762abfdd",
     "jacobi": "0324db43c0551e772c11d27ded2d634b41adde27c6d1275537928c82af6bafbf",
     "maurer_cartan": "83f971fe7d57b7cdf4758457a7154524253746cc7c7b07a59906893d87ae2a3a",
     "poisson_map": "3cd7f286fe239afcd2e8ee23c2d18d4a3f2fb0d3130cd57ce068dedebca136a1",
@@ -80,15 +82,18 @@ GOLDEN_VERIFY_SHA256 = {
 # were recorded while the symplectic checks, the Leibniz check of ``brackets``
 # and the dot/cross check of ``algebra`` still ran one sample at a time; all
 # seven match the sampler that drew each point with ``rng.uniform`` and
-# ``random_unit_quat``, before draws became raw generator calls.
+# ``random_unit_quat``, before draws became raw generator calls.  ``brackets``,
+# ``symplectic`` and ``dynamics_oracle`` were re-pinned when J grad(H), the
+# brackets and the forms became quaternion-algebra and component kernels: only
+# the Leibniz, duality, left-invariant-field and ``eom_rhs`` residuals moved.
 GOLDEN_VERIFY_SEEDS_SHA256 = {
     "algebra": "8f04492a831827407405e8dd0cf8ca66e7ae6fa2cad3c7e6826acdb8034b189a",
-    "brackets": "e171268530365bd929eefe7dee9ec82c7440c72fca0b32b4e6ca716303e12902",
-    "dynamics_oracle": "ca7ea8ef261eb11a94627fad20770424a321c86aac5086b2e58a46f12ce026fe",
+    "brackets": "ad5dcd3bc63aca23cd5ed9b51abed1e74371178a9da03beb255a80e0418312ac",
+    "dynamics_oracle": "b803298527099ae632ba10854d68528dfff6bdcd5805a361639b381947928d34",
     "jacobi": "5eb881899889482aa19b61fd3950d8d4fc3dabe28e45e06dbf913012fb6e7f66",
     "maurer_cartan": "4e6d37218a6fc533320e0f28ee58a58ff7d7041b24ed6d3a2fec50d76c3d1498",
     "poisson_map": "9d4a662e51f8dc5d6111706ddd53831571075f4a1a02c76bba3cda6c75a050cf",
-    "symplectic": "00eda66118689563b578b138951ddebdc71b388762165f4fb565885df7cd24bb",
+    "symplectic": "280350ecbbbfb648a75c4b06a0e80b2b302cf88d3704f2c3a27513fa8db43cb8",
 }
 
 
