@@ -160,8 +160,8 @@ def test_phase_point_kernels_match_scalar_api(cols):
     # {H_a, H_b} of cyclically consecutive oracle Hamiltonians, unbound to a chart
     grads = [_make_grad_h(params) for params in verify._oracle_params()]
     pairs = list(zip(grads, grads[1:] + grads[:1]))
-    brackets = {chart: [_columns([poisson._j_grad(z, chart, ga(list(z)), gb(list(z)))])[0]
-                        for ga, gb in pairs] for chart in Chart}
+    brackets = {chart: [poisson._j_grad(z, chart, ga(list(z)), gb(list(z))) for ga, gb in pairs]
+                for chart in Chart}
     variables = [(_unbound(ga), _unbound(gb)) for ga, gb in pairs]
     for k, (col, bq) in enumerate(cols):
         for chart in Chart:
