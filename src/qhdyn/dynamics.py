@@ -299,7 +299,8 @@ def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
 def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -> np.ndarray:
     """Time derivative of the 13 mixed-chart coordinates at a state.
 
-    Agrees with the Hamiltonian vector field J grad(H) of the poisson module.
+    Agrees with the Hamiltonian vector field J grad(H) of the poisson module. Each call
+    builds the rhs and converts the state, about 5x the float rhs: use :func:`integrate`.
 
     Raises
     ------
@@ -344,7 +345,8 @@ def _rk4(z: Sequence[float], h: float, rhs: Callable[[Sequence], list]) -> list[
 
 
 def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
-    """One classical fourth-order Runge-Kutta step; no renormalization."""
+    """One classical fourth-order Runge-Kutta step; no renormalization. Each call rebuilds the
+    rhs and converts the state, about 4x the float step: loop in :func:`integrate` instead."""
     if not h > 0.0:  # NaN too
         raise DomainError(f"step size h must be positive, got {h!r}")
     z = _point_coords(state, Chart.MIXED_M, "rk4_step").tolist()

@@ -101,25 +101,29 @@ def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quater
     return Quaternion.from_array(q[:, 0].tolist())
 
 
-_NO_DRAW = np.zeros(1)  # the q0 slot of a point not drawn with small q0
-
-
 def _phase_points(rng: np.random.Generator, flags, *draws) -> np.ndarray:
     """(13 + k, n) columns of n = len(flags) phase points (flags[i]: |q0| <=
     SMALL_Q0), each followed by the k floats of every ``draw(rng)`` in turn.
-    Per point the generator calls are, in order, ``random(6)`` for x and p,
-    ``standard_normal(4)`` for q, ``random()`` for q0 if flagged, ``random(3)``
-    for mom and then the draws; :func:`_uniform` and :func:`_unit_quats` shape
-    the raw values on the columns afterwards."""
+    Per point the stream holds ``random(6)`` for x and p, ``standard_normal(4)``
+    for q, ``random()`` for q0 if flagged, ``random(3)`` for mom, then the draws.
+    They fill (n, 14) rows x, p | q's normals | q0 (0.0 if not drawn) | mom, and
+    as ``random(a)`` then ``random(b)`` read the words of ``random(a + b)``, each
+    run of adjacent ``random`` slots is one call: with no draws, two per point.
+    :func:`_uniform` and :func:`_unit_quats` then shape the columns."""
     flags = np.asarray(flags, bool)
     if not flags.size:
         return np.empty((13, 0))
     random, normal = rng.random, rng.standard_normal
-    raw = []
-    for small in flags.tolist():
-        raw += (random(6), normal(4), random(1) if small else _NO_DRAW, random(3),
-                *(draw(rng) for draw in draws))
-    raw = np.concatenate(raw).reshape(len(flags), -1).T
+    raw, extra = np.zeros((len(flags), 14)), []
+    flat = raw.reshape(-1)
+    random(out=flat[0:6])
+    for o, small in zip(range(0, flat.size, 14), flags.tolist()):
+        normal(out=flat[o + 6:o + 10])
+        random(out=flat[o + 11 - small:o + 14 if draws else o + 20])  # q0?, mom, next x, p
+        if draws:  # they come between mom and the next x, p; past the last point, none
+            extra.append(np.concatenate([draw(rng) for draw in draws]))
+            random(out=flat[o + 14:o + 20])
+    raw = np.hstack([raw, extra]).T if draws else raw.T
     q = _unit_quats(raw[6:10], flags, _uniform(raw[10, flags], -SMALL_Q0, SMALL_Q0))
     return np.concatenate([_uniform(raw[0:6], -2.0, 2.0), q, _uniform(raw[11:14], -2.0, 2.0),
                            raw[14:]])

@@ -291,6 +291,9 @@ flag_patterns = st.one_of(st.integers(1, 257).map(lambda n: np.zeros(n, bool)),
 @example(0, np.array([False]), []).via("one regular point")
 @example(0, np.array([True]), []).via("one small-q0 point")
 @example(7, np.arange(257) % 10 == 3, EXTRA_DRAWS).via("more than one block, mixed")
+@example(0, np.array([False, True]), []).via("a small-q0 last point: the joined call stops at mom")
+@example(0, np.array([True, False]), []).via("a small-q0 point joined to a regular one")
+@example(3, np.array([False, True]), EXTRA_DRAWS).via("two points, all three extra draws")
 def test_sampler_keeps_the_stream_and_the_bits(seed, flags, draws):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     z, expect = verify._phase_points(rng, flags, *draws), _reference_phase_points(ref, flags, *draws)
