@@ -469,20 +469,22 @@ def right_translation_covariance_check(point: PhasePoint, b: Quaternion) -> floa
     """
     z = _point_coords(point, Chart.INERTIAL_MU, "right_translation_covariance_check").tolist()
     b.require_unit(TOL_UNIT, "right-translation quaternion")
-    fields = [_covariance_terms(z, b, grad) for grad in np.eye(N_COORDS)[_MOM0:].tolist()]
+    qb = _mul(z[_Q0:_MOM0], b)
+    fields = [_covariance_terms(z, b, qb, grad) for grad in np.eye(N_COORDS)[_MOM0:].tolist()]
     return float(0.5 * np.abs(fields).max())
 
 
-def _covariance_terms(z, b, grad) -> list:
-    """(e_i q) b - e_i (q b) at 13 floats or (13, n) columns for the field of mu_i of gradient
+def _covariance_terms(z, b, qb, grad) -> list:
+    """(e_i q) b - e_i qb at 13 floats or (13, n) columns for the field of mu_i of gradient
     ``grad``: 13 floats (one field; on floats, no numpy call) or columns of several on axis 0."""
     e_q_b = _mul(_j_grad(z, Chart.INERTIAL_MU, None, grad)[_Q0:_MOM0], b)  # field q-block e_i q
-    return list(map(operator.sub, e_q_b, _mul((0.0, *grad[_MOM0:]), _mul(z[_Q0:_MOM0], b))))
+    return list(map(operator.sub, e_q_b, _mul((0.0, *grad[_MOM0:]), qb)))
 
 
 def _covariance_residuals(z, b) -> np.ndarray:
     """:func:`right_translation_covariance_check` on (13, n) columns, all three fields at once."""
-    return 0.5 * np.abs(_covariance_terms(z, b, np.eye(N_COORDS)[:, _MOM0:, None])).max(axis=(0, 1))
+    qb, grad = _mul(z[_Q0:_MOM0], b), np.eye(N_COORDS)[:, _MOM0:, None]
+    return 0.5 * np.abs(_covariance_terms(z, b, qb, grad)).max(axis=(0, 1))
 
 
 def _rotational_vector(vec) -> np.ndarray:

@@ -7,12 +7,12 @@ are drawn with q uniform on the unit sphere (normalized 4-dim Gaussian) and
 positions/momenta componentwise uniform in [-2, 2]; a 10% share of points
 forces |q0| <= 1e-6 to probe the nearly-pure-quaternion regime.
 
-Samples are drawn as raw generator calls, per point in a fixed stream order:
-``rng.random`` doubles and ``rng.standard_normal`` normals, shaped on columns
-afterwards by :func:`_uniform` (numpy's own ``Generator.uniform`` formula) and
-:func:`_unit_quats` (the unit quaternion of :func:`random_unit_quat`).  So a
-block of columns holds the same bits as the same draws made one point at a
-time with ``rng.uniform`` and :func:`random_unit_quat`.
+Samples are drawn as raw generator calls in a fixed stream order into (n, 14) rows
+of ``rng.random`` doubles and ``rng.standard_normal`` normals; adjacent ``random``
+runs are one call, as ``random(a)``, ``random(b)`` read the words of ``random(a + b)``.
+:func:`_uniform` (numpy's ``Generator.uniform`` formula) and :func:`_unit_quats` (as
+:func:`random_unit_quat`) shape the columns, so a block holds the bits of the same
+draws made one point at a time with ``rng.uniform`` and :func:`random_unit_quat`.
 """
 
 from __future__ import annotations
@@ -102,14 +102,12 @@ def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quater
 
 
 def _phase_points(rng: np.random.Generator, flags, *draws) -> np.ndarray:
-    """(13 + k, n) columns of n = len(flags) phase points (flags[i]: |q0| <=
-    SMALL_Q0), each followed by the k floats of every ``draw(rng)`` in turn.
-    Per point the stream holds ``random(6)`` for x and p, ``standard_normal(4)``
-    for q, ``random()`` for q0 if flagged, ``random(3)`` for mom, then the draws.
-    They fill (n, 14) rows x, p | q's normals | q0 (0.0 if not drawn) | mom, and
-    as ``random(a)`` then ``random(b)`` read the words of ``random(a + b)``, each
-    run of adjacent ``random`` slots is one call: with no draws, two per point.
-    :func:`_uniform` and :func:`_unit_quats` then shape the columns."""
+    """(13 + k, n) columns of n = len(flags) phase points (flags[i]: |q0| <= SMALL_Q0),
+    each followed by the k floats of every ``draw(rng)`` in turn.  Per point the stream
+    holds ``random(6)`` for x and p, ``standard_normal(4)`` for q, ``random()`` for q0 if
+    flagged, ``random(3)`` for mom, then the draws, in raw (n, 14) rows x, p | q's normals
+    | q0 (0.0 if not drawn) | mom.  One ``random`` call fills each run of adjacent slots (no
+    draws: q0, mom, next x, p); :func:`_uniform` and :func:`_unit_quats` shape the columns."""
     flags = np.asarray(flags, bool)
     if not flags.size:
         return np.empty((13, 0))
