@@ -475,8 +475,8 @@ def right_translation_covariance_check(point: PhasePoint, b: Quaternion) -> floa
 
 
 def _covariance_terms(z, b, qb, grad) -> list:
-    """(e_i q) b - e_i qb at 13 floats or (13, n) columns for the field of mu_i of gradient
-    ``grad``: 13 floats (one field; on floats, no numpy call) or columns of several on axis 0."""
+    """(e_i q) b - e_i (q b), ``qb`` = q b, at 13 floats or (13, n) columns for the field of
+    mu_i of gradient ``grad``: 13 floats (one field; no numpy call) or several on axis 0."""
     e_q_b = _mul(_j_grad(z, Chart.INERTIAL_MU, None, grad)[_Q0:_MOM0], b)  # field q-block e_i q
     return list(map(operator.sub, e_q_b, _mul((0.0, *grad[_MOM0:]), qb)))
 

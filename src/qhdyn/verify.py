@@ -117,7 +117,7 @@ def _phase_points(rng: np.random.Generator, flags, *draws) -> np.ndarray:
     random(out=flat[0:6])
     for o, small in zip(range(0, flat.size, 14), flags.tolist()):
         normal(out=flat[o + 6:o + 10])
-        random(out=flat[o + 11 - small:o + 14 if draws else o + 20])  # q0?, mom, next x, p
+        random(out=flat[o + 11 - small:o + 14 if draws else o + 20])  # q0 if drawn, mom, next x, p
         if draws:  # they come between mom and the next x, p; past the last point, none
             extra.append(np.concatenate([draw(rng) for draw in draws]))
             random(out=flat[o + 14:o + 20])
