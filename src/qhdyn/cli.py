@@ -1,6 +1,6 @@
 """Command-line front end: simulation runs, verification suites, conversions.
 
-Exit codes: 0 success, 2 usage or configuration error (including an output
+Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage or configuration error (including an output
 file that cannot be written), 3 numerical abort (non-finite state or monitor
 during integration), 4 invalid geometry input.  The QH_LOG environment
 variable (quiet, info, debug) controls verbosity.
@@ -9,6 +9,7 @@ variable (quiet, info, debug) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import logging
@@ -74,11 +75,9 @@ def _as_mapping(node, path: str) -> dict:
     return node
 
 
-def _get(node: dict, key: str, path: str, required: bool = True, default=None):
+def _get(node: dict, key: str, path: str):
     if key not in node:
-        if required:
-            raise ConfigError(f"{path}.{key}", "missing required field")
-        return default
+        raise ConfigError(f"{path}.{key}", "missing required field")
     return node[key]
 
 
@@ -123,16 +122,14 @@ def _build_potential(node: dict, path: str, body_mass: float) -> dynamics.Potent
         return dynamics.free()
     if kind == "linear_gravity":
         g = _as_number(_get(node, "g", path), f"{path}.g")
-        m = _as_number(_get(node, "mass", path, required=False, default=body_mass),
-                       f"{path}.mass", positive=True)
+        m = _as_number(node.get("mass", body_mass), f"{path}.mass", positive=True)
         return dynamics.linear_gravity(m, g)
     if kind == "heavy_top":
         g = _as_number(_get(node, "g", path), f"{path}.g")
         ell = _as_number(_get(node, "l", path), f"{path}.l")
         if ell < 0.0:
             raise ConfigError(f"{path}.l", "must be >= 0")
-        m = _as_number(_get(node, "mass", path, required=False, default=body_mass),
-                       f"{path}.mass", positive=True)
+        m = _as_number(node.get("mass", body_mass), f"{path}.mass", positive=True)
         return dynamics.heavy_top(m, g, ell)
     if kind == "harmonic":
         k = _as_number(_get(node, "k", path), f"{path}.k")
@@ -144,14 +141,13 @@ def _build_potential(node: dict, path: str, body_mass: float) -> dynamics.Potent
 
 
 def _build_renorm(node: dict, path: str) -> RenormPolicy:
-    mode = _get(node, "renorm_policy", path, required=False, default="threshold")
+    mode = node.get("renorm_policy", "threshold")
     if mode == "none":
         return RenormPolicy.none()
     if mode == "every_step":
         return RenormPolicy.every_step()
     if mode == "threshold":
-        eps = _as_number(_get(node, "renorm_eps", path, required=False, default=1e-9),
-                         f"{path}.renorm_eps", positive=True)
+        eps = _as_number(node.get("renorm_eps", 1e-9), f"{path}.renorm_eps", positive=True)
         return RenormPolicy.threshold(eps)
     raise ConfigError(f"{path}.renorm_policy",
                       f"expected none, every_step or threshold, got {mode!r}")
@@ -183,12 +179,7 @@ def load_config(path: str) -> RunConfig:
     params = BodyParams(mass, inertia, potential)
 
     init = _as_mapping(_get(root, "initial", "<root>"), "initial")
-    x0 = _as_vec(_get(init, "x", "initial", required=False, default=[0.0, 0.0, 0.0]),
-                 "initial.x", 3)
-    p0 = _as_vec(_get(init, "p", "initial", required=False, default=[0.0, 0.0, 0.0]),
-                 "initial.p", 3)
-    mom0 = _as_vec(_get(init, "M", "initial", required=False, default=[0.0, 0.0, 0.0]),
-                   "initial.M", 3)
+    x0, p0, mom0 = [_as_vec(init.get(k, [0.0, 0.0, 0.0]), f"initial.{k}", 3) for k in "xpM"]
     if "q" in init and "axis_angle" in init:
         raise ConfigError("initial", "give either q or axis_angle, not both")
     if "axis_angle" in init:
@@ -199,8 +190,7 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("initial.axis_angle.axis", "must be nonzero")
         q0 = axis_angle_to_quat(axis, angle)
     else:
-        qvals = _as_vec(_get(init, "q", "initial", required=False, default=[1.0, 0.0, 0.0, 0.0]),
-                        "initial.q", 4)
+        qvals = _as_vec(init.get("q", [1.0, 0.0, 0.0, 0.0]), "initial.q", 4)
         q0 = Quaternion.from_array(qvals)
         n = quat_norm(q0)
         if n == 0.0:
@@ -213,8 +203,7 @@ def load_config(path: str) -> RunConfig:
     integ = _as_mapping(_get(root, "integrator", "<root>"), "integrator")
     h = _as_number(_get(integ, "h", "integrator"), "integrator.h", positive=True)
     n_steps = _as_int(_get(integ, "n_steps", "integrator"), "integrator.n_steps")
-    stride = _as_int(_get(integ, "sample_stride", "integrator", required=False, default=1),
-                     "integrator.sample_stride")
+    stride = _as_int(integ.get("sample_stride", 1), "integrator.sample_stride")
     samples = 1 + -(-n_steps // stride)
     if samples > MAX_SAMPLES:
         raise ConfigError("integrator.n_steps",
@@ -224,7 +213,7 @@ def load_config(path: str) -> RunConfig:
 
     out = _as_mapping(_get(root, "output", "<root>"), "output")
     csv_path = _as_output_path(_get(out, "csv", "output"), "output.csv")
-    summary_path = _get(out, "summary", "output", required=False)
+    summary_path = out.get("summary")
     if summary_path is not None:
         summary_path = _as_output_path(summary_path, "output.summary")
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
@@ -248,39 +237,40 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
             fh.write(_csv_row(row[0], row[1:14], row[14:]))
 
 
-def _open_tmp(path: str):
-    """``(tmp, fh)``: a new file ``<path>.<pid>.tmp``, opened like
-    ``open(path, "w")`` so with its mode bits, to replace ``path`` when
-    complete.  A ``path`` naming a directory fails here, before any work, as
-    the replace would at the end."""
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A new file ``<path>.<pid>.tmp``, opened like ``open(path, "w")`` so with
+    its mode bits, that replaces ``path`` when the block succeeds and is removed
+    when it raises.  A ``path`` naming a directory fails on entry, before any
+    work, as the replace would at the end."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = f"{path}.{os.getpid()}.tmp"
-    return tmp, open(tmp, "x", encoding="utf-8", newline="\n")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def _simulate(cfg: RunConfig) -> dict:
     """Step the run, write each sample as a CSV row as it arrives, and return
     the summary, whose drifts are running maxima of |row - row at step 0|.
-    Rows go to a file from :func:`_open_tmp` that replaces output.csv on
-    success and is removed on failure."""
-    tmp, fh = _open_tmp(cfg.csv_path)
-    try:
-        with fh:
-            t0 = time.perf_counter()
-            fh.write(CSV_HEADER + "\n")
-            drift = [0.0] * 6
-            for samples, (step, z, row) in enumerate(dynamics._samples(
-                    cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm, cfg.sample_stride), 1):
-                fh.write(_csv_row(step * cfg.h, z, row))
-                if samples == 1:
-                    ref = (row[0], 1.0, *row[2:])  # |q| drifts from 1
-                drift = [max(d, abs(a - b)) for d, a, b in zip(drift, row, ref)]
-            wall = time.perf_counter() - t0
-        os.replace(tmp, cfg.csv_path)
-    except BaseException:
-        os.remove(tmp)
-        raise
+    Rows go through :func:`_replacing`, so output.csv changes only on success."""
+    with _replacing(cfg.csv_path) as fh:
+        t0 = time.perf_counter()
+        fh.write(CSV_HEADER + "\n")
+        drift = [0.0] * 6
+        for samples, (step, z, row) in enumerate(dynamics._samples(
+                cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm, cfg.sample_stride), 1):
+            fh.write(_csv_row(step * cfg.h, z, row))
+            if samples == 1:
+                ref = (row[0], 1.0, *row[2:])  # |q| drifts from 1
+            drift = [max(d, abs(a - b)) for d, a, b in zip(drift, row, ref)]
+        wall = time.perf_counter() - t0
     h0, _, mom0, *pi0 = ref
     e_drift, qnorm_drift, mom_drift, *pi_abs = drift
     return {
@@ -309,21 +299,13 @@ def cmd_simulate(config_path: str) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        # The summary's file is opened before stepping, so an unwritable
+        # The summary's file is entered before stepping, so an unwritable
         # summary fails before any integration and leaves output.csv as it was.
-        tmp, fh = _open_tmp(cfg.summary_path) if cfg.summary_path else (None, None)
-        try:
+        with _replacing(cfg.summary_path) if cfg.summary_path else contextlib.nullcontext() as fh:
             summary = _simulate(cfg)
-            if tmp:
-                with fh:
-                    json.dump(summary, fh, indent=2)
-                    fh.write("\n")
-                os.replace(tmp, cfg.summary_path)
-        except BaseException:
-            if tmp:
-                fh.close()
-                os.remove(tmp)
-            raise
+            if fh:
+                json.dump(summary, fh, indent=2)
+                fh.write("\n")
     except IntegrationAborted as exc:
         print(f"numerical abort: {exc} (step {exc.step})", file=sys.stderr)
         return EXIT_NUMERIC
@@ -337,8 +319,8 @@ def cmd_simulate(config_path: str) -> int:
     return EXIT_OK
 
 
-def cmd_verify(suite: str, seed: int, points: Optional[int], corrupt: bool = False) -> int:
-    results = verify.run_suite(suite, seed=seed, n_points=points, corrupt=corrupt)
+def cmd_verify(suite: str, seed: int, points: Optional[int]) -> int:
+    results = verify.run_suite(suite, seed=seed, n_points=points)
     ok = True
     for r in results:
         rel = ">=" if r.mode == "min" else "<="
@@ -395,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("suite", choices=sorted(verify.SUITES.keys()))
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--points", type=int, default=None)
-    p_ver.add_argument("--corrupt-tensor", action="store_true", help=argparse.SUPPRESS)
 
     p_conv = sub.add_parser("convert", help="convert between quaternion and rotation matrix")
     p_conv.add_argument("direction", choices=["quat2mat", "mat2quat"])
@@ -405,8 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config)
@@ -417,20 +397,17 @@ def main(argv: Optional[list[str]] = None) -> int:
             if args.seed < 0:
                 print("--seed must be >= 0", file=sys.stderr)
                 return EXIT_USAGE
-            return cmd_verify(args.suite, args.seed, args.points,
-                              corrupt=args.corrupt_tensor)
-        if args.command == "convert":
-            try:
-                values = [float(v) for v in args.values]
-            except ValueError as exc:
-                print(f"parse error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            return cmd_convert(args.direction, values)
+            return cmd_verify(args.suite, args.seed, args.points)
+        # "convert": the subparsers are required, so no other command gets here
+        try:
+            values = [float(v) for v in args.values]
+        except ValueError as exc:
+            print(f"parse error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        return cmd_convert(args.direction, values)
     except QhdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser.error("no command given")
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

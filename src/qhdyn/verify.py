@@ -359,12 +359,12 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     return out
 
 
-def jacobi_checks(rng: np.random.Generator, n: int, corrupt: bool = False) -> list[CheckResult]:
+def jacobi_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out = []
     for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
         worst = 0.0
         for _, z in _blocks(rng, _small_q0_flags(rng, n)):
-            worst = max(worst, _worst(poisson._jacobi_residuals(z, chart, corrupt), 0.0))
+            worst = max(worst, _worst(poisson._jacobi_residuals(z, chart), 0.0))
         out.append(CheckResult(f"Jacobi cyclic residual ({chart.value})", worst, 1e-12, n))
     control = 0.0
     for _, z in _blocks(rng, np.zeros(min(n, 100), bool)):
@@ -471,17 +471,17 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
 # suite registry
 
 
-# Each entry runs one suite on (rng, n, corrupt); only the Jacobi suite uses
-# the corrupted table.  The *_checks names are looked up at call time, so a
-# wrapper installed over one of them (as a tracer does) also sees these calls.
-SUITES: dict[str, Callable[..., list[CheckResult]]] = {
-    "algebra": lambda rng, n, corrupt=False: algebra_checks(rng, n) + rotation_checks(rng, n),
-    "brackets": lambda rng, n, corrupt=False: bracket_checks(rng, n),
-    "jacobi": lambda rng, n, corrupt=False: jacobi_checks(rng, n, corrupt=corrupt),
-    "poisson_map": lambda rng, n, corrupt=False: poisson_map_checks(rng, n),
-    "maurer_cartan": lambda rng, n, corrupt=False: maurer_cartan_checks(rng, n),
-    "symplectic": lambda rng, n, corrupt=False: symplectic_checks(rng, n),
-    "dynamics_oracle": lambda rng, n, corrupt=False: dynamics_oracle_checks(rng, n),
+# Each entry runs one suite on (rng, n).  The algebra entry looks its two
+# *_checks names up at call time, so a wrapper installed over one of them (as
+# a tracer does, which also replaces the other entries here) sees its calls.
+SUITES: dict[str, Callable[[np.random.Generator, int], list[CheckResult]]] = {
+    "algebra": lambda rng, n: algebra_checks(rng, n) + rotation_checks(rng, n),
+    "brackets": bracket_checks,
+    "jacobi": jacobi_checks,
+    "poisson_map": poisson_map_checks,
+    "maurer_cartan": maurer_cartan_checks,
+    "symplectic": symplectic_checks,
+    "dynamics_oracle": dynamics_oracle_checks,
 }
 
 DEFAULT_POINTS: dict[str, int] = {
@@ -495,8 +495,7 @@ DEFAULT_POINTS: dict[str, int] = {
 }
 
 
-def run_suite(name: str, seed: int = 0, n_points: Optional[int] = None,
-              corrupt: bool = False) -> list[CheckResult]:
+def run_suite(name: str, seed: int = 0, n_points: Optional[int] = None) -> list[CheckResult]:
     """Run one named suite with a reproducible generator.
 
     Raises
@@ -507,4 +506,4 @@ def run_suite(name: str, seed: int = 0, n_points: Optional[int] = None,
     fn = SUITES[name]
     n = n_points if n_points is not None else DEFAULT_POINTS[name]
     rng = np.random.default_rng(seed)
-    return fn(rng, n, corrupt=corrupt)
+    return fn(rng, n)

@@ -1,6 +1,9 @@
 """CLI: config ingestion, simulation outputs, conversions, verify suites."""
 
+import argparse
+import errno
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -283,6 +286,27 @@ def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field):
     assert os.listdir(tmp_path / "taken") == []
 
 
+def test_simulate_output_error_mid_stream(tmp_path, capsys, monkeypatch):
+    # a write error after some rows: exit 2, no temporary file left, and an
+    # earlier run's outputs keep their bytes
+    cfg_path, _ = write_config(tmp_path, FREE_TOP)
+    (tmp_path / "traj.csv").write_bytes(b"earlier run\n")
+    (tmp_path / "summary.json").write_bytes(b"{}\n")
+    samples = dynamics._samples
+
+    def fails_after_three_rows(*args, **kwargs):
+        yield from itertools.islice(samples(*args, **kwargs), 3)
+        assert len(list(tmp_path.glob("*.tmp"))) == 2  # both outputs are being written
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(dynamics, "_samples", fails_after_three_rows)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert "output error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "summary.json", "traj.csv"]
+    assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
+    assert (tmp_path / "summary.json").read_bytes() == b"{}\n"
+
+
 def test_simulate_csv_mode_bits_as_plain_open(tmp_path):
     cfg_path, _ = write_config(tmp_path, FREE_TOP)
     assert main(["simulate", str(cfg_path)]) == 0
@@ -400,10 +424,27 @@ def test_verify_deterministic_output(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_corrupt_tensor_fails(capsys):
-    assert main(["verify", "jacobi", "--seed", "1", "--points", "20",
-                 "--corrupt-tensor"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+def test_verify_failing_check_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "jacobi",
+                        lambda rng, n: [verify.CheckResult("planted failure", 1.0, 0.0, n)])
+    assert main(["verify", "jacobi"]) == 1
+    assert capsys.readouterr().out == ("[jacobi] planted failure: residual 1.000e+00 <= 0 "
+                                       "(n=1000) FAIL\n[jacobi] FAIL\n")
+
+
+def test_cli_option_surface():
+    # every argument of every subcommand: one that is not listed here, hidden
+    # from --help or not, fails this test
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {name: [s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+                      for s in a.option_strings or [a.dest]]
+               for name, parser in sub.choices.items()}
+    assert surface == {"simulate": ["config"], "verify": ["suite", "--seed", "--points"],
+                       "convert": ["direction", "values"]}
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "jacobi", "--corrupt-tensor"])
+    assert err.value.code == 2
 
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SHA256))
