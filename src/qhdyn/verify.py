@@ -59,13 +59,6 @@ class CheckResult:
         return self.residual <= self.tolerance
 
 
-def _stack(m: np.ndarray) -> np.ndarray:
-    """(k, l) or (k, l, n) matrices as a C-contiguous (k, l) or (n, k, l) stack:
-    ``np.matmul`` then makes each sample's BLAS call of the 2-D product, so
-    every column keeps the per-point bits (an einsum sums in another order)."""
-    return np.ascontiguousarray(np.transpose(m, (*range(2, np.ndim(m)), 0, 1)))
-
-
 def _dot(a: np.ndarray, b: np.ndarray):
     """a . b of (k,) vectors, or per (k, n) column by the BLAS call of ``a @ b`` on a copy."""
     return (np.ascontiguousarray(a.T)[..., None, :] @ np.ascontiguousarray(b.T)[..., None])[..., 0, 0]
@@ -225,8 +218,9 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     w_pure = max(_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
                  _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0))))
 
-    lhs = np.matmul(_stack(right_action_matrix(b)), np.ascontiguousarray(a.T)[:, :, None])
-    w_ract = _worst(lhs[:, :, 0].T, ab)
+    # R_b a as a running sum over j: every column has the bits of that sum on one
+    # sample, for any n (an einsum's summation order depends on the shape)
+    w_ract = _worst(sum(r * x for r, x in zip(right_action_matrix(b).swapaxes(0, 1), a)), ab)
 
     out.append(CheckResult("identity element e0", w_ident, 0.0, n))
     out.append(CheckResult("associativity a(bc) = (ab)c", w_assoc, 1e-13, n))
@@ -244,8 +238,10 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     units = rng.standard_normal((n, 2, 4))
     units /= np.linalg.norm(units, axis=2, keepdims=True)
     q1, q2 = units.transpose(1, 2, 0)
-    product = np.matmul(_stack(so3._matrix(q1)), _stack(so3._matrix(q2)))
-    worst = _worst(_stack(so3._matrix(_mul(q1, q2))), product)
+    # G(q1) G(q2) as a running sum over j, as in algebra_checks
+    product = sum(g1[:, None] * g2 for g1, g2 in zip(so3._matrix(q1).swapaxes(0, 1),
+                                                     so3._matrix(q2)))
+    worst = _worst(so3._matrix(_mul(q1, q2)), product)
     out.append(CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", worst, 1e-13, n))
 
     worst = _worst(so3._matrix(-q1), so3._matrix(q1))

@@ -70,8 +70,11 @@ GOLDEN_SUMMARY_SHA256 = {
 # check name or count changes its suite's digest.  ``dynamics_oracle`` was
 # re-pinned when J grad(H) became the quaternion-algebra kernel
 # ``poisson._j_grad``: only its four ``eom_rhs = J grad(H)`` residuals moved.
+# ``algebra`` was re-pinned when its rotation-homomorphism and right-action
+# products became running sums over columns in place of per-sample BLAS calls:
+# only those two residuals moved.
 GOLDEN_VERIFY_SHA256 = {
-    "algebra": "f1d5032bb1431060e4def5a6eaac182a8906a8b6d975c623de397e7f2a66cdc4",
+    "algebra": "f6352000c1fde78bc980195b3351e230c22e922990da308ec4121a0d3f855f2d",
     "brackets": "d1c5a8cbc6c748f1d8961952eecb4d79e0aee314f6788491eb5685632524fd81",
     "dynamics_oracle": "46989ab22327fb3d30089b78a5f27de1927937ece9242739864e92aa762abfdd",
     "jacobi": "0324db43c0551e772c11d27ded2d634b41adde27c6d1275537928c82af6bafbf",
@@ -89,8 +92,10 @@ GOLDEN_VERIFY_SHA256 = {
 # ``symplectic`` and ``dynamics_oracle`` were re-pinned when J grad(H), the
 # brackets and the forms became quaternion-algebra and component kernels: only
 # the Leibniz, duality, left-invariant-field and ``eom_rhs`` residuals moved.
+# ``algebra`` was re-pinned when the homomorphism and right-action products
+# became running sums: those two residuals moved at seeds 0, 3, 5, 8, 9 and 10.
 GOLDEN_VERIFY_SEEDS_SHA256 = {
-    "algebra": "8f04492a831827407405e8dd0cf8ca66e7ae6fa2cad3c7e6826acdb8034b189a",
+    "algebra": "3d54700333ece12e2565bda42a83efae20992245522ed4059992fc28478fd280",
     "brackets": "ad5dcd3bc63aca23cd5ed9b51abed1e74371178a9da03beb255a80e0418312ac",
     "dynamics_oracle": "b803298527099ae632ba10854d68528dfff6bdcd5805a361639b381947928d34",
     "jacobi": "5eb881899889482aa19b61fd3950d8d4fc3dabe28e45e06dbf913012fb6e7f66",

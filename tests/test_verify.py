@@ -97,7 +97,7 @@ def _algebra_reference(rng, n):
         x1, x2, x3 = a[1:]
         y1, y2, y3 = b[1:]
         x, y = Quaternion.pure(a[1:]), Quaternion.pure(b[1:])
-        lhs = right_action_matrix(b) @ a.as_array()
+        lhs = [sum(r * x for r, x in zip(row, a)) for row in right_action_matrix(b)]
         w = [max(old, new) for old, new in zip(w, [
             max(_dist(quat_mul(e0, a), a), _dist(quat_mul(a, e0), a)),
             _dist(quat_mul(a, quat_mul(b, c)), quat_mul(ab, c)),
@@ -122,7 +122,8 @@ def _rotation_reference(rng, n):
     hom = cover = trip = 0.0
     for u1, u2 in units:
         q1, q2 = Quaternion.from_array(u1), Quaternion.from_array(u2)
-        product = quat_to_matrix(q1) @ quat_to_matrix(q2)
+        product = [[sum(g * G for g, G in zip(row, col)) for col in quat_to_matrix(q2).T]
+                   for row in quat_to_matrix(q1)]
         hom = max(hom, float(np.max(np.abs(quat_to_matrix(quat_mul(q1, q2)) - product))))
         cover = max(cover, float(np.max(np.abs(quat_to_matrix(-q1) - quat_to_matrix(q1)))))
     for small, u2 in zip(verify._small_q0_flags(rng, n), units[:, 1]):
