@@ -1,9 +1,9 @@
 """Command-line front end: simulation runs, verification suites, conversions.
 
-Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage or configuration error (including an output
-file that cannot be written), 3 numerical abort (non-finite state or monitor
-during integration), 4 invalid geometry input.  The QH_LOG environment
-variable (quiet, info, debug) controls verbosity.
+Exit codes: 0 success, 1 a ``verify`` check failed, 2 usage or configuration
+error (including an output file that cannot be written), 3 numerical abort
+(non-finite state or monitor during integration), 4 invalid geometry input.
+The QH_LOG environment variable (quiet, info, debug) controls verbosity.
 """
 
 from __future__ import annotations
