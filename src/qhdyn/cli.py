@@ -216,6 +216,8 @@ def load_config(path: str) -> RunConfig:
     summary_path = out.get("summary")
     if summary_path is not None:
         summary_path = _as_output_path(summary_path, "output.summary")
+        if os.path.abspath(summary_path) == os.path.abspath(csv_path):
+            raise ConfigError("output.summary", "must differ from output.csv")
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
 
 

@@ -18,10 +18,10 @@ the factor 1/8 reflects the doubling M = 2 Pi of the physical momentum.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -56,8 +56,7 @@ class InertiaTensor:
                         (self.i2, self.i3, self.i1),
                         (self.i3, self.i1, self.i2)):
             if a + b < c:
-                warnings.warn(f"inertia triangle inequality violated: {a} + {b} < {c}",
-                              stacklevel=2)
+                log.warning("inertia triangle inequality violated: %s + %s < %s", a, b, c)
                 break
 
     def as_array(self) -> np.ndarray:
@@ -81,7 +80,8 @@ class PotentialSpec:
     back to central finite differences of ``value``.
     """
 
-    __slots__ = ("name", "value", "analytic_grad_x", "analytic_grad_q", "_grad_x", "_grad_q")
+    __slots__ = ("name", "value", "analytic_grad_x", "analytic_grad_q", "_grad_x", "_grad_q",
+                 "_source")
 
     def __init__(self, name: str,
                  value: Callable[[Sequence[float], Sequence[float]], float],
@@ -103,6 +103,9 @@ class PotentialSpec:
                 return _fd_partials(lambda v: value(x, v), q4)
         self._grad_x = grad_x
         self._grad_q = grad_q
+        # the gradient lines of _EOM and their globals: calls here, expressions for a built-in
+        self._source = (_CALL.format("grad_x"), _CALL.format("grad_q"),
+                        {"grad_x": grad_x, "grad_q": grad_q})
 
     def gradient_x(self, x: Sequence[float], q4: Sequence[float]) -> np.ndarray:
         """Positional gradient dV/dx as a float array."""
@@ -251,56 +254,85 @@ def _make_grad_h(params: BodyParams) -> Callable[[Sequence], list]:
     return grad
 
 
+# The equations of motion, written once as source lines over the names of _STATE: the
+# angular velocity, the potential's two gradient lines and the 13 derivatives.  They compile
+# into the rhs, and once per stage into the fused RK4 step; numbers (mass, inertia, the
+# potential's constants) reach the code only as globals, never as source text.
+_STATE = ("x0", "x1", "x2", "p0", "p1", "p2", "q0", "q1", "q2", "q3", "m1", "m2", "m3")
+_EOM = ("o1 = m1 * d1", "o2 = m2 * d2", "o3 = m3 * d3",
+        "gx0, gx1, gx2 = {grad_x}", "g0, g1, g2, g3 = {grad_q}")
+_DZ = (
+    "p0 * inv_m", "p1 * inv_m", "p2 * inv_m", "-gx0", "-gx1", "-gx2",
+    # dq/dt = (1/2) q Omega with Omega pure
+    "-0.5 * (q1 * o1 + q2 * o2 + q3 * o3)", "0.5 * (q0 * o1 + q2 * o3 - q3 * o2)",
+    "0.5 * (q0 * o2 + q3 * o1 - q1 * o3)", "0.5 * (q0 * o3 + q1 * o2 - q2 * o1)",
+    # dM/dt = -Omega x M - Im(q^dag grad_q V)
+    "-(o2 * m3 - o3 * m2) - (q0 * g1 - g0 * q1 - (q2 * g3 - q3 * g2))",
+    "-(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3))",
+    "-(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1))",
+)
+# a user potential's gradient line: a call of its callable
+_CALL = "{}((x0, x1, x2), (q0, q1, q2, q3))"
+
+
+@functools.lru_cache(maxsize=32)  # a source holds no number: bodies of one kind share it
+def _code(source: str, name: str):
+    return compile(source, f"<qhdyn.dynamics {name}>", "exec")
+
+
+def _compile(source: str, namespace: dict, name: str) -> Callable:
+    """Function ``name`` of ``source`` (this module's strings only), ``namespace`` its globals."""
+    exec(_code(source, name), namespace)
+    return namespace[name]
+
+
+def _eom(params: BodyParams) -> tuple[list[str], dict]:
+    """The lines of _EOM with the potential's gradient lines, and their globals."""
+    grad_x, grad_q, constants = params.potential._source
+    inertia = params.inertia
+    namespace = {"inv_m": 1.0 / params.mass, "d1": 0.5 / inertia.i1, "d2": 0.5 / inertia.i2,
+                 "d3": 0.5 / inertia.i3, **constants}
+    return [f"    {line.format(grad_x=grad_x, grad_q=grad_q)}" for line in _EOM], namespace
+
+
+@functools.lru_cache(maxsize=8)
 def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
-    """Right-hand side over the 13 mixed-chart coordinates.
+    """Right-hand side over the 13 mixed-chart coordinates, compiled from _EOM.
 
     Takes any sequence of 13, either Python floats or equal-shape numpy
     columns of many points, unpacks it once and returns a list of 13 of the
     same kind.  Plain float arithmetic: on 13 components the per-operation
     overhead of numpy arrays costs several times the arithmetic itself.
     """
-    inv_m = 1.0 / params.mass
-    d1 = 0.5 / params.inertia.i1
-    d2 = 0.5 / params.inertia.i2
-    d3 = 0.5 / params.inertia.i3
-    grad_x = params.potential._grad_x
-    grad_q = params.potential._grad_q
+    lines, namespace = _eom(params)
+    return _compile("\n".join(["def rhs(z):", f"    {', '.join(_STATE)} = z", *lines,
+                                f"    return [{', '.join(_DZ)}]"]), namespace, "rhs")
 
-    def rhs(z: Sequence) -> list:
-        x0, x1, x2, p0, p1, p2, q0, q1, q2, q3, m1, m2, m3 = z
-        x = (x0, x1, x2)
-        q4 = (q0, q1, q2, q3)
-        o1 = m1 * d1
-        o2 = m2 * d2
-        o3 = m3 * d3
-        gx0, gx1, gx2 = grad_x(x, q4)
-        g0, g1, g2, g3 = grad_q(x, q4)
-        return [
-            p0 * inv_m,
-            p1 * inv_m,
-            p2 * inv_m,
-            -gx0,
-            -gx1,
-            -gx2,
-            # dq/dt = (1/2) q Omega with Omega pure
-            -0.5 * (q1 * o1 + q2 * o2 + q3 * o3),
-            0.5 * (q0 * o1 + q2 * o3 - q3 * o2),
-            0.5 * (q0 * o2 + q3 * o1 - q1 * o3),
-            0.5 * (q0 * o3 + q1 * o2 - q2 * o1),
-            # dM/dt = -Omega x M - Im(q^dag grad_q V)
-            -(o2 * m3 - o3 * m2) - (q0 * g1 - g0 * q1 - (q2 * g3 - q3 * g2)),
-            -(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3)),
-            -(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1)),
-        ]
 
-    return rhs
+@functools.lru_cache(maxsize=8)
+def _make_step(params: BodyParams) -> Callable[[Sequence, float], list]:
+    """One RK4 step ``step(z, h)`` over 13 floats or 13 equal-shape columns:
+    _EOM written out at each stage, with the operations and order of the array
+    form z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over :func:`_make_rhs`, so bit for
+    bit that step, but with no rhs call, no stage list and, for a built-in
+    potential, no gradient call."""
+    lines, namespace = _eom(params)
+    src = ["def step(z, h):", f"    {', '.join(f'z{i}' for i in range(13))} = z",
+           f"    {', '.join(_STATE)} = z", "    half = 0.5 * h"]
+    for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None)):
+        src += lines + [f"    k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)]
+        if to_next:
+            src += [f"    {v} = z{i} + {to_next} * k{s}_{i}" for i, v in enumerate(_STATE)]
+    src += ["    sixth = h / 6.0", "    return [" + ", ".join(
+        f"z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(13)) + "]"]
+    return _compile("\n".join(src), namespace, "step")
 
 
 def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -> np.ndarray:
     """Time derivative of the 13 mixed-chart coordinates at a state.
 
-    Agrees with the Hamiltonian vector field J grad(H) of the poisson module. Each call
-    builds the rhs and converts the state, about 5x the float rhs: use :func:`integrate`.
+    Agrees with the Hamiltonian vector field J grad(H) of the poisson module. Each call checks
+    and converts the state, about 5x the cached float rhs (5 vs 1 us): use :func:`integrate`.
 
     Raises
     ------
@@ -313,44 +345,13 @@ def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -
     return np.array(_make_rhs(params)(z.tolist()))
 
 
-def _rk4(z: Sequence[float], h: float, rhs: Callable[[Sequence], list]) -> list[float]:
-    # Same operations in the same order as the array form
-    # z + (h/6) (k1 + 2 k2 + 2 k3 + k4), so trajectories are bit-identical.
-    # Written out: a loop's zips and 13-lists cost more than the four rhs calls.
-    z0, z1, z2, z3, z4, z5, z6, z7, z8, z9, z10, z11, z12 = z
-    half = 0.5 * h
-    a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = rhs(z)
-    b0, b1, b2, b3, b4, b5, b6, b7, b8, b9, b10, b11, b12 = rhs((
-        z0 + half * a0, z1 + half * a1, z2 + half * a2, z3 + half * a3, z4 + half * a4,
-        z5 + half * a5, z6 + half * a6, z7 + half * a7, z8 + half * a8, z9 + half * a9,
-        z10 + half * a10, z11 + half * a11, z12 + half * a12))
-    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = rhs((
-        z0 + half * b0, z1 + half * b1, z2 + half * b2, z3 + half * b3, z4 + half * b4,
-        z5 + half * b5, z6 + half * b6, z7 + half * b7, z8 + half * b8, z9 + half * b9,
-        z10 + half * b10, z11 + half * b11, z12 + half * b12))
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12 = rhs((
-        z0 + h * c0, z1 + h * c1, z2 + h * c2, z3 + h * c3, z4 + h * c4, z5 + h * c5,
-        z6 + h * c6, z7 + h * c7, z8 + h * c8, z9 + h * c9, z10 + h * c10, z11 + h * c11,
-        z12 + h * c12))
-    sixth = h / 6.0
-    return [
-        z0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0), z1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-        z2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2), z3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-        z4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4), z5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-        z6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6), z7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
-        z8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8), z9 + sixth * (a9 + 2.0 * b9 + 2.0 * c9 + d9),
-        z10 + sixth * (a10 + 2.0 * b10 + 2.0 * c10 + d10),
-        z11 + sixth * (a11 + 2.0 * b11 + 2.0 * c11 + d11),
-        z12 + sixth * (a12 + 2.0 * b12 + 2.0 * c12 + d12)]
-
-
 def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
-    """One classical fourth-order Runge-Kutta step; no renormalization. Each call rebuilds the
-    rhs and converts the state, about 4x the float step: loop in :func:`integrate` instead."""
+    """One classical fourth-order Runge-Kutta step; no renormalization. Each call checks and
+    converts the state, about 5x the cached float step (24 vs 5 us): loop in :func:`integrate`."""
     if not h > 0.0:  # NaN too
         raise DomainError(f"step size h must be positive, got {h!r}")
     z = _point_coords(state, Chart.MIXED_M, "rk4_step").tolist()
-    return PhasePoint.from_coords(_rk4(z, h, _make_rhs(params)), Chart.MIXED_M)
+    return PhasePoint.from_coords(_make_step(params)(z, h), Chart.MIXED_M)
 
 
 def _apply_renorm(z: list[float], policy: RenormPolicy) -> None:
@@ -407,7 +408,7 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         log.info("potential %r steps on finite-difference gradients, several times slower "
                  "(analytic grad_x %s, grad_q %s)", pot.name, pot.analytic_grad_x,
                  pot.analytic_grad_q)
-    rhs = _make_rhs(params)
+    advance = _make_step(params)
     step = 0
     try:
         while True:
@@ -418,7 +419,7 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
             if step == n_steps:
                 return
             for step in range(step + 1, min(step + sample_stride, n_steps) + 1):
-                z = _rk4(z, h, rhs)
+                z = advance(z, h)
                 if not all(map(math.isfinite, z)):
                     raise IntegrationAborted(step)
                 _apply_renorm(z, renorm_policy)
@@ -457,26 +458,28 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
                       monitors[:, 3:6], h=h, n_steps=n_steps)
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
-_ZERO4 = (0.0, 0.0, 0.0, 0.0)
+def _builtin(name: str, value: Callable, grad_x: str, grad_q: str, **constants) -> PotentialSpec:
+    """A potential whose gradients are expressions in x0..x2, q0..q3 and ``constants``: compiled
+    here into its gradient callables, and written into the step in place of their calls."""
+    def compiled(expr: str, fn: str) -> Callable:
+        return _compile(f"def {fn}(x, q4):\n    x0, x1, x2 = x\n    q0, q1, q2, q3 = q4\n"
+                        f"    return {expr}", dict(constants), fn)
+
+    spec = PotentialSpec(name, value, compiled(grad_x, "grad_x"), compiled(grad_q, "grad_q"))
+    spec._source = (grad_x, grad_q, constants)
+    return spec
 
 
 def free() -> PotentialSpec:
     """Zero potential; the body is a free top."""
-    return PotentialSpec("free",
-                         value=lambda x, q4: 0.0,
-                         grad_x=lambda x, q4: _ZERO3,
-                         grad_q=lambda x, q4: _ZERO4)
+    return _builtin("free", lambda x, q4: 0.0, "0.0, 0.0, 0.0", "0.0, 0.0, 0.0, 0.0")
 
 
 def linear_gravity(mass: float, g: float) -> PotentialSpec:
     """Uniform gravity on the center of mass: V = m g x3."""
     mg = float(mass) * float(g)
-    grad = (0.0, 0.0, mg)
-    return PotentialSpec("linear_gravity",
-                         value=lambda x, q4: mg * x[2],
-                         grad_x=lambda x, q4: grad,
-                         grad_q=lambda x, q4: _ZERO4)
+    return _builtin("linear_gravity", lambda x, q4: mg * x[2],
+                    "0.0, 0.0, mg", "0.0, 0.0, 0.0, 0.0", mg=mg)
 
 
 def heavy_top(mass: float, g: float, length: float) -> PotentialSpec:
@@ -488,13 +491,9 @@ def heavy_top(mass: float, g: float, length: float) -> PotentialSpec:
     if length < 0.0:
         raise DomainError("pivot arm length must be >= 0")
     mgl = float(mass) * float(g) * float(length)
-    c = 2.0 * mgl
-    return PotentialSpec(
-        "heavy_top",
-        value=lambda x, q4: mgl * (q4[0] ** 2 - q4[1] ** 2 - q4[2] ** 2 + q4[3] ** 2),
-        grad_x=lambda x, q4: _ZERO3,
-        grad_q=lambda x, q4: (c * q4[0], c * -q4[1], c * -q4[2], c * q4[3]),
-    )
+    return _builtin("heavy_top",
+                    lambda x, q4: mgl * (q4[0] ** 2 - q4[1] ** 2 - q4[2] ** 2 + q4[3] ** 2),
+                    "0.0, 0.0, 0.0", "c * q0, c * -q1, c * -q2, c * q3", c=2.0 * mgl)
 
 
 def harmonic(k: float) -> PotentialSpec:
@@ -504,10 +503,8 @@ def harmonic(k: float) -> PotentialSpec:
     k = float(k)
     # np.dot, not x0*x0 + x1*x1 + x2*x2: the two differ in the last bit for
     # about a fifth of all x, and recorded energies are pinned bit for bit.
-    return PotentialSpec("harmonic",
-                         value=lambda x, q4: 0.5 * k * float(np.dot(x, x)),
-                         grad_x=lambda x, q4: (k * x[0], k * x[1], k * x[2]),
-                         grad_q=lambda x, q4: _ZERO4)
+    return _builtin("harmonic", lambda x, q4: 0.5 * k * float(np.dot(x, x)),
+                    "k * x0, k * x1, k * x2", "0.0, 0.0, 0.0, 0.0", k=k)
 
 
 BUILTIN_POTENTIALS = ("free", "linear_gravity", "heavy_top", "harmonic")

@@ -425,11 +425,12 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 # dynamics oracle
 
 
-def _oracle_params() -> list[dynamics.BodyParams]:
+@functools.lru_cache(maxsize=None)  # built once, so each rhs compiles once per process
+def _oracle_params() -> tuple[dynamics.BodyParams, ...]:
     inertia = dynamics.InertiaTensor(1.0, 2.0, 3.0)
     pots = [dynamics.free(), dynamics.linear_gravity(1.0, 9.81),
             dynamics.heavy_top(1.0, 9.81, 1.0), dynamics.harmonic(1.0)]
-    return [dynamics.BodyParams(1.0, inertia, pot) for pot in pots]
+    return tuple(dynamics.BodyParams(1.0, inertia, pot) for pot in pots)
 
 
 def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:

@@ -291,6 +291,22 @@ def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field):
     assert os.listdir(tmp_path / "taken") == []
 
 
+@pytest.mark.parametrize("summary", ["traj.csv", "sub/../traj.csv"])
+def test_simulate_summary_same_as_csv_exits_2_naming_it(tmp_path, capsys, monkeypatch, summary):
+    # both outputs would be written through the same temporary file
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["output"]["summary"] = summary
+    cfg_path, _ = write_config(tmp_path, cfg)
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("integration started before the output paths were checked")
+
+    monkeypatch.setattr(dynamics, "_samples", must_not_run)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert "output.summary: must differ from output.csv" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
 def test_simulate_output_error_mid_stream(tmp_path, capsys, monkeypatch):
     # a write error after some rows: exit 2, no temporary file left, and an
     # earlier run's outputs keep their bytes

@@ -54,8 +54,17 @@ def test_inertia_validation():
         InertiaTensor(0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
         InertiaTensor(1.0, -2.0, 1.0)
-    with pytest.warns(UserWarning):
-        InertiaTensor(1.0, 1.0, 5.0)  # violates I1 + I2 >= I3
+
+
+def test_inertia_triangle_violation_logs_a_warning(caplog):
+    with caplog.at_level(logging.WARNING, logger="qhdyn"):
+        InertiaTensor(1.0, 1.0, 3.0)  # violates I1 + I2 >= I3
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "inertia triangle inequality violated: 1.0 + 1.0 < 3.0")]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="qhdyn"):
+        InertiaTensor(1.0, 2.0, 3.0)  # the triangle holds with equality
+    assert caplog.records == []
 
 
 def test_body_params_validation():
@@ -328,7 +337,7 @@ def test_finite_difference_fallback_logs_once_before_stepping(caplog, monkeypatc
         integrate(state, params, 1e-3, 20, sample_stride=5)
         assert [r.getMessage() for r in caplog.records] == expect
         caplog.clear()
-        monkeypatch.setattr("qhdyn.dynamics._rk4", _no_step)
+        monkeypatch.setattr("qhdyn.dynamics._make_step", _no_step)
         with pytest.raises(RuntimeError, match="stepped"):
             integrate(state, params, 1e-3, 20)
         assert [r.getMessage() for r in caplog.records] == expect

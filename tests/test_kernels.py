@@ -44,7 +44,7 @@ from qhdyn import (  # noqa: E402
     symplectic_form_eval,
     verify,
 )
-from qhdyn.dynamics import _make_grad_h, _make_rhs, _rk4  # noqa: E402
+from qhdyn.dynamics import _make_grad_h, _make_rhs, _make_step  # noqa: E402
 from qhdyn.poisson import N_COORDS  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
@@ -330,12 +330,84 @@ def _reference_rk4(z, h, rhs):
             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
+# The rhs and the built-ins' gradients as they were written by hand before
+# both were compiled from the equations-of-motion template: the specification
+# of the compiled rhs, of the fused step and of the built-ins' gradients.
+def _reference_rhs(params, grad_x, grad_q):
+    inv_m = 1.0 / params.mass
+    d1 = 0.5 / params.inertia.i1
+    d2 = 0.5 / params.inertia.i2
+    d3 = 0.5 / params.inertia.i3
+
+    def rhs(z):
+        x0, x1, x2, p0, p1, p2, q0, q1, q2, q3, m1, m2, m3 = z
+        x = (x0, x1, x2)
+        q4 = (q0, q1, q2, q3)
+        o1 = m1 * d1
+        o2 = m2 * d2
+        o3 = m3 * d3
+        gx0, gx1, gx2 = grad_x(x, q4)
+        g0, g1, g2, g3 = grad_q(x, q4)
+        return [
+            p0 * inv_m,
+            p1 * inv_m,
+            p2 * inv_m,
+            -gx0,
+            -gx1,
+            -gx2,
+            -0.5 * (q1 * o1 + q2 * o2 + q3 * o3),
+            0.5 * (q0 * o1 + q2 * o3 - q3 * o2),
+            0.5 * (q0 * o2 + q3 * o1 - q1 * o3),
+            0.5 * (q0 * o3 + q1 * o2 - q2 * o1),
+            -(o2 * m3 - o3 * m2) - (q0 * g1 - g0 * q1 - (q2 * g3 - q3 * g2)),
+            -(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3)),
+            -(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1)),
+        ]
+
+    return rhs
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
+_ZERO4 = (0.0, 0.0, 0.0, 0.0)
+
+
+def _reference_grads(name, mass, g, length, k):
+    """(grad_x, grad_q) of the built-in ``name`` made with these arguments."""
+    mg = float(mass) * float(g)
+    c = 2.0 * (float(mass) * float(g) * float(length))
+    return {
+        "free": (lambda x, q4: _ZERO3, lambda x, q4: _ZERO4),
+        "linear_gravity": (lambda x, q4: (0.0, 0.0, mg), lambda x, q4: _ZERO4),
+        "heavy_top": (lambda x, q4: _ZERO3,
+                      lambda x, q4: (c * q4[0], c * -q4[1], c * -q4[2], c * q4[3])),
+        "harmonic": (lambda x, q4: (k * x[0], k * x[1], k * x[2]), lambda x, q4: _ZERO4),
+    }[name]
+
+
+def _builtins(mass, g, length, k):
+    return [dynamics.free(), dynamics.linear_gravity(mass, g),
+            dynamics.heavy_top(mass, g, length), dynamics.harmonic(k)]
+
+
 # the four built-ins, which also run on (13, n) columns
 STEP_PARAMS = verify._oracle_params()
 _top, _spring = STEP_PARAMS[2].potential, STEP_PARAMS[3].potential
-# no analytic gradients: both fall back to finite differences of the value
-VALUE_ONLY = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, PotentialSpec(
-    "value_only", lambda x, q4: _top.value(x, q4) + _spring.value(x, q4)))
+_gx = _reference_grads("harmonic", 1.0, 9.81, 1.0, 1.0)[0]
+_gq = _reference_grads("heavy_top", 1.0, 9.81, 1.0, 1.0)[1]
+
+
+def _both(x, q4):
+    return _top.value(x, q4) + _spring.value(x, q4)
+
+
+# user potentials: both gradients analytic (these also run on columns), none
+# (both fall back to finite differences of the value), or one of the two
+USER = [PotentialSpec("analytic", _both, _gx, _gq), PotentialSpec("value_only", _both),
+        PotentialSpec("analytic_x", _both, grad_x=_gx),
+        PotentialSpec("analytic_q", _both, grad_q=_gq)]
+VALUE_ONLY = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, USER[1])
+constant = st.floats(0.0, 20.0)
+positive = st.floats(0.1, 10.0)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -345,12 +417,97 @@ VALUE_ONLY = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, PotentialSpec(
 def test_rk4_is_the_loop_form_bit_for_bit(cols, h):
     z = np.array(cols).T
     for params in [*STEP_PARAMS, VALUE_ONLY]:
-        rhs = _make_rhs(params)
+        rhs, step = _make_rhs(params), _make_step(params)
         for col in cols:
-            assert _bits(_rk4(list(col), h, rhs)) == _bits(_reference_rk4(list(col), h, rhs))
+            assert _bits(step(list(col), h)) == _bits(_reference_rk4(list(col), h, rhs))
         if params is VALUE_ONLY:
             continue  # the finite-difference gradient takes floats only
-        batch = _rk4(list(z), h, rhs)
+        batch = step(list(z), h)
         assert all(np.shape(c) == z.shape[1:] for c in batch)
         for k, col in enumerate(cols):
-            assert _bits([c[k] for c in batch]) == _bits(_rk4(list(col), h, rhs))
+            assert _bits([c[k] for c in batch]) == _bits(step(list(col), h))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.lists(phase_point, min_size=1, max_size=8), st.floats(1e-4, 1e-1), positive, positive,
+       st.floats(0.1, 20.0), constant, constant, constant)
+def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, pot_mass, g,
+                                                            length, k):
+    z = np.array(cols).T
+    inertia = dynamics.InertiaTensor(i1, 2.0, 3.0)
+    builtins = [(pot, _reference_grads(pot.name, pot_mass, g, length, k))
+                for pot in _builtins(pot_mass, g, length, k)]
+    users = [(pot, (pot._grad_x, pot._grad_q)) for pot in USER]
+    for pot, grads in builtins + users:
+        params = dynamics.BodyParams(mass, inertia, pot)
+        rhs, step, ref = _make_rhs(params), _make_step(params), _reference_rhs(params, *grads)
+        columns = pot.analytic_grad_x and pot.analytic_grad_q  # finite differences take floats
+        for w in [*cols, *([z] if columns else [])]:
+            assert _bits(_columns(rhs(list(w)))) == _bits(_columns(ref(list(w))))
+            expect = _reference_rk4(list(w), h, ref)
+            assert _bits(_columns(step(list(w), h))) == _bits(_columns(expect))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(phase_point, min_size=1, max_size=8), constant, constant, constant, constant)
+def test_builtin_gradients_are_the_reference_bit_for_bit(cols, mass, g, length, k):
+    z = np.array(cols).T
+    for pot in _builtins(mass, g, length, k):
+        ref_x, ref_q = _reference_grads(pot.name, mass, g, length, k)
+        for col in cols:
+            x, q4 = tuple(col[0:3]), tuple(col[6:10])
+            assert _bits(pot.gradient_x(x, q4)) == _bits(ref_x(x, q4))
+            assert _bits(pot.gradient_q(x, q4)) == _bits(ref_q(x, q4))
+        x, q4 = z[0:3], z[6:10]  # columns
+        assert _bits(_columns(pot._grad_x(x, q4))) == _bits(_columns(ref_x(x, q4)))
+        assert _bits(_columns(pot._grad_q(x, q4))) == _bits(_columns(ref_q(x, q4)))
+
+
+def test_step_source_holds_no_number():
+    # two heavy tops of different mass and g compile to the same code: every
+    # number is a global of the compiled function, none is in its source
+    inertia = STEP_PARAMS[0].inertia
+    a, b = (_make_step(dynamics.BodyParams(m, inertia, dynamics.heavy_top(m, g, 1.0)))
+            for m, g in ((1.0, 9.81), (2.5, 1.62)))
+    assert a is not b and a.__code__.co_code == b.__code__.co_code
+    assert a.__code__ == b.__code__  # constants and names too
+    assert a.__globals__["c"] != b.__globals__["c"]
+    assert a.__code__.co_filename == "<qhdyn.dynamics step>"
+
+
+def test_step_locals_shadow_no_global():
+    for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
+                                   for pot in USER)]:
+        for fn in (_make_rhs(params), _make_step(params)):
+            assert set(fn.__code__.co_varnames).isdisjoint(fn.__globals__)
+
+
+def test_compiled_functions_are_cached_and_bounded():
+    p = STEP_PARAMS[2]
+    assert _make_step(p) is _make_step(p) and _make_rhs(p) is _make_rhs(p)
+    # an equal BodyParams (same potential object) shares the compiled step
+    assert _make_step(dynamics.BodyParams(p.mass, p.inertia, p.potential)) is _make_step(p)
+    assert dynamics._code.cache_info().maxsize is not None
+    for make in (_make_rhs, _make_step):
+        bound = make.cache_info().maxsize
+        assert bound is not None
+        for _ in range(bound + 3):
+            make(dynamics.BodyParams(1.0, p.inertia, dynamics.free()))
+        assert make.cache_info().currsize == bound
+
+
+def test_public_calls_build_once(monkeypatch):
+    params = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, dynamics.heavy_top(1.0, 9.81, 1.0))
+    compiled = []
+    compile_fn = dynamics._compile
+
+    def counting(source, namespace, name):
+        compiled.append(name)
+        return compile_fn(source, namespace, name)
+
+    monkeypatch.setattr(dynamics, "_compile", counting)
+    pt = verify.random_phase_point(np.random.default_rng(0), Chart.MIXED_M)
+    for _ in range(100):
+        dynamics.rk4_step(pt, params, 1e-3)
+        eom_rhs(pt, params)
+    assert compiled == ["step", "rhs"]
