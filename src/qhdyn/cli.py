@@ -15,8 +15,10 @@ import json
 import logging
 import math
 import os
+import signal
 import sys
 import time
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +49,8 @@ MAX_POINTS = 10**6
 CSV_HEADER = ("t,x1,x2,x3,p1,p2,p3,q0,q1,q2,q3,M1,M2,M3,H,qnorm,pi1,pi2,pi3")
 # One CSV line for the 19 columns; "%.17g" prints the bytes "{:.17g}" does.
 _CSV_ROW = ",".join(["%.17g"] * 19) + "\n"
+# Rows a simulate run hands its CSV writer process at once.
+ROWS_PER_BATCH = 64
 
 
 def _setup_logging() -> None:
@@ -221,22 +225,97 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
 
 
-def _csv_row(t: float, z, row) -> str:
-    """One CSV line: time, the 13 coordinates and a monitor row less its |M|."""
-    energy, qnorm, _, pi1, pi2, pi3 = row
-    return _CSV_ROW % (t, *z, energy, qnorm, pi1, pi2, pi3)
+def _format_rows(values) -> str:
+    """CSV lines for k rows given as 19k floats in a row: time, the 13
+    coordinates, H, |q| and the three spatial momenta."""
+    return _CSV_ROW * (len(values) // 19) % tuple(values)
 
 
 def write_trajectory_csv(path: str, traj: Trajectory) -> None:
     """17-significant-digit CSV with '.' decimals, ',' delimiters, LF endings."""
     table = np.column_stack((traj.times, traj.states, traj.energy, traj.qnorm,
-                             traj.mom_norm, traj.pi_spatial))
+                             traj.pi_spatial))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        # One row at a time: converting the whole table to Python floats at
+        # A batch at a time: converting the whole table to Python floats at
         # once would hold every row as objects and raise peak memory.
-        for row in map(np.ndarray.tolist, table):
-            fh.write(_csv_row(row[0], row[1:14], row[14:]))
+        for start in range(0, len(table), ROWS_PER_BATCH):
+            fh.write(_format_rows(table[start:start + ROWS_PER_BATCH].ravel().tolist()))
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _reap(pid: int) -> None:
+    """Wait for the CSV writer; raise the OSError it exited on, if any."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code:
+        raise OSError(code, os.strerror(code) if 0 < code < 255 else f"CSV writer failed ({code})")
+
+
+@contextlib.contextmanager
+def _csv_rows(fh):
+    """Yield ``put(values)``, which writes a CSV row of 19 floats to ``fh``.
+
+    On two or more usable CPUs a forked writer formats the rows alongside
+    stepping: ``put`` sends them down a pipe in ``array('d')`` batches of
+    ROWS_PER_BATCH rows, the writer's OSError comes back as the same OSError,
+    and an exception in the block kills the writer.  Otherwise, and on one CPU
+    where the writer only adds its cost, ``put`` formats in this process."""
+    fh.flush()
+    size = 19 * ROWS_PER_BATCH
+    reason = ("no os.fork" if not hasattr(os, "fork")
+              else "one usable CPU" if _usable_cpus() < 2 else None)
+    if reason is None:
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            os.close(rfd)
+            os.close(wfd)
+            reason = f"fork failed: {exc}"
+    if reason:
+        log.debug("CSV rows formatted in-process (%s)", reason)
+        yield lambda values: fh.write(_format_rows(values))
+        return
+    if pid == 0:  # the writer leaves only by os._exit, never into the caller's blocks
+        code = 255
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            os.close(wfd)
+            with open(rfd, "rb") as src, open(fh.fileno(), "w", encoding="utf-8",
+                                              newline="\n", closefd=False) as dst:
+                while data := src.read(8 * size):  # whole batches, then the rest
+                    dst.write(_format_rows(array("d", data)))
+            code = 0
+        except OSError as exc:
+            code = exc.errno or 255
+        finally:
+            os._exit(code)
+    os.close(rfd)
+    log.debug("CSV rows formatted by writer process %d", pid)
+    batch, pipe = array("d"), open(wfd, "wb")
+
+    def put(values) -> None:
+        batch.extend(values)
+        if len(batch) == size:
+            pipe.write(batch)
+            del batch[:]
+
+    try:
+        with pipe:
+            yield put
+            pipe.write(batch)
+    except BrokenPipeError:  # the writer failed: raise its error
+        _reap(pid)
+        raise
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _reap(pid)
 
 
 @contextlib.contextmanager
@@ -266,12 +345,14 @@ def _simulate(cfg: RunConfig) -> dict:
         t0 = time.perf_counter()
         fh.write(CSV_HEADER + "\n")
         drift = [0.0] * 6
-        for samples, (step, z, row) in enumerate(dynamics._samples(
-                cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm, cfg.sample_stride), 1):
-            fh.write(_csv_row(step * cfg.h, z, row))
-            if samples == 1:
-                ref = (row[0], 1.0, *row[2:])  # |q| drifts from 1
-            drift = [max(d, abs(a - b)) for d, a, b in zip(drift, row, ref)]
+        with _csv_rows(fh) as put:
+            for samples, (step, z, row) in enumerate(dynamics._samples(
+                    cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm,
+                    cfg.sample_stride), 1):
+                put((step * cfg.h, *z, row[0], row[1], *row[3:]))  # no |M| column
+                if samples == 1:
+                    ref = (row[0], 1.0, *row[2:])  # |q| drifts from 1
+                drift = [max(d, abs(a - b)) for d, a, b in zip(drift, row, ref)]
         wall = time.perf_counter() - t0
     h0, _, mom0, *pi0 = ref
     e_drift, qnorm_drift, mom_drift, *pi_abs = drift

@@ -5,8 +5,10 @@ import errno
 import hashlib
 import itertools
 import json
+import logging
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -197,21 +199,25 @@ def test_simulate_missing_field_named(tmp_path, capsys):
     assert "integrator.h" in capsys.readouterr().err
 
 
-def test_simulate_numerical_abort(tmp_path, capsys):
+def test_simulate_numerical_abort(tmp_path, capsys, monkeypatch):
     cfg = json.loads(json.dumps(FREE_TOP))
     cfg["potential"] = {"type": "harmonic", "k": 1.0}
     cfg["initial"]["x"] = [1.0, 0.0, 0.0]
     cfg["integrator"]["h"] = 1e280
     cfg["integrator"]["n_steps"] = 10
     cfg_path, _ = write_config(tmp_path, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", str(cfg_path)]) == 3
-    assert "step" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["run.json"]  # no CSV, no temporary file
+    for path in ("writer", "one_cpu"):
+        _force_rows_path(monkeypatch, path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["simulate", str(cfg_path)]) == 3
+        assert_no_child()
+        assert "step" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.json"]  # no CSV, no temporary file
     # an earlier run's CSV keeps its bytes
     (tmp_path / "traj.csv").write_bytes(b"earlier run\n")
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", str(cfg_path)]) == 3
+    assert_no_child()
     assert sorted(os.listdir(tmp_path)) == ["run.json", "traj.csv"]
     assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
 
@@ -250,10 +256,120 @@ def test_csv_row_prints_the_bytes_of_the_format_join(kind):
     rows = bits.view(np.float64).tolist()
     rows += [CSV_EDGE_VALUES[i:] + CSV_EDGE_VALUES[:i] + CSV_EDGE_VALUES[:6]
              for i in range(len(CSV_EDGE_VALUES))]
+    lines, flat = [], []
     for values in rows:
         v = list(map(kind, values))
         expect = ",".join(map("{:.17g}".format, (*v[:16], *v[17:]))) + "\n"
-        assert cli._csv_row(v[0], v[1:14], v[14:]) == expect
+        assert cli._format_rows((*v[:16], *v[17:])) == expect
+        lines.append(expect)
+        flat += v[:16] + v[17:]
+    assert cli._format_rows(flat) == "".join(lines)  # many rows in one call
+
+
+def _force_rows_path(monkeypatch, path):
+    """Make ``qhdyn simulate`` format its CSV rows on ``path``, whatever the
+    host: in a forked writer, in-process for want of a second CPU, or
+    in-process because fork fails."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1 if path == "one_cpu" else 2)
+    if path == "fork_fails":
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+
+
+def assert_no_child():
+    """No child process of this one is left, running or as a zombie."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+ROW_PATHS = ["writer", "one_cpu", "fork_fails"]
+
+
+@pytest.mark.parametrize("path", ROW_PATHS)
+@pytest.mark.parametrize("n_steps,stride", [(1, 1), (62, 1), (63, 1), (64, 1), (128, 1),
+                                            (100, 7)])
+def test_simulate_rows_match_write_trajectory_csv(tmp_path, monkeypatch, path, n_steps, stride):
+    # 2 rows (the fewest a run writes), one row either side of a whole batch of
+    # 64, two batches and one row, and a stride whose last window is 2 steps
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["integrator"].update(n_steps=n_steps, sample_stride=stride)
+    cfg_path, _ = write_config(tmp_path, cfg)
+    run = cli.load_config(str(cfg_path))
+    traj = dynamics.integrate(run.state0, run.params, run.h, run.n_steps, run.renorm,
+                              run.sample_stride)
+    cli.write_trajectory_csv(str(tmp_path / "expected.csv"), traj)
+    _force_rows_path(monkeypatch, path)
+    assert main(["simulate", str(cfg_path)]) == 0
+    assert_no_child()
+    assert (tmp_path / "traj.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert json.loads((tmp_path / "summary.json").read_text())["samples"] == len(traj.times)
+
+
+@pytest.mark.parametrize("path", ["writer", "one_cpu"])
+@pytest.mark.parametrize("rows", [0, 1])
+def test_csv_rows_writes_what_it_is_given(tmp_path, monkeypatch, path, rows):
+    values = [float(i) / 3.0 for i in range(19 * rows)]
+    _force_rows_path(monkeypatch, path)
+    with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("header\n")
+        with cli._csv_rows(fh) as put:
+            for i in range(rows):
+                put(tuple(values[19 * i:19 * i + 19]))
+    assert_no_child()
+    assert (tmp_path / "out.csv").read_text() == "header\n" + cli._format_rows(values)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_simulate_golden_csv_in_process(tmp_path, monkeypatch, name):
+    # test_simulate_golden_csv takes the host's path, the writer on two CPUs
+    run = {"sim_heavy_top": HEAVY_TOP_RUN, "sim_dense_output": DENSE_OUTPUT_RUN}[name]
+    cfg_path, _ = write_config(tmp_path, run)
+    _force_rows_path(monkeypatch, "one_cpu")
+    assert main(["simulate", str(cfg_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[name]
+
+
+@pytest.mark.parametrize("stride", [100, 1])
+def test_simulate_writer_error_exits_2_as_in_process(tmp_path, capsys, monkeypatch, stride):
+    # ENOSPC raised while formatting.  At stride 100 the 21 rows are less than
+    # a batch, all sent when the block ends, so the error comes back when the
+    # writer is reaped; at stride 1 the writer fails on the first of 2001 rows,
+    # more than the pipe holds, so a later send meets a broken pipe.
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["integrator"]["sample_stride"] = stride
+    cfg_path, _ = write_config(tmp_path, cfg)
+    (tmp_path / "traj.csv").write_bytes(b"earlier run\n")
+
+    def no_space(values):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_format_rows", no_space)
+    errors = []
+    for path in ("writer", "one_cpu"):
+        _force_rows_path(monkeypatch, path)
+        assert main(["simulate", str(cfg_path)]) == 2
+        assert_no_child()
+        errors.append(capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) == ["run.json", "traj.csv"]
+        assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
+    assert errors[0] == errors[1] == "output error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("path", ROW_PATHS)
+def test_simulate_debug_log_names_the_row_path(tmp_path, caplog, monkeypatch, path):
+    cfg_path, _ = write_config(tmp_path, FREE_TOP)
+    _force_rows_path(monkeypatch, path)
+    with caplog.at_level(logging.DEBUG, logger="qhdyn"):
+        assert main(["simulate", str(cfg_path)]) == 0
+    assert_no_child()
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("CSV rows")]
+    expect = {"writer": r"CSV rows formatted by writer process \d+",
+              "one_cpu": r"CSV rows formatted in-process \(one usable CPU\)",
+              "fork_fails": r"CSV rows formatted in-process \(fork failed: \[Errno 11\] .*\)"}
+    assert len(lines) == 1 and re.fullmatch(expect[path], lines[0]), lines
 
 
 @pytest.mark.parametrize("field", ["csv", "summary"])
@@ -322,6 +438,7 @@ def test_simulate_output_error_mid_stream(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_samples", fails_after_three_rows)
     assert main(["simulate", str(cfg_path)]) == 2
+    assert_no_child()
     assert "output error" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["run.json", "summary.json", "traj.csv"]
     assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
