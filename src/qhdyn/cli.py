@@ -16,9 +16,9 @@ import logging
 import math
 import os
 import signal
+import struct
 import sys
 import time
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,8 +49,11 @@ MAX_POINTS = 10**6
 CSV_HEADER = ("t,x1,x2,x3,p1,p2,p3,q0,q1,q2,q3,M1,M2,M3,H,qnorm,pi1,pi2,pi3")
 # One CSV line for the 19 columns; "%.17g" prints the bytes "{:.17g}" does.
 _CSV_ROW = ",".join(["%.17g"] * 19) + "\n"
-# Rows a simulate run hands its CSV writer process at once.
+# Rows formatted in one call: a simulate run sends its CSV writer this many
+# at once, and write_trajectory_csv converts this many to Python floats.
 ROWS_PER_BATCH = 64
+# A row's 19 floats as the writer process receives them.
+_PACK_ROW = struct.Struct("19d").pack
 
 
 def _setup_logging() -> None:
@@ -260,12 +263,11 @@ def _csv_rows(fh):
     """Yield ``put(values)``, which writes a CSV row of 19 floats to ``fh``.
 
     On two or more usable CPUs a forked writer formats the rows alongside
-    stepping: ``put`` sends them down a pipe in ``array('d')`` batches of
-    ROWS_PER_BATCH rows, the writer's OSError comes back as the same OSError,
+    stepping: ``put`` packs each row's doubles and sends ROWS_PER_BATCH rows
+    at a time down a pipe, the writer's OSError comes back as the same OSError,
     and an exception in the block kills the writer.  Otherwise, and on one CPU
     where the writer only adds its cost, ``put`` formats in this process."""
     fh.flush()
-    size = 19 * ROWS_PER_BATCH
     reason = ("no os.fork" if not hasattr(os, "fork")
               else "one usable CPU" if _usable_cpus() < 2 else None)
     if reason is None:
@@ -287,8 +289,8 @@ def _csv_rows(fh):
             os.close(wfd)
             with open(rfd, "rb") as src, open(fh.fileno(), "w", encoding="utf-8",
                                               newline="\n", closefd=False) as dst:
-                while data := src.read(8 * size):  # whole batches, then the rest
-                    dst.write(_format_rows(array("d", data)))
+                while data := src.read(8 * 19 * ROWS_PER_BATCH):  # whole batches
+                    dst.write(_format_rows(memoryview(data).cast("d")))
             code = 0
         except OSError as exc:
             code = exc.errno or 255
@@ -296,18 +298,18 @@ def _csv_rows(fh):
             os._exit(code)
     os.close(rfd)
     log.debug("CSV rows formatted by writer process %d", pid)
-    batch, pipe = array("d"), open(wfd, "wb")
+    batch, pipe = [], open(wfd, "wb")
 
     def put(values) -> None:
-        batch.extend(values)
-        if len(batch) == size:
-            pipe.write(batch)
-            del batch[:]
+        batch.append(_PACK_ROW(*values))
+        if len(batch) == ROWS_PER_BATCH:
+            pipe.write(b"".join(batch))
+            batch.clear()
 
     try:
         with pipe:
             yield put
-            pipe.write(batch)
+            pipe.write(b"".join(batch))
     except BrokenPipeError:  # the writer failed: raise its error
         _reap(pid)
         raise
