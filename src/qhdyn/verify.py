@@ -7,18 +7,30 @@ are drawn with q uniform on the unit sphere (normalized 4-dim Gaussian) and
 positions/momenta componentwise uniform in [-2, 2]; a 10% share of points
 forces |q0| <= 1e-6 to probe the nearly-pure-quaternion regime.
 
-Samples are drawn as raw generator calls in a fixed stream order into (n, 14) rows
-of ``rng.random`` doubles and ``rng.standard_normal`` normals; adjacent ``random``
-runs are one call, as ``random(a)``, ``random(b)`` read the words of ``random(a + b)``.
-:func:`_uniform` (numpy's ``Generator.uniform`` formula) and :func:`_unit_quats` (as
-:func:`random_unit_quat`) shape the columns, so a block holds the bits of the same
-draws made one point at a time with ``rng.uniform`` and :func:`random_unit_quat`.
+All samples come from one block stream of fixed-shape generator calls.
+Phase points are drawn in consecutive blocks of at most ``_BLOCK`` = 256
+points, and a block of n points makes these calls, in this order:
+
+- ``rng.random((10, n))``: the raw doubles of x and p (rows 0-5), of q0
+  (row 6, read only for the points that force a small q0) and of mom (rows 7-9);
+- ``rng.standard_normal((4, n))``: the normals of q;
+- each extra draw of the caller in turn, ``draw(rng, n) -> (k, n)``.
+
+:func:`_uniform` (numpy's ``Generator.uniform`` formula) maps raw doubles to
+[low, high), and :func:`_unit_quats` turns normal columns into unit quaternions.
+n random polynomials of T terms take ``rng.integers(len(indices), size=(2, T, n))``
+(the positions in ``indices`` of a and b) and then ``rng.random((2, T, n))``
+(u, whose row 0 makes a later term quadratic where u < 0.5 and whose row 1
+gives the coefficient ``_uniform(u, -1, 1)``); the first term is linear.
+n unit quaternions on their own take ``rng.standard_normal((4, n))`` and, when
+they force a small q0, then ``rng.random(n)``.
+:func:`random_phase_point`, :func:`random_unit_quat` and :func:`random_polynomial`
+are the n = 1 cases.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,46 +90,31 @@ def _unit_quats(a: np.ndarray, small, q0) -> np.ndarray:
     q = a / np.sqrt(_dot(a, a))
     if len(q0):
         v = a[1:, small]
-        # on floats, as q0 ** 2 is C pow and an array's q0 ** 2 is q0 * q0,
-        # which can differ in the last bit
-        s = np.array([math.sqrt(max(1.0 - x ** 2, 0.0)) for x in q0.tolist()])
+        s = np.sqrt(np.maximum(1.0 - q0 * q0, 0.0))
         q[0, small], q[1:, small] = q0, v * (s / np.sqrt(_dot(v, v)))
     return q
 
 
-def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quaternion:
-    a = rng.standard_normal((4, 1))
+def _random_unit_quats(rng: np.random.Generator, n: int, small_q0: bool = False) -> np.ndarray:
+    """(4, n) unit quaternions, all with |q0| <= SMALL_Q0 if ``small_q0``."""
+    a = rng.standard_normal((4, n))
     if small_q0:
-        q = _unit_quats(a, slice(None), _uniform(rng.random(1), -SMALL_Q0, SMALL_Q0))
-    else:
-        q = _unit_quats(a, [], [])
-    return Quaternion.from_array(q[:, 0].tolist())
+        return _unit_quats(a, slice(None), _uniform(rng.random(n), -SMALL_Q0, SMALL_Q0))
+    return _unit_quats(a, [], [])
+
+
+def random_unit_quat(rng: np.random.Generator, small_q0: bool = False) -> Quaternion:
+    return Quaternion.from_array(_random_unit_quats(rng, 1, small_q0)[:, 0].tolist())
 
 
 def _phase_points(rng: np.random.Generator, flags, *draws) -> np.ndarray:
     """(13 + k, n) columns of n = len(flags) phase points (flags[i]: |q0| <= SMALL_Q0),
-    each followed by the k floats of every ``draw(rng)`` in turn.  Per point the stream
-    holds ``random(6)`` for x and p, ``standard_normal(4)`` for q, ``random()`` for q0 if
-    flagged, ``random(3)`` for mom, then the draws, in raw (n, 14) rows x, p | q's normals
-    | q0 (0.0 if not drawn) | mom.  One ``random`` call fills each run of adjacent slots (no
-    draws: q0, mom, next x, p); :func:`_uniform` and :func:`_unit_quats` shape the columns."""
+    followed by the k rows of every ``draw(rng, n)`` in turn: one block of the stream."""
     flags = np.asarray(flags, bool)
-    if not flags.size:
-        return np.empty((13, 0))
-    random, normal = rng.random, rng.standard_normal
-    raw, extra = np.zeros((len(flags), 14)), []
-    flat = raw.reshape(-1)
-    random(out=flat[0:6])
-    for o, small in zip(range(0, flat.size, 14), flags.tolist()):
-        normal(out=flat[o + 6:o + 10])
-        random(out=flat[o + 11 - small:o + 14 if draws else o + 20])  # q0 if drawn, mom, next x, p
-        if draws:  # they come between mom and the next x, p; past the last point, none
-            extra.append(np.concatenate([draw(rng) for draw in draws]))
-            random(out=flat[o + 14:o + 20])
-    raw = np.hstack([raw, extra]).T if draws else raw.T
-    q = _unit_quats(raw[6:10], flags, _uniform(raw[10, flags], -SMALL_Q0, SMALL_Q0))
-    return np.concatenate([_uniform(raw[0:6], -2.0, 2.0), q, _uniform(raw[11:14], -2.0, 2.0),
-                           raw[14:]])
+    u, a = rng.random((10, len(flags))), rng.standard_normal((4, len(flags)))
+    q = _unit_quats(a, flags, _uniform(u[6, flags], -SMALL_Q0, SMALL_Q0))
+    return np.concatenate([_uniform(u[:6], -2.0, 2.0), q, _uniform(u[7:], -2.0, 2.0),
+                           *(draw(rng, len(flags)) for draw in draws)])
 
 
 def random_phase_point(rng: np.random.Generator, chart: Chart,
@@ -144,15 +141,15 @@ def _blocks(rng: np.random.Generator, flags: np.ndarray, *draws):
         yield flags[i:i + _BLOCK], _phase_points(rng, flags[i:i + _BLOCK], *draws)
 
 
-def _polynomial_terms(rng: np.random.Generator, indices, n_terms: int) -> np.ndarray:
-    """(3, n_terms) terms (coef, a, b) of a random polynomial; see :func:`random_polynomial`."""
-    terms = np.full((3, max(1, n_terms)), -1.0)
-    for t in range(terms.shape[1]):
-        terms[1, t] = indices[rng.integers(len(indices))]
-        if t and rng.random() < 0.5:
-            terms[2, t] = indices[rng.integers(len(indices))]
-        terms[0, t] = _uniform(rng.random(), -1.0, 1.0)
-    return terms
+def _polynomial_terms(rng: np.random.Generator, indices, n_terms: int, n: int) -> np.ndarray:
+    """(3, n_terms, n) terms (coef, a, b) of n random polynomials, one per column;
+    see :func:`random_polynomial` and the stream in the module docstring."""
+    shape = (2, max(1, n_terms), n)
+    k, u = rng.integers(len(indices), size=shape), rng.random(shape)
+    a, b = np.asarray(indices, float)[k]
+    b[u[0] >= 0.5] = -1.0
+    b[0] = -1.0  # the first term is linear
+    return np.stack([_uniform(u[1], -1.0, 1.0), a, b])
 
 
 def _polynomial(terms: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +173,7 @@ def random_polynomial(rng: np.random.Generator, chart: Optional[Chart] = None,
     the sum of ``n_terms`` terms (coef, a, b), each c z_a z_b or, for b = -1,
     c z_a, with indices drawn from ``indices`` and c uniform in [-1, 1]; the
     first term is linear, each later one quadratic with probability 1/2."""
-    terms = _polynomial_terms(rng, indices, n_terms)
+    terms = _polynomial_terms(rng, indices, n_terms, 1)[..., 0]
     return DynamicVariable(lambda z: _polynomial(terms, z)[0], lambda z: _polynomial(terms, z)[1],
                            name="polynomial", chart=chart)
 
@@ -249,11 +246,7 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
     q = q2.copy()
     small = np.flatnonzero(_small_q0_flags(rng, n))
-    raw = np.empty((len(small), 5))  # per point random_unit_quat's draws: normals, q0
-    for row in raw:
-        rng.standard_normal(out=row[:4])
-        rng.random(out=row[4:])
-    q[:, small] = _unit_quats(raw[:, :4].T, slice(None), _uniform(raw[:, 4], -SMALL_Q0, SMALL_Q0))
+    q[:, small] = _random_unit_quats(rng, len(small), small_q0=True)
     r, _ = so3._quat_of_matrix(so3._matrix(q))
     worst = float(np.max(np.minimum(np.max(np.abs(r - q), axis=0),
                                     np.max(np.abs(r + q), axis=0)), initial=0.0))
@@ -276,16 +269,13 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
                          h: float = 1e-4) -> list[CheckResult]:
     """Right-invariant derivative identity under central differences."""
     residuals, ratios = [], []
-    # per sample: the normals of a random_unit_quat base, u and v, then the
-    # doubles of alpha, beta and t0; all drawn first, then evaluated one by one
-    raw = np.empty((n, 13))
-    for row in raw:
-        rng.standard_normal(out=row[:10])
-        rng.random(out=row[10:])
-    alphas, betas = _uniform(raw[:, 10:12].T, 0.2, 0.8).tolist()
-    for base, u, v, alpha, beta, t0 in zip(_unit_quats(raw[:, :4].T, [], []).T.tolist(),
-                                           raw[:, 4:7], raw[:, 7:10], alphas, betas,
-                                           _uniform(raw[:, 12], -1.0, 1.0).tolist()):
+    # per sample column: the normals of a unit-quaternion base, u and v, then
+    # the doubles of alpha, beta and t0; all drawn first, then evaluated one by one
+    w, r = rng.standard_normal((10, n)), rng.random((3, n))
+    alphas, betas = _uniform(r[:2], 0.2, 0.8).tolist()
+    for base, u, v, alpha, beta, t0 in zip(_unit_quats(w[:4], [], []).T.tolist(),
+                                           w[4:7].T, w[7:10].T, alphas, betas,
+                                           _uniform(r[2], -1.0, 1.0).tolist()):
         base = Quaternion.from_array(base)
 
         def path(t, base=base, u=u, v=v, alpha=alpha, beta=beta):
@@ -346,9 +336,8 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out.append(CheckResult("norm function commutes with all generators", worst, 1e-11, nc))
 
     worst = 0.0
-    for flags, z in _blocks(rng, _small_q0_flags(rng, n),
-                            lambda rng: rng.standard_normal(4)):
-        b = _unit_quats(z[13:], [], [])  # a random_unit_quat per point
+    for flags, z in _blocks(rng, _small_q0_flags(rng, n), _random_unit_quats):
+        b = z[13:]  # a unit quaternion per point
         worst = max(worst, _worst(poisson._covariance_residuals(z[:13], b), 0.0),
                     _worst(poisson._covariance_residuals(z[:13, flags], Quaternion.identity()), 0.0))
     out.append(CheckResult("right-translated q b obeys the same brackets", worst, 1e-11, n))
@@ -379,7 +368,7 @@ def poisson_map_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
 def _with_polynomials(rng: np.random.Generator, n: int, k: int, indices):
     """Per block of n phase points, each followed by k random polynomials: z, (value, grad), ..."""
-    draws = [lambda rng: _polynomial_terms(rng, indices, 5).ravel()] * k
+    draws = [lambda rng, n: _polynomial_terms(rng, indices, 5, n).reshape(15, n)] * k
     for _, z in _blocks(rng, np.zeros(n, bool), *draws):
         yield (z[:13], *(_polynomial(t, z[:13]) for t in z[13:].reshape(k, 3, 5, -1)))
 
@@ -393,8 +382,8 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
     worst = 0.0
     # after each point a tangent: w - <w, q> q and a mom-block
-    for _, z in _blocks(rng, np.zeros(n, bool), lambda rng: rng.standard_normal(4),
-                        lambda rng: rng.random(3)):
+    for _, z in _blocks(rng, np.zeros(n, bool), lambda rng, n: rng.standard_normal((4, n)),
+                        lambda rng, n: rng.random((3, n))):
         w, q = z[13:17], z[6:10]
         u = np.concatenate([w - _dot(w, q) * q, _uniform(z[17:20], -2.0, 2.0)])
         worst = max(worst, _worst(_forms(z[:13], u, u), 0.0))

@@ -23,7 +23,6 @@ from qhdyn import (  # noqa: E402
     Quaternion,
     ad,
     ad_star,
-    coordinate,
     dynamics,
     eom_rhs,
     hamiltonian_variable,
@@ -48,6 +47,8 @@ from qhdyn.dynamics import _make_grad_h, _make_rhs, _make_step  # noqa: E402
 from qhdyn.poisson import N_COORDS  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
+
+import stream_reference  # noqa: E402
 
 R2, R3 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0)
 # Unit quaternions where the largest-pivot choice is delicate: 180-degree
@@ -195,15 +196,6 @@ def test_field_kernel_is_the_bracket_table_exactly(cols, chart):
                 assert np.array_equal(poisson._j_grad(z, chart, e_i, e_j), J[i, j])
 
 
-def _tree(terms):
-    """The DynamicVariable of (3, T) terms (coef, a, b), b = -1 for c z_a."""
-    var = None
-    for c, a, b in terms.T:
-        term = coordinate(int(a)) if b < 0 else coordinate(int(a)) * coordinate(int(b))
-        var = float(c) * term if var is None else var + float(c) * term
-    return var
-
-
 index = st.integers(0, 12)
 term = st.tuples(st.floats(-1.0, 1.0, allow_nan=False), index, st.one_of(st.just(-1), index))
 
@@ -218,7 +210,7 @@ def test_polynomial_kernel_matches_dynamic_variable_tree(cols):
     value, grad = verify._polynomial(terms, z)
     assert value.shape == z.shape[1:] and grad.shape == z.shape
     for k, col in enumerate(z.T):
-        F = _tree(terms[:, :, k])
+        F = stream_reference.polynomial(terms[:, :, k])
         one_value, one_grad = verify._polynomial(terms[:, :, k], col)
         assert _bits(value[k]) == _bits(one_value) == _bits(F.value(col))
         assert _bits(grad[:, k]) == _bits(one_grad) == _bits(F.gradient(col))
@@ -260,30 +252,13 @@ def test_form_kernels_check_tangency_on_every_column(cols, data):
         poisson._forms(z, np.zeros_like(u), u)
 
 
-# The sampler as it was written before its draws became raw generator calls,
-# one point at a time: the specification of the stream and of every value.
-def _reference_unit_quat(rng, small_q0=False):
-    a = rng.standard_normal(4)
-    if small_q0:
-        a[0] = rng.uniform(-verify.SMALL_Q0, verify.SMALL_Q0)
-        a[1:] *= math.sqrt(max(1.0 - a[0] ** 2, 0.0)) / np.linalg.norm(a[1:])
-        return Quaternion.from_array(a)
-    return Quaternion.from_array(a / np.linalg.norm(a))
-
-
-def _reference_phase_points(rng, flags, *draws):
-    return np.array([[*rng.uniform(-2.0, 2.0, 6).tolist(), *_reference_unit_quat(rng, small),
-                      *rng.uniform(-2.0, 2.0, 3).tolist(), *(x for draw in draws for x in draw(rng))]
-                     for small in flags]).T
-
-
-# the per-point extra draws the suites pass to the sampler
-EXTRA_DRAWS = [lambda rng: rng.standard_normal(4), lambda rng: rng.random(3),
-               lambda rng: verify._polynomial_terms(rng, range(6, 13), 5).ravel()]
+# the per-point extra draws the suites pass to the sampler, (k, n) per block
+EXTRA_DRAWS = [lambda rng, n: rng.standard_normal((4, n)), lambda rng, n: rng.random((3, n)),
+               stream_reference.polynomial_draw(range(6, 13))]
 seeds = st.integers(0, 2**32 - 1)
-flag_patterns = st.one_of(st.integers(1, 257).map(lambda n: np.zeros(n, bool)),
-                          st.integers(1, 257).map(lambda n: np.ones(n, bool)),
-                          st.lists(st.booleans(), min_size=1, max_size=257).map(np.array))
+flag_patterns = st.one_of(st.integers(1, 513).map(lambda n: np.zeros(n, bool)),
+                          st.integers(1, 513).map(lambda n: np.ones(n, bool)),
+                          st.lists(st.booleans(), min_size=1, max_size=513).map(np.array))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -291,18 +266,37 @@ flag_patterns = st.one_of(st.integers(1, 257).map(lambda n: np.zeros(n, bool)),
 @example(0, np.array([False]), []).via("one regular point")
 @example(0, np.array([True]), []).via("one small-q0 point")
 @example(7, np.arange(257) % 10 == 3, EXTRA_DRAWS).via("more than one block, mixed")
-@example(0, np.array([False, True]), []).via("a small-q0 last point: the joined call stops at mom")
-@example(0, np.array([True, False]), []).via("a small-q0 point joined to a regular one")
+@example(0, np.ones(256, bool), EXTRA_DRAWS).via("one full block")
 @example(3, np.array([False, True]), EXTRA_DRAWS).via("two points, all three extra draws")
 def test_sampler_keeps_the_stream_and_the_bits(seed, flags, draws):
+    # the block sampler against the stream of the verify docstring, shaped per point
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    z, expect = verify._phase_points(rng, flags, *draws), _reference_phase_points(ref, flags, *draws)
+    z = np.hstack([z for _, z in verify._blocks(rng, flags, *draws)])
+    expect = stream_reference.phase_points(ref, flags, *draws)
     assert z.shape == expect.shape and np.array_equal(z, expect) and _bits(z) == _bits(expect)
     assert rng.bit_generator.state == ref.bit_generator.state
+    # the public draws are the n = 1 cases
     for small in flags[:12]:
-        got = verify.random_phase_point(rng, Chart.MIXED_M, small).coords()
-        assert _bits(got) == _bits(_reference_phase_points(ref, [small])[:, 0])
-        assert _bits(verify.random_unit_quat(rng, small)) == _bits(_reference_unit_quat(ref, small))
+        z = verify.random_phase_point(rng, Chart.MIXED_M, small).coords()
+        assert _bits(z) == _bits(stream_reference.phase_points(ref, [small])[:, 0])
+        q = verify.random_unit_quat(rng, small)
+        assert _bits(q) == _bits(stream_reference.unit_quats(ref, 1, small)[:, 0])
+        F = verify.random_polynomial(rng, indices=(6, 8, 12), n_terms=4)
+        G = stream_reference.polynomial(stream_reference.polynomial_terms(ref, (6, 8, 12), 4, 1)[..., 0])
+        assert _bits(F.value(z)) == _bits(G.value(z)) and _bits(F.gradient(z)) == _bits(G.gradient(z))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seeds, st.lists(st.integers(0, 12), min_size=1, max_size=13, unique=True),
+       st.integers(0, 7), st.integers(0, 300), st.booleans())
+def test_block_draws_keep_the_stream_and_the_bits(seed, indices, n_terms, n, small):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = verify._polynomial_terms(rng, indices, n_terms, n)
+    expect = stream_reference.polynomial_terms(ref, indices, max(1, n_terms), n)
+    assert got.shape == expect.shape and _bits(got) == _bits(expect)
+    got, expect = verify._random_unit_quats(rng, n, small), stream_reference.unit_quats(ref, n, small)
+    assert got.shape == expect.shape and _bits(got) == _bits(expect)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 

@@ -22,6 +22,7 @@ from qhdyn import (
     structure_tensor,
 )
 from qhdyn.poisson import structure_jacobian, _tensor_components
+from qhdyn.quaternion import _conj, _mul
 from qhdyn.verify import random_phase_point, random_polynomial, random_unit_quat
 
 
@@ -329,3 +330,26 @@ def test_jacobi_exact_on_affine_basis():
     for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
         assert worst_cyclic(chart, False) == 0.0
         assert worst_cyclic(chart, True) > 0.1
+
+
+# mom as a function of canonical (q, P) on T*R^4: M = Im(q^dag P), mu = Im(P q^dag)
+CANONICAL_MOMENTA = {Chart.MIXED_M: lambda q, P: _mul(_conj(q), P)[1:],
+                     Chart.INERTIAL_MU: lambda q, P: _mul(P, _conj(q))[1:]}
+
+
+@pytest.mark.parametrize("chart", list(CANONICAL_MOMENTA))
+def test_tensor_is_the_push_forward_of_canonical_t_star_s3(chart):
+    # with {x_i, p_j} = delta_ij and {q_a, P_b} = delta_ab, the map (x, p, q, P) ->
+    # (x, p, q, mom(q, P)) is bilinear, so on small integers G J_can G^T is exact
+    mom = CANONICAL_MOMENTA[chart]
+    J_can = np.zeros((14, 14))
+    J_can[0:3, 3:6], J_can[6:10, 10:14] = np.eye(3), np.eye(4)
+    J_can -= J_can.T
+    basis = np.eye(4)
+    for x, p, q, P in np.random.default_rng(16).integers(-9, 10, (200, 4, 4)).astype(float):
+        G = np.zeros((13, 14))
+        G[0:10, 0:10] = np.eye(10)
+        G[10:13, 6:10] = np.transpose([mom(e, P) for e in basis])   # d mom / d q_a
+        G[10:13, 10:14] = np.transpose([mom(q, e) for e in basis])  # d mom / d P_a
+        z = np.concatenate([x[:3], p[:3], q, mom(q, P)])
+        assert np.array_equal(G @ J_can @ G.T, _tensor_components(z, chart))

@@ -29,7 +29,10 @@ from qhdyn import (
     symplectic_form_eval,
     verify,
 )
-from qhdyn.poisson import Chart
+from qhdyn import cli
+from qhdyn.poisson import Chart, PhasePoint
+
+import stream_reference as ref
 
 
 def test_run_suite_deterministic():
@@ -68,13 +71,53 @@ def test_all_suites_pass_at_small_sizes():
         assert results and all(r.passed for r in results), name
 
 
+# the check counts the benchmark's verify workload expects
+CHECKS_PER_SUITE = {"algebra": 12, "brackets": 7, "jacobi": 3, "poisson_map": 1,
+                    "maurer_cartan": 2, "symplectic": 4, "dynamics_oracle": 6}
+
+
 def test_check_inventory_per_suite():
-    # the check counts the benchmark's verify workload expects
-    expected = {"algebra": 12, "brackets": 7, "jacobi": 3, "poisson_map": 1,
-                "maurer_cartan": 2, "symplectic": 4, "dynamics_oracle": 6}
-    assert set(expected) == set(verify.SUITES)
-    for name, count in expected.items():
+    assert set(CHECKS_PER_SUITE) == set(verify.SUITES)
+    for name, count in CHECKS_PER_SUITE.items():
         assert len(verify.run_suite(name, seed=3, n_points=5)) == count, name
+
+
+@pytest.mark.parametrize("points", [1, 7, 300])
+def test_every_suite_passes_at_edge_sizes(capsys, points):
+    # one point, a partial block, and more than one block of the sampler
+    for name, count in CHECKS_PER_SUITE.items():
+        for seed in range(3):
+            assert cli.main(["verify", name, "--seed", str(seed), "--points", str(points)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == count + 1 and lines[-1] == f"[{name}] PASS", (name, seed)
+            assert all(line.endswith(" PASS") for line in lines), (name, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_phase_points_draw_the_documented_distribution(seed):
+    rng = np.random.default_rng(seed)
+    flags = verify._small_q0_flags(rng, 10**4)
+    z = np.hstack([z for _, z in verify._blocks(rng, flags)])
+    x_p_mom = np.concatenate([z[0:6], z[10:13]])
+    assert np.all(x_p_mom >= -2.0) and np.all(x_p_mom < 2.0)
+    assert np.max(np.abs(np.sqrt(np.sum(z[6:10] ** 2, axis=0)) - 1.0)) <= 1e-15
+    assert np.all(np.abs(z[6, flags]) <= verify.SMALL_Q0)
+    # only the flagged points force a small q0, and they are k of n
+    assert np.array_equal(np.abs(z[6]) <= verify.SMALL_Q0, flags)
+    assert flags.sum() == max(1, int(verify.SMALL_Q0_FRACTION * flags.size))
+    q = verify._random_unit_quats(rng, 1000, small_q0=True)
+    assert np.all(np.abs(q[0]) <= verify.SMALL_Q0)
+    assert np.max(np.abs(np.sqrt(np.sum(q ** 2, axis=0)) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("seed, indices", [(0, (6, 7, 8, 9)), (1, tuple(range(6, 13))), (2, (3,))])
+def test_polynomial_terms_draw_the_documented_distribution(seed, indices):
+    coef, a, b = verify._polynomial_terms(np.random.default_rng(seed), indices, 5, 2500)
+    assert np.all(np.isin(a, indices)) and np.all(np.isin(b, indices + (-1,)))
+    assert np.all(b[0] == -1.0)
+    assert np.all(coef >= -1.0) and np.all(coef < 1.0)
+    quadratic = b[1:] != -1.0  # 4 x 2500 later terms
+    assert quadratic.size == 10**4 and abs(quadratic.mean() - 0.5) <= 0.02
 
 
 def _max_abs(x):
@@ -126,8 +169,10 @@ def _rotation_reference(rng, n):
                    for row in quat_to_matrix(q1)]
         hom = max(hom, float(np.max(np.abs(quat_to_matrix(quat_mul(q1, q2)) - product))))
         cover = max(cover, float(np.max(np.abs(quat_to_matrix(-q1) - quat_to_matrix(q1)))))
-    for small, u2 in zip(verify._small_q0_flags(rng, n), units[:, 1]):
-        q = verify.random_unit_quat(rng, small_q0=True) if small else Quaternion.from_array(u2)
+    flags = verify._small_q0_flags(rng, n)
+    small_q = iter(ref.unit_quats(rng, int(flags.sum()), small=True).T)
+    for small, u2 in zip(flags, units[:, 1]):
+        q = Quaternion.from_array(next(small_q) if small else u2)
         r = matrix_to_quat(quat_to_matrix(q))
         trip = max(trip, min(_dist(r, q), _dist(r, -q)))
     dot_cross = 0.0
@@ -140,13 +185,18 @@ def _rotation_reference(rng, n):
     return [hom, cover, trip, dot_cross]
 
 
+def _points(z, *charts):
+    """Phase points of the first 13 rows of the columns ``z``, the charts in turn."""
+    return [PhasePoint.from_coords(col[:13], charts[k % len(charts)]) for k, col in enumerate(z.T)]
+
+
 def _bracket_reference(rng, n):
     """The seven bracket residuals, one phase point at a time through the
     public per-point functions, drawing from ``rng`` as ``bracket_checks`` does."""
     anti = mu = m = xp = 0.0
-    for small in verify._small_q0_flags(rng, n):
-        pt_mu = verify.random_phase_point(rng, Chart.INERTIAL_MU, small)
-        pt_m = verify.random_phase_point(rng, Chart.MIXED_M, small)
+    pts = _points(ref.phase_points(rng, np.repeat(verify._small_q0_flags(rng, n), 2)),
+                  Chart.INERTIAL_MU, Chart.MIXED_M)
+    for pt_mu, pt_m in zip(pts[0::2], pts[1::2]):
         J_mu, J_m = structure_tensor(pt_mu).j, structure_tensor(pt_m).j
         anti = max(anti, _max_abs(J_mu + J_mu.T), _max_abs(J_m + J_m.T))
         for k in range(3):
@@ -156,9 +206,9 @@ def _bracket_reference(rng, n):
         xp = max(xp, _max_abs(J_mu[0:3, 3:6] - np.eye(3)))
     nc = max(1, n // 10)
     leibniz = 0.0
-    for _ in range(nc):
-        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
-        F, G, H = (verify.random_polynomial(rng, Chart.INERTIAL_MU) for _ in range(3))
+    z = ref.phase_points(rng, np.zeros(nc, bool), *[ref.polynomial_draw(range(6, 13))] * 3)
+    for pt, col in zip(_points(z, Chart.INERTIAL_MU), z.T):
+        F, G, H = map(ref.polynomial, col[13:].reshape(3, 3, 5))
         lhs = poisson_bracket(F * G, H, pt)
         rhs = F.value(pt) * poisson_bracket(G, H, pt) + G.value(pt) * poisson_bracket(F, H, pt)
         leibniz = max(leibniz, abs(lhs - rhs))
@@ -166,15 +216,14 @@ def _bracket_reference(rng, n):
         lambda z: float(z[6:10] @ z[6:10]),
         lambda z: np.concatenate([np.zeros(6), 2.0 * z[6:10], np.zeros(3)]))
     norm = 0.0
-    for _ in range(nc):
-        for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
-            pt = verify.random_phase_point(rng, chart)
-            norm = max(norm, *(abs(poisson_bracket(norm_sq, coordinate(i), pt))
-                               for i in range(13)))
+    for pt in _points(ref.phase_points(rng, np.zeros(2 * nc, bool)),
+                      Chart.INERTIAL_MU, Chart.MIXED_M):
+        norm = max(norm, *(abs(poisson_bracket(norm_sq, coordinate(i), pt)) for i in range(13)))
     cov = 0.0
-    for small in verify._small_q0_flags(rng, n):
-        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU, small)
-        cov = max(cov, right_translation_covariance_check(pt, verify.random_unit_quat(rng)))
+    flags = verify._small_q0_flags(rng, n)
+    z = ref.phase_points(rng, flags, ref.unit_quats)
+    for small, pt, col in zip(flags, _points(z, Chart.INERTIAL_MU), z.T):
+        cov = max(cov, right_translation_covariance_check(pt, Quaternion.from_array(col[13:])))
         if small:
             cov = max(cov, right_translation_covariance_check(pt, Quaternion.identity()))
     return [anti, mu, m, xp, leibniz, norm, cov]
@@ -184,16 +233,16 @@ def _jacobi_reference(rng, n):
     """Both chart residuals and the negative control, one point at a time."""
     out = []
     for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
-        out.append(max(jacobi_residual(verify.random_phase_point(rng, chart, small))
-                       for small in verify._small_q0_flags(rng, n)))
-    out.append(max(jacobi_residual(verify.random_phase_point(rng, Chart.INERTIAL_MU),
-                                   corrupt=True) for _ in range(min(n, 100))))
+        out.append(max(map(jacobi_residual,
+                           _points(ref.phase_points(rng, verify._small_q0_flags(rng, n)), chart))))
+    out.append(max(jacobi_residual(pt, corrupt=True) for pt in
+                   _points(ref.phase_points(rng, np.zeros(min(n, 100), bool)), Chart.INERTIAL_MU)))
     return out
 
 
 def _poisson_map_reference(rng, n):
-    return [max(poisson_map_residual(verify.random_phase_point(rng, Chart.INERTIAL_MU, small))
-                for small in verify._small_q0_flags(rng, n))]
+    return [max(map(poisson_map_residual,
+                    _points(ref.phase_points(rng, verify._small_q0_flags(rng, n)), Chart.INERTIAL_MU)))]
 
 
 def _oracle_reference(rng, n):
@@ -202,40 +251,34 @@ def _oracle_reference(rng, n):
     for params in verify._oracle_params():
         H = hamiltonian_variable(params)
         worst = 0.0
-        for _ in range(n):
-            pt = verify.random_phase_point(rng, Chart.MIXED_M)
+        for pt in _points(ref.phase_points(rng, np.zeros(n, bool)), Chart.MIXED_M):
             worst = max(worst, _max_abs(eom_rhs(pt, params) - hamiltonian_vector_field(H, pt)))
         out.append(worst)
     return out
-
-
-def _random_tangent(rng, pt):
-    q4 = pt.q.as_array()
-    w = rng.standard_normal(4)
-    w -= (w @ q4) * q4
-    return np.concatenate([w, rng.uniform(-2.0, 2.0, 3)])
 
 
 def _symplectic_reference(rng, n):
     """The four symplectic residuals, one phase point and its random_polynomial
     variables at a time, through the public per-point functions, drawing from
     ``rng`` as ``symplectic_checks`` does."""
+    zeros = np.zeros(n, bool)
     duality = 0.0
-    for _ in range(n):
-        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
-        F = verify.random_polynomial(rng, Chart.INERTIAL_MU)
-        G = verify.random_polynomial(rng, Chart.INERTIAL_MU)
+    z = ref.phase_points(rng, zeros, *[ref.polynomial_draw(range(6, 13))] * 2)
+    for pt, col in zip(_points(z, Chart.INERTIAL_MU), z.T):
+        F, G = map(ref.polynomial, col[13:].reshape(2, 3, 5))
         omega = symplectic_form_eval(pt, hamiltonian_vector_field(F, pt),
                                      hamiltonian_vector_field(G, pt))
         duality = max(duality, abs(omega - poisson_bracket(F, G, pt)))
     anti = 0.0
-    for _ in range(n):
-        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
-        u = _random_tangent(rng, pt)
+    # after each point a tangent: w - <w, q> q and a mom-block
+    z = ref.phase_points(rng, zeros, lambda rng, n: rng.standard_normal((4, n)),
+                         lambda rng, n: rng.random((3, n)))
+    for pt, col in zip(_points(z, Chart.INERTIAL_MU), z.T):
+        q4, w = pt.q.as_array(), col[13:17]
+        u = np.concatenate([w - (w @ q4) * q4, ref.uniform(col[17:20], -2.0, 2.0)])
         anti = max(anti, abs(symplectic_form_eval(pt, u, u)))
     left = 0.0
-    for _ in range(n):
-        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
+    for pt in _points(ref.phase_points(rng, zeros), Chart.INERTIAL_MU):
         fields = [hamiltonian_vector_field(coordinate(f"mu{k + 1}"), pt) for k in range(3)]
         for k in range(3):
             ek_q = quat_mul(Quaternion.basis(k + 1), pt.q).as_array()
@@ -247,10 +290,9 @@ def _symplectic_reference(rng, n):
         eta_expect = np.array([[-q1, -q2, -q3], [q0, q3, -q2], [-q3, q0, q1], [q2, -q1, q0]])
         left = max(left, _max_abs(eta - eta_expect))
     orient = 0.0
-    for _ in range(n):
-        pt = verify.random_phase_point(rng, Chart.INERTIAL_MU)
-        F = verify.random_polynomial(rng, Chart.INERTIAL_MU, indices=tuple(range(6, 10)))
-        G = verify.random_polynomial(rng, Chart.INERTIAL_MU, indices=tuple(range(6, 10)))
+    z = ref.phase_points(rng, zeros, *[ref.polynomial_draw(range(6, 10))] * 2)
+    for pt, col in zip(_points(z, Chart.INERTIAL_MU), z.T):
+        F, G = map(ref.polynomial, col[13:].reshape(2, 3, 5))
         orient = max(orient, _max_abs(hamiltonian_vector_field(F, pt)[0:10]),
                      abs(poisson_bracket(F, G, pt)))
     return [duality, anti, left, orient]
