@@ -74,15 +74,18 @@ GOLDEN_SUMMARY_SHA256 = {
 # ``poisson._j_grad``: only its four ``eom_rhs = J grad(H)`` residuals moved.
 # ``algebra`` was re-pinned when its rotation-homomorphism and right-action
 # products became running sums over columns in place of per-sample BLAS calls:
-# only those two residuals moved.
+# only those two residuals moved.  ``algebra``, ``dynamics_oracle``, ``jacobi``,
+# ``maurer_cartan`` and ``symplectic`` were re-pinned when verify's samples
+# became the block stream of the ``verify`` docstring, which draws new values;
+# ``brackets`` and ``poisson_map`` printed the same digits at seed 0.
 GOLDEN_VERIFY_SHA256 = {
-    "algebra": "f6352000c1fde78bc980195b3351e230c22e922990da308ec4121a0d3f855f2d",
+    "algebra": "a889ee419f8ca8618454ad2a0072239d72f51d0bfae0c7891dd95b6576779c48",
     "brackets": "d1c5a8cbc6c748f1d8961952eecb4d79e0aee314f6788491eb5685632524fd81",
-    "dynamics_oracle": "46989ab22327fb3d30089b78a5f27de1927937ece9242739864e92aa762abfdd",
-    "jacobi": "0324db43c0551e772c11d27ded2d634b41adde27c6d1275537928c82af6bafbf",
-    "maurer_cartan": "83f971fe7d57b7cdf4758457a7154524253746cc7c7b07a59906893d87ae2a3a",
+    "dynamics_oracle": "f3c29705533e2e89b2ebc0946524b2e1db4a431c9025f467bb97e37d0c6be403",
+    "jacobi": "eb531515083bb4f834adb9a261332e71bd6209f34c343a84e2dd019ac4f6257d",
+    "maurer_cartan": "ecd66a306d6ae24f254855c97735fb0af84a38520d9d7e6eff09cb3b5f1e3a18",
     "poisson_map": "3cd7f286fe239afcd2e8ee23c2d18d4a3f2fb0d3130cd57ce068dedebca136a1",
-    "symplectic": "aae4bbdce04742aa1eb2e303118837eece1df6f2050456ad9b36646f7447d6de",
+    "symplectic": "8652eae668d7a30d8999bbb03e365581596077d5d2ae0e1f7fa8b0ac175482d0",
 }
 
 # sha256 over the stdouts of ``qhdyn verify <suite> --seed s`` for s = 0..11, in
@@ -96,14 +99,17 @@ GOLDEN_VERIFY_SHA256 = {
 # the Leibniz, duality, left-invariant-field and ``eom_rhs`` residuals moved.
 # ``algebra`` was re-pinned when the homomorphism and right-action products
 # became running sums: those two residuals moved at seeds 0, 3, 5, 8, 9 and 10.
+# All seven were re-pinned when verify's samples became the block stream of the
+# ``verify`` docstring; every check still passes, and CHANGES.md lists the
+# moved lines by check and seed.
 GOLDEN_VERIFY_SEEDS_SHA256 = {
-    "algebra": "3d54700333ece12e2565bda42a83efae20992245522ed4059992fc28478fd280",
-    "brackets": "ad5dcd3bc63aca23cd5ed9b51abed1e74371178a9da03beb255a80e0418312ac",
-    "dynamics_oracle": "b803298527099ae632ba10854d68528dfff6bdcd5805a361639b381947928d34",
-    "jacobi": "5eb881899889482aa19b61fd3950d8d4fc3dabe28e45e06dbf913012fb6e7f66",
-    "maurer_cartan": "4e6d37218a6fc533320e0f28ee58a58ff7d7041b24ed6d3a2fec50d76c3d1498",
-    "poisson_map": "9d4a662e51f8dc5d6111706ddd53831571075f4a1a02c76bba3cda6c75a050cf",
-    "symplectic": "280350ecbbbfb648a75c4b06a0e80b2b302cf88d3704f2c3a27513fa8db43cb8",
+    "algebra": "29a528cf6bfd49c46d17dc26cc445b60e34bab310c7e185e30a48a230e867fc0",
+    "brackets": "511409ccab5b81677b292c1cb6d70f28fdcd1f5c528340a1a39f4f53e902c709",
+    "dynamics_oracle": "fb987b4be5a1e93cdd62b3cd9afabfb26f9069ecd9c4aefa80e0d1541be0a485",
+    "jacobi": "0889089623a4e11d71b4ffd3d9c1afff649120fb2a04eac2b35ba3591c80d4a3",
+    "maurer_cartan": "61d8f56865606a7219b2a2a9e559d43877b23d6da8930300ba225ff974c04968",
+    "poisson_map": "c3e58ff314762a627afbb11f792354059a2098ffeebdd4274a15b78ed2073b9c",
+    "symplectic": "31bf70037c1be7b268a4a49c56e62f454c2b34771428b80508ec99b6832c33bc",
 }
 
 
