@@ -83,10 +83,9 @@ def _uniform(u, low: float, high: float):
 
 
 def _unit_quats(a: np.ndarray, small, q0) -> np.ndarray:
-    """(4, n) unit quaternions from (4, n) standard normal columns ``a``, shaped
-    as :func:`random_unit_quat` shapes one: a / |a|, except that each column
-    that ``small`` selects (a mask, an index or a slice) takes its drawn scalar
-    part from ``q0`` and a vector part rescaled to |q| = 1."""
+    """(4, n) unit quaternions from (4, n) standard normal columns ``a``: a / |a|,
+    except that each column that ``small`` selects (a mask, an index or a slice)
+    takes its drawn scalar part from ``q0`` and a vector part rescaled to |q| = 1."""
     q = a / np.sqrt(_dot(a, a))
     if len(q0):
         v = a[1:, small]
