@@ -14,6 +14,8 @@ Im takes the vector part: the field J grad(H) of :mod:`qhdyn.poisson`, its oracl
 
 The energy is H = p^2/(2m) + (M1^2/I1 + M2^2/I2 + M3^2/I3)/8 + V(x, q);
 the factor 1/8 reflects the doubling M = 2 Pi of the physical momentum.
+These equations, H, grad(H), the monitor row and each built-in V are written
+once, as source-line templates compiled per BodyParams.
 """
 
 from __future__ import annotations
@@ -103,9 +105,10 @@ class PotentialSpec:
                 return _fd_partials(lambda v: value(x, v), q4)
         self._grad_x = grad_x
         self._grad_q = grad_q
-        # the gradient lines of _EOM and their globals: calls here, expressions for a built-in
-        self._source = (_CALL.format("grad_x"), _CALL.format("grad_q"),
-                        {"grad_x": grad_x, "grad_q": grad_q})
+        # the lines of the templates and their globals: calls here, expressions for a built-in
+        self._source = ({"grad_x": _CALL.format("grad_x"), "grad_q": _CALL.format("grad_q"),
+                         "value": f"float({_CALL.format('value')})"},
+                        {"grad_x": grad_x, "grad_q": grad_q, "value": value})
 
     def gradient_x(self, x: Sequence[float], q4: Sequence[float]) -> np.ndarray:
         """Positional gradient dV/dx as a float array."""
@@ -211,13 +214,6 @@ def _spin(m1: float, m2: float, m3: float, inertia: InertiaTensor) -> float:
     return 0.125 * (m1 * m1 / inertia.i1 + m2 * m2 / inertia.i2 + m3 * m3 / inertia.i3)
 
 
-def _energy(z: Sequence[float], params: BodyParams) -> float:
-    """H = p^2/(2m) + T_spin(M) + V(x, q) at the 13 float coordinates ``z``."""
-    ke = (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * params.mass)  # **: see _apply_renorm
-    return ke + _spin(z[10], z[11], z[12], params.inertia) + float(
-        params.potential.value((z[0], z[1], z[2]), (z[6], z[7], z[8], z[9])))
-
-
 def spin_kinetic(M: Sequence[float], inertia: InertiaTensor) -> float:
     """Rotational kinetic energy (M1^2/I1 + M2^2/I2 + M3^2/I3) / 8."""
     return _spin(*_floats(M), inertia)
@@ -225,7 +221,8 @@ def spin_kinetic(M: Sequence[float], inertia: InertiaTensor) -> float:
 
 def hamiltonian_eval(state: PhasePoint, params: BodyParams) -> float:
     """Total energy p^2/(2m) + T_spin(M) + V(x, q)."""
-    return _energy(_point_coords(state, Chart.MIXED_M, "hamiltonian_eval", None).tolist(), params)
+    z = _point_coords(state, Chart.MIXED_M, "hamiltonian_eval", None)
+    return _make_h(params)[0](z.tolist())
 
 
 def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
@@ -234,33 +231,20 @@ def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
     The gradient is assembled analytically from the potential gradients
     (which themselves may fall back to finite differences).
     """
-    grad_h = _make_grad_h(params)
-    return DynamicVariable(lambda z: _energy(z.tolist(), params),
+    energy, grad_h, _ = _make_h(params)
+    return DynamicVariable(lambda z: energy(z.tolist()),
                            lambda z: np.array(grad_h(z.tolist()), dtype=float),
                            name="H", chart=Chart.MIXED_M)
 
 
-def _make_grad_h(params: BodyParams) -> Callable[[Sequence], list]:
-    """grad(H) as a list of 13, like :func:`_make_rhs` over 13 floats or 13
-    equal-shape arrays (columns of many points)."""
-    m, pot = params.mass, params.potential
-    inv4 = [0.25 / i for i in (params.inertia.i1, params.inertia.i2, params.inertia.i3)]
-
-    def grad(z: Sequence) -> list:
-        x, q4 = (z[0], z[1], z[2]), (z[6], z[7], z[8], z[9])
-        return [*pot._grad_x(x, q4), z[3] / m, z[4] / m, z[5] / m, *pot._grad_q(x, q4),
-                z[10] * inv4[0], z[11] * inv4[1], z[12] * inv4[2]]
-
-    return grad
-
-
-# The equations of motion, written once as source lines over the names of _STATE: the
-# angular velocity, the potential's two gradient lines and the 13 derivatives.  They compile
-# into the rhs, and once per stage into the fused RK4 step; numbers (mass, inertia, the
-# potential's constants) reach the code only as globals, never as source text.
+# The equations of motion, H, grad(H) and the monitor row, written once as source lines over
+# the names of _STATE, with the potential's lines in place of {grad_x}, {grad_q} and {value}.
+# They compile per BodyParams into the rhs, the fused RK4 step (_EOM once per stage), H,
+# grad(H) and the row; numbers (mass, inertia, the potential's constants) reach the code only
+# as globals, never as source text.
 _STATE = ("x0", "x1", "x2", "p0", "p1", "p2", "q0", "q1", "q2", "q3", "m1", "m2", "m3")
-_EOM = ("o1 = m1 * d1", "o2 = m2 * d2", "o3 = m3 * d3",
-        "gx0, gx1, gx2 = {grad_x}", "g0, g1, g2, g3 = {grad_q}")
+_GRAD = ("gx0, gx1, gx2 = {grad_x}", "g0, g1, g2, g3 = {grad_q}")
+_EOM = ("o1 = m1 * d1", "o2 = m2 * d2", "o3 = m3 * d3", *_GRAD)
 _DZ = (
     "p0 * inv_m", "p1 * inv_m", "p2 * inv_m", "-gx0", "-gx1", "-gx2",
     # dq/dt = (1/2) q Omega with Omega pure
@@ -271,7 +255,20 @@ _DZ = (
     "-(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3))",
     "-(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1))",
 )
-# a user potential's gradient line: a call of its callable
+# H = p^2/(2m) + T_spin(M) + V(x, q); ** (C pow): see _apply_renorm
+_H = "(p0 ** 2 + p1 ** 2 + p2 ** 2) / two_m + _spin(m1, m2, m3, inertia) + {value}"
+# grad(H), its momentum block M_i / (4 I_i) = Omega_i / 2
+_GRAD_H = ("gx0", "gx1", "gx2", "p0 / mass", "p1 / mass", "p2 / mass", "g0", "g1", "g2", "g3",
+           "m1 * e1", "m2 * e2", "m3 * e3")
+# the monitor row (H, |q|, |M|, pi) with pi = vec(q M q^-1) / 2, the exact inverse q^dag / |q|^2
+_ROW = ("n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3", "t0 = -(q1 * m1 + q2 * m2 + q3 * m3)",
+        "t1 = q0 * m1 + q2 * m3 - q3 * m2", "t2 = q0 * m2 + q3 * m1 - q1 * m3",
+        "t3 = q0 * m3 + q1 * m2 - q2 * m1", "s = 0.5 / n2")
+_ROW_VALUES = (_H, "sqrt(n2)", "sqrt(m1 * m1 + m2 * m2 + m3 * m3)",
+               "(-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s",
+               "(-t0 * q2 + t2 * q0 - t3 * q1 + t1 * q3) * s",
+               "(-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s")
+# a user potential's line: a call of its callable
 _CALL = "{}((x0, x1, x2), (q0, q1, q2, q3))"
 
 
@@ -286,13 +283,19 @@ def _compile(source: str, namespace: dict, name: str) -> Callable:
     return namespace[name]
 
 
-def _eom(params: BodyParams) -> tuple[list[str], dict]:
-    """The lines of _EOM with the potential's gradient lines, and their globals."""
-    grad_x, grad_q, constants = params.potential._source
-    inertia = params.inertia
-    namespace = {"inv_m": 1.0 / params.mass, "d1": 0.5 / inertia.i1, "d2": 0.5 / inertia.i2,
-                 "d3": 0.5 / inertia.i3, **constants}
-    return [f"    {line.format(grad_x=grad_x, grad_q=grad_q)}" for line in _EOM], namespace
+def _define(params: BodyParams, name: str, args: str, lines: Sequence[str],
+            result: str) -> Callable:
+    """``def name(args)``: unpack ``z`` into the names of _STATE, run ``lines``, return
+    ``result``; the potential's lines in place of its fields, the body's numbers as globals."""
+    fields, constants = params.potential._source
+    m, inertia = params.mass, params.inertia
+    namespace = {"inv_m": 1.0 / m, "mass": m, "two_m": 2.0 * m, "inertia": inertia,
+                 "d1": 0.5 / inertia.i1, "d2": 0.5 / inertia.i2, "d3": 0.5 / inertia.i3,
+                 "e1": 0.25 / inertia.i1, "e2": 0.25 / inertia.i2, "e3": 0.25 / inertia.i3,
+                 "_spin": _spin, "sqrt": math.sqrt, **constants}
+    source = "\n    ".join([f"def {name}({args}):", f"{', '.join(_STATE)} = z", *lines,
+                            f"return {result}"])
+    return _compile(source.format(**fields), namespace, name)
 
 
 @functools.lru_cache(maxsize=8)
@@ -304,9 +307,7 @@ def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
     same kind.  Plain float arithmetic: on 13 components the per-operation
     overhead of numpy arrays costs several times the arithmetic itself.
     """
-    lines, namespace = _eom(params)
-    return _compile("\n".join(["def rhs(z):", f"    {', '.join(_STATE)} = z", *lines,
-                                f"    return [{', '.join(_DZ)}]"]), namespace, "rhs")
+    return _define(params, "rhs", "z", _EOM, f"[{', '.join(_DZ)}]")
 
 
 @functools.lru_cache(maxsize=8)
@@ -316,16 +317,23 @@ def _make_step(params: BodyParams) -> Callable[[Sequence, float], list]:
     form z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over :func:`_make_rhs`, so bit for
     bit that step, but with no rhs call, no stage list and, for a built-in
     potential, no gradient call."""
-    lines, namespace = _eom(params)
-    src = ["def step(z, h):", f"    {', '.join(f'z{i}' for i in range(13))} = z",
-           f"    {', '.join(_STATE)} = z", "    half = 0.5 * h"]
+    src = [f"{', '.join(f'z{i}' for i in range(13))} = z", "half = 0.5 * h"]
     for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None)):
-        src += lines + [f"    k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)]
+        src += [*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ))]
         if to_next:
-            src += [f"    {v} = z{i} + {to_next} * k{s}_{i}" for i, v in enumerate(_STATE)]
-    src += ["    sixth = h / 6.0", "    return [" + ", ".join(
-        f"z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(13)) + "]"]
-    return _compile("\n".join(src), namespace, "step")
+            src += [f"{v} = z{i} + {to_next} * k{s}_{i}" for i, v in enumerate(_STATE)]
+    return _define(params, "step", "z, h", [*src, "sixth = h / 6.0"], "[" + ", ".join(
+        f"z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(13)) + "]")
+
+
+@functools.lru_cache(maxsize=8)
+def _make_h(params: BodyParams) -> tuple[Callable, Callable, Callable]:
+    """``(energy, grad_h, row)`` compiled from _H, _GRAD_H and _ROW over 13 floats: H, grad(H)
+    as a list of 13 (like :func:`_make_rhs`, also on 13 equal-shape columns) and the monitor
+    row (energy, |q|, |M|, pi1, pi2, pi3)."""
+    return (_define(params, "energy", "z", (), _H),
+            _define(params, "grad_h", "z", _GRAD, f"[{', '.join(_GRAD_H)}]"),
+            _define(params, "row", "z", _ROW, f"({', '.join(_ROW_VALUES)})"))
 
 
 def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -> np.ndarray:
@@ -367,27 +375,10 @@ def _apply_renorm(z: list[float], policy: RenormPolicy) -> None:
         z[9] /= n
 
 
-def _monitor_row(z: list[float], params: BodyParams) -> tuple[float, ...]:
-    """(energy, |q|, |M|, pi1, pi2, pi3) at the float coordinates ``z``."""
-    q0, q1, q2, q3 = z[6], z[7], z[8], z[9]
-    m1, m2, m3 = z[10], z[11], z[12]
-    n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3
-    # pi = vec(q M q^-1) / 2 with the exact inverse q^dag / |q|^2
-    t0 = -(q1 * m1 + q2 * m2 + q3 * m3)
-    t1 = q0 * m1 + q2 * m3 - q3 * m2
-    t2 = q0 * m2 + q3 * m1 - q1 * m3
-    t3 = q0 * m3 + q1 * m2 - q2 * m1
-    s = 0.5 / n2
-    return (_energy(z, params), math.sqrt(n2), math.sqrt(m1 * m1 + m2 * m2 + m3 * m3),
-            (-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s,
-            (-t0 * q2 + t2 * q0 - t3 * q1 + t1 * q3) * s,
-            (-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s)
-
-
 def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord:
     """Energy, |q|, |M| and the spatial momentum pi = vec(q M q^-1) / 2."""
     z = _point_coords(state, Chart.MIXED_M, "conserved_quantities", None)
-    energy, qn, mom_norm, *pi = _monitor_row(z.tolist(), params)
+    energy, qn, mom_norm, *pi = _make_h(params)[2](z.tolist())
     return MonitorRecord(energy, qn, mom_norm, np.array(pi))
 
 
@@ -395,7 +386,7 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
              renorm_policy: RenormPolicy, sample_stride: int):
     """The RK4 step loop: yields ``(step, z, row)`` at step 0, every
     ``sample_stride`` steps and the last step, ``z`` the 13 coordinates and
-    ``row`` the :func:`_monitor_row`.  Checks its arguments on the first draw."""
+    ``row`` the monitor row of :func:`_make_h`.  Checks its arguments on the first draw."""
     if not h > 0.0:  # NaN too
         raise DomainError(f"step size h must be positive, got {h!r}")
     if n_steps < 1:
@@ -408,11 +399,11 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         log.info("potential %r steps on finite-difference gradients, several times slower "
                  "(analytic grad_x %s, grad_q %s)", pot.name, pot.analytic_grad_x,
                  pot.analytic_grad_q)
-    advance = _make_step(params)
+    advance, monitor = _make_step(params), _make_h(params)[2]
     step = 0
     try:
         while True:
-            row = _monitor_row(z, params)
+            row = monitor(z)
             if not all(map(math.isfinite, row)):
                 raise IntegrationAborted(step, f"non-finite energy or momentum at step {step}")
             yield step, z, row
@@ -458,28 +449,29 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
                       monitors[:, 3:6], h=h, n_steps=n_steps)
 
 
-def _builtin(name: str, value: Callable, grad_x: str, grad_q: str, **constants) -> PotentialSpec:
-    """A potential whose gradients are expressions in x0..x2, q0..q3 and ``constants``: compiled
-    here into its gradient callables, and written into the step in place of their calls."""
+def _builtin(name: str, value: str, grad_x: str, grad_q: str, **constants) -> PotentialSpec:
+    """A potential whose value and gradients are expressions in x0..x2, q0..q3 and ``constants``:
+    compiled here into its three callables, and written into the templates in place of their
+    calls."""
     def compiled(expr: str, fn: str) -> Callable:
         return _compile(f"def {fn}(x, q4):\n    x0, x1, x2 = x\n    q0, q1, q2, q3 = q4\n"
                         f"    return {expr}", dict(constants), fn)
 
-    spec = PotentialSpec(name, value, compiled(grad_x, "grad_x"), compiled(grad_q, "grad_q"))
-    spec._source = (grad_x, grad_q, constants)
+    fields = {"value": value, "grad_x": grad_x, "grad_q": grad_q}
+    spec = PotentialSpec(name, **{fn: compiled(expr, fn) for fn, expr in fields.items()})
+    spec._source = (fields, constants)
     return spec
 
 
 def free() -> PotentialSpec:
     """Zero potential; the body is a free top."""
-    return _builtin("free", lambda x, q4: 0.0, "0.0, 0.0, 0.0", "0.0, 0.0, 0.0, 0.0")
+    return _builtin("free", "0.0", "0.0, 0.0, 0.0", "0.0, 0.0, 0.0, 0.0")
 
 
 def linear_gravity(mass: float, g: float) -> PotentialSpec:
     """Uniform gravity on the center of mass: V = m g x3."""
     mg = float(mass) * float(g)
-    return _builtin("linear_gravity", lambda x, q4: mg * x[2],
-                    "0.0, 0.0, mg", "0.0, 0.0, 0.0, 0.0", mg=mg)
+    return _builtin("linear_gravity", "mg * x2", "0.0, 0.0, mg", "0.0, 0.0, 0.0, 0.0", mg=mg)
 
 
 def heavy_top(mass: float, g: float, length: float) -> PotentialSpec:
@@ -491,9 +483,8 @@ def heavy_top(mass: float, g: float, length: float) -> PotentialSpec:
     if length < 0.0:
         raise DomainError("pivot arm length must be >= 0")
     mgl = float(mass) * float(g) * float(length)
-    return _builtin("heavy_top",
-                    lambda x, q4: mgl * (q4[0] ** 2 - q4[1] ** 2 - q4[2] ** 2 + q4[3] ** 2),
-                    "0.0, 0.0, 0.0", "c * q0, c * -q1, c * -q2, c * q3", c=2.0 * mgl)
+    return _builtin("heavy_top", "mgl * (q0 ** 2 - q1 ** 2 - q2 ** 2 + q3 ** 2)", "0.0, 0.0, 0.0",
+                    "c * q0, c * -q1, c * -q2, c * q3", mgl=mgl, c=2.0 * mgl)
 
 
 def harmonic(k: float) -> PotentialSpec:
@@ -503,8 +494,8 @@ def harmonic(k: float) -> PotentialSpec:
     k = float(k)
     # np.dot, not x0*x0 + x1*x1 + x2*x2: the two differ in the last bit for
     # about a fifth of all x, and recorded energies are pinned bit for bit.
-    return _builtin("harmonic", lambda x, q4: 0.5 * k * float(np.dot(x, x)),
-                    "k * x0, k * x1, k * x2", "0.0, 0.0, 0.0, 0.0", k=k)
+    return _builtin("harmonic", "0.5 * k * float(dot((x0, x1, x2), (x0, x1, x2)))",
+                    "k * x0, k * x1, k * x2", "0.0, 0.0, 0.0, 0.0", k=k, dot=np.dot)
 
 
 BUILTIN_POTENTIALS = ("free", "linear_gravity", "heavy_top", "harmonic")

@@ -30,8 +30,9 @@ The two rotational tables are one formula with a chart sign s (+1 mixed,
 {mom_i, mom_j} = -2 s eps_ijk mom_k.  In both charts the translational block
 is canonical, {x_i, p_j} = delta_ij, and decouples from the rotational block.
 Every tensor is affine in the coordinates, J(z) = J0 + dJ z with constant
-J0 and dJ, which lets :func:`jacobi_residual` use exact coordinate
-derivatives instead of finite differences.
+J0 and dJ, read off the field below at z = 0 and at the basis points, which
+lets :func:`jacobi_residual` use exact coordinate derivatives instead of
+finite differences.
 
 In quaternion algebra, with g^ = (0, g_mom) and mom^ = (0, mom), the field X = J grad is
 
@@ -125,33 +126,25 @@ class StructureTensor:
     chart: Chart
 
 
-_CHART_SIGN = {Chart.MIXED_M: 1.0, Chart.INERTIAL_MU: -1.0}
-
-
 @functools.lru_cache(maxsize=None)
 def _table(chart: Chart, corrupt: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(J0, dJ) with J(z) = J0 + dJ @ z: the one source of every tensor.
+    """(J0, dJ) with J(z) = J0 + dJ @ z: the one source of every tensor, read off
+    :func:`_j_grad` on the 13 basis gradients at z = 0 and at each basis point.
 
-    Both charts share one table up to the sign s; every entry is a small
-    integer, so J0 + dJ @ z is exact.  ``corrupt`` flips the sign of the
-    {mom_1, q0} entry (keeping antisymmetry) and exists only as a negative
-    control for the Jacobi verifier.
+    J is affine and every entry is a small integer, so both reads, and
+    J0 + dJ @ z, are exact.  ``corrupt`` flips the sign of the {mom_1, q0}
+    entry (keeping antisymmetry) and exists only as a negative control for
+    the Jacobi verifier.
     """
-    if chart not in _CHART_SIGN:
+    if not isinstance(chart, Chart):
         raise ChartError(f"unknown chart tag {chart!r}")
-    s = _CHART_SIGN[chart]
-    mom, q, qv = slice(_MOM0, N_COORDS), _Q0, slice(_Q0 + 1, _MOM0)
-    J0 = np.zeros((N_COORDS, N_COORDS))
-    J0[0:3, 3:6] = np.eye(3)                     # {x_i, p_j} = delta_ij
-    dJ = np.zeros((N_COORDS, N_COORDS, N_COORDS))
-    dJ[mom, q, qv] = np.eye(3)                   # {mom_i, q0} = q_i
-    dJ[mom, qv, q] = -np.eye(3)                  # {mom_i, q_j} = -q0 delta_ij ...
-    dJ[mom, qv, qv] = -s * LEVI                  # ... - s eps_ijk q_k
+    eye = np.eye(N_COORDS)
+    points = np.hstack([np.zeros((N_COORDS, 1)), eye])[:, :, None]  # z = 0, e_0, ..., e_12
+    grads = eye[:, None].repeat(N_COORDS + 1, axis=1)  # e_K at each point
+    J = np.array(_j_grad(points, chart, None, grads))  # J[I, point, K] = J_IK there
+    J0, dJ = map(np.ascontiguousarray, (J[:, 0], np.moveaxis(J[:, 1:] - J[:, :1], 1, -1)))
     if corrupt:
-        dJ[_MOM0, _Q0, _Q0 + 1] = -1.0
-    J0 = J0 - J0.T
-    dJ = dJ - dJ.transpose(1, 0, 2)
-    dJ[mom, mom, mom] = -2.0 * s * LEVI          # antisymmetric in (i, j) already
+        dJ[[_MOM0, _Q0], [_Q0, _MOM0], _Q0 + 1] *= -1.0
     J0.flags.writeable = dJ.flags.writeable = False
     return J0, dJ
 

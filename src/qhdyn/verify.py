@@ -425,7 +425,7 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
     """Algebraic equations of motion against the bracket engine J grad(H)."""
     out = []
     for params in _oracle_params():
-        rhs, grad_h = dynamics._make_rhs(params), dynamics._make_grad_h(params)
+        rhs, grad_h = dynamics._make_rhs(params), dynamics._make_h(params)[1]
         worst = 0.0
         for _, z in _blocks(rng, np.zeros(n, bool)):
             field = _j_grad(z, Chart.MIXED_M, None, grad_h(list(z)))

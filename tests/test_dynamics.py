@@ -117,6 +117,20 @@ def test_hamiltonian_additivity():
     assert hamiltonian_eval(state, params) == pytest.approx(expect, rel=1e-15)
 
 
+def test_user_potential_energy_is_one_python_float():
+    # a value returning a numpy scalar gives the same Python float through every energy path
+    pot = PotentialSpec("float64", lambda x, q4: np.float64(0.3) * x[0] + np.float64(q4[1]) ** 3,
+                        lambda x, q4: (0.3, 0.0, 0.0), lambda x, q4: (0.0, 3 * q4[1] ** 2, 0.0, 0.0))
+    params = BodyParams(1.5, INERTIA, pot)
+    state = mixed_state(x=(0.7, -0.2, 0.1), p=(0.3, 0.1, -0.4),
+                        q=axis_angle_to_quat([1.0, 2.0, 0.5], 0.9), M=(0.2, -1.1, 0.6))
+    h = hamiltonian_eval(state, params)
+    e = conserved_quantities(state, params).energy
+    e0 = integrate(state, params, 1e-3, 2).energy[0]
+    assert type(h) is float and type(e) is float
+    assert h.hex() == e.hex() == float(e0).hex()
+
+
 @pytest.mark.parametrize("pot", [free(), linear_gravity(1.0, 9.81),
                                  heavy_top(1.0, 9.81, 1.0), harmonic(2.0)])
 def test_potential_gradients_match_fd(pot):

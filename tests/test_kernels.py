@@ -43,7 +43,7 @@ from qhdyn import (  # noqa: E402
     symplectic_form_eval,
     verify,
 )
-from qhdyn.dynamics import _make_grad_h, _make_rhs, _make_step  # noqa: E402
+from qhdyn.dynamics import _make_h, _make_rhs, _make_step  # noqa: E402
 from qhdyn.poisson import N_COORDS  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
@@ -155,11 +155,11 @@ def test_phase_point_kernels_match_scalar_api(cols):
     cov = poisson._covariance_residuals(z, b)
     oracle = []
     for params in verify._oracle_params():
-        field = _columns(poisson._j_grad(z, Chart.MIXED_M, None, _make_grad_h(params)(list(z))))
+        field = _columns(poisson._j_grad(z, Chart.MIXED_M, None, _make_h(params)[1](list(z))))
         rhs = _columns(_make_rhs(params)(list(z)))
         oracle.append((params, hamiltonian_variable(params), field, rhs))
     # {H_a, H_b} of cyclically consecutive oracle Hamiltonians, unbound to a chart
-    grads = [_make_grad_h(params) for params in verify._oracle_params()]
+    grads = [_make_h(params)[1] for params in verify._oracle_params()]
     pairs = list(zip(grads, grads[1:] + grads[:1]))
     brackets = {chart: [poisson._j_grad(z, chart, ga(list(z)), gb(list(z))) for ga, gb in pairs]
                 for chart in Chart}
@@ -378,6 +378,25 @@ def _reference_grads(name, mass, g, length, k):
     }[name]
 
 
+def _reference_value(name, mass, g, length, k):
+    """The value of the built-in ``name`` made with these arguments, on float tuples."""
+    mg = float(mass) * float(g)
+    mgl = float(mass) * float(g) * float(length)
+    return {
+        "free": lambda x, q4: 0.0,
+        "linear_gravity": lambda x, q4: mg * x[2],
+        "heavy_top": lambda x, q4: mgl * (q4[0] ** 2 - q4[1] ** 2 - q4[2] ** 2 + q4[3] ** 2),
+        "harmonic": lambda x, q4: 0.5 * float(k) * float(np.dot(x, x)),
+    }[name]
+
+
+def _reference_energy(z, params, value):
+    """H = p^2/(2m) + T_spin(M) + V at 13 floats, ``value`` the potential."""
+    ke = (z[3] ** 2 + z[4] ** 2 + z[5] ** 2) / (2.0 * params.mass)
+    return ke + dynamics.spin_kinetic(z[10:13], params.inertia) + float(
+        value(tuple(z[0:3]), tuple(z[6:10])))
+
+
 def _builtins(mass, g, length, k):
     return [dynamics.free(), dynamics.linear_gravity(mass, g),
             dynamics.heavy_top(mass, g, length), dynamics.harmonic(k)]
@@ -444,35 +463,59 @@ def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, 
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(phase_point, min_size=1, max_size=8), constant, constant, constant, constant)
+@example([(0.29659562689614205, -0.717529866212888, 0.9194748517260067,
+           0.3624182010806754, 1.1750275636470653, 0.5, -0.7376382314623879,
+           -0.2250050531147162, 0.5948351326036513, 0.226790058376202, 0.2, 0.3, 5.0)],
+         1.0, 1.0, 1.0, 1.0).via("** and np.dot round differently from products here")
 def test_builtin_gradients_are_the_reference_bit_for_bit(cols, mass, g, length, k):
     z = np.array(cols).T
     for pot in _builtins(mass, g, length, k):
         ref_x, ref_q = _reference_grads(pot.name, mass, g, length, k)
+        ref_v = _reference_value(pot.name, mass, g, length, k)
+        params = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
+        energy = _make_h(params)[0]
         for col in cols:
             x, q4 = tuple(col[0:3]), tuple(col[6:10])
             assert _bits(pot.gradient_x(x, q4)) == _bits(ref_x(x, q4))
             assert _bits(pot.gradient_q(x, q4)) == _bits(ref_q(x, q4))
+            assert _bits(pot.value(x, q4)) == _bits(ref_v(x, q4))
+            assert _bits(energy(list(col))) == _bits(_reference_energy(list(col), params, ref_v))
         x, q4 = z[0:3], z[6:10]  # columns
         assert _bits(_columns(pot._grad_x(x, q4))) == _bits(_columns(ref_x(x, q4)))
         assert _bits(_columns(pot._grad_q(x, q4))) == _bits(_columns(ref_q(x, q4)))
 
 
+def _compiled(params):
+    """Every function compiled from the templates for ``params``."""
+    return (_make_rhs(params), _make_step(params), *_make_h(params))
+
+
 def test_step_source_holds_no_number():
-    # two heavy tops of different mass and g compile to the same code: every
-    # number is a global of the compiled function, none is in its source
-    inertia = STEP_PARAMS[0].inertia
-    a, b = (_make_step(dynamics.BodyParams(m, inertia, dynamics.heavy_top(m, g, 1.0)))
+    # two bodies of different mass and inertia, with heavy tops of different mass and g,
+    # compile to the same code, and so does each built-in's value at different constants:
+    # every number is a global of the compiled function, none is in its source
+    a, b = (dynamics.BodyParams(m, dynamics.InertiaTensor(m, 2.0, 3.0),
+                                dynamics.heavy_top(m, g, 1.0))
             for m, g in ((1.0, 9.81), (2.5, 1.62)))
-    assert a is not b and a.__code__.co_code == b.__code__.co_code
-    assert a.__code__ == b.__code__  # constants and names too
-    assert a.__globals__["c"] != b.__globals__["c"]
-    assert a.__code__.co_filename == "<qhdyn.dynamics step>"
+    for fa, fb, name in zip(_compiled(a), _compiled(b), ("rhs", "step", "energy", "grad_h", "row")):
+        assert fa is not fb and fa.__code__.co_code == fb.__code__.co_code
+        assert fa.__code__ == fb.__code__  # constants and names too
+        assert fa.__code__.co_filename == f"<qhdyn.dynamics {name}>"
+    assert a.potential.value.__code__ == b.potential.value.__code__
+    assert _make_step(a).__globals__["c"] != _make_step(b).__globals__["c"]
+    assert _make_h(a)[0].__globals__["two_m"] != _make_h(b)[0].__globals__["two_m"]
+    for pa, pb in zip(_builtins(1.0, 9.81, 1.0, 1.0), _builtins(2.5, 1.62, 0.5, 3.0)):
+        assert pa.value is not pb.value and pa.value.__code__ == pb.value.__code__
 
 
 def test_step_locals_shadow_no_global():
     for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
                                    for pot in USER)]:
-        for fn in (_make_rhs(params), _make_step(params)):
+        for fn in _compiled(params):
+            assert set(fn.__code__.co_varnames).isdisjoint(fn.__globals__)
+    for params in STEP_PARAMS:  # the built-ins' own value and gradients
+        pot = params.potential
+        for fn in (pot.value, pot._grad_x, pot._grad_q):
             assert set(fn.__code__.co_varnames).isdisjoint(fn.__globals__)
 
 
@@ -482,12 +525,30 @@ def test_compiled_functions_are_cached_and_bounded():
     # an equal BodyParams (same potential object) shares the compiled step
     assert _make_step(dynamics.BodyParams(p.mass, p.inertia, p.potential)) is _make_step(p)
     assert dynamics._code.cache_info().maxsize is not None
-    for make in (_make_rhs, _make_step):
+    for make in (_make_rhs, _make_step, _make_h):
         bound = make.cache_info().maxsize
         assert bound is not None
         for _ in range(bound + 3):
             make(dynamics.BodyParams(1.0, p.inertia, dynamics.free()))
         assert make.cache_info().currsize == bound
+
+
+def test_compile_cache_holds_every_source_of_a_run():
+    # all seven verify suites, then every built-in under every renorm policy through the
+    # public calls: the code cache evicts nothing, so no call recompiles shared code
+    for cache in (dynamics._code, _make_rhs, _make_step, _make_h, verify._oracle_params):
+        cache.cache_clear()
+    for name in verify.SUITES:
+        verify.run_suite(name, n_points=4)
+    pt = verify.random_phase_point(np.random.default_rng(0), Chart.MIXED_M)
+    for pot in _builtins(1.0, 9.81, 1.0, 1.0):
+        params = dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
+        for policy in ("none", "every_step", "threshold"):
+            dynamics.integrate(pt, params, 1e-3, 3, dynamics.RenormPolicy(policy))
+        dynamics.hamiltonian_eval(pt, params)
+        dynamics.conserved_quantities(pt, params)
+    info = dynamics._code.cache_info()
+    assert info.currsize == info.misses <= info.maxsize
 
 
 def test_public_calls_build_once(monkeypatch):

@@ -332,6 +332,15 @@ def test_jacobi_exact_on_affine_basis():
         assert worst_cyclic(chart, True) > 0.1
 
 
+@pytest.mark.parametrize("chart", list(Chart))
+def test_negative_control_flips_one_entry_and_its_partner(chart):
+    # {mom_1, q0} = q1 becomes -q1, and {q0, mom_1} with it: dJ[10, 6, 7] and dJ[6, 10, 7]
+    good, bad = structure_jacobian(chart), structure_jacobian(chart, True)
+    assert [tuple(i) for i in np.argwhere(good != bad)] == [(6, 10, 7), (10, 6, 7)]
+    assert bad[10, 6, 7] == -good[10, 6, 7] == -1.0
+    assert bad[6, 10, 7] == -good[6, 10, 7] == 1.0
+
+
 # mom as a function of canonical (q, P) on T*R^4: M = Im(q^dag P), mu = Im(P q^dag)
 CANONICAL_MOMENTA = {Chart.MIXED_M: lambda q, P: _mul(_conj(q), P)[1:],
                      Chart.INERTIAL_MU: lambda q, P: _mul(P, _conj(q))[1:]}
