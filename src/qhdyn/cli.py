@@ -58,9 +58,8 @@ _PACK_ROW = struct.Struct("19d").pack
 
 def _setup_logging() -> None:
     level = os.environ.get("QH_LOG", "info").strip().lower()
-    chosen = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(level)
-    if chosen is None:
-        chosen = logging.INFO
+    chosen = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
+        level, logging.INFO)
     logging.basicConfig(level=chosen, format="%(levelname)s %(message)s")
 
 
@@ -149,10 +148,8 @@ def _build_potential(node: dict, path: str, body_mass: float) -> dynamics.Potent
 
 def _build_renorm(node: dict, path: str) -> RenormPolicy:
     mode = node.get("renorm_policy", "threshold")
-    if mode == "none":
-        return RenormPolicy.none()
-    if mode == "every_step":
-        return RenormPolicy.every_step()
+    if mode in ("none", "every_step"):
+        return RenormPolicy(mode)
     if mode == "threshold":
         eps = _as_number(node.get("renorm_eps", 1e-9), f"{path}.renorm_eps", positive=True)
         return RenormPolicy.threshold(eps)

@@ -79,7 +79,9 @@ class PotentialSpec:
     sequences: ``x`` the position 3-vector and ``q4`` the quaternion, scalar
     first, each a tuple of Python floats.  The gradients may return any
     sequence of numbers.  Analytic gradients are optional; missing ones fall
-    back to central finite differences of ``value``.
+    back to central finite differences of ``value``.  A sample window that fails
+    is stepped again from its start, calling the potential again at the same
+    states: the reported abort step assumes the same result for the same input.
     """
 
     __slots__ = ("name", "value", "analytic_grad_x", "analytic_grad_q", "_grad_x", "_grad_q",
@@ -226,11 +228,8 @@ def hamiltonian_eval(state: PhasePoint, params: BodyParams) -> float:
 
 
 def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
-    """The Hamiltonian as a DynamicVariable on the mixed chart.
-
-    The gradient is assembled analytically from the potential gradients
-    (which themselves may fall back to finite differences).
-    """
+    """The Hamiltonian as a DynamicVariable on the mixed chart; its gradient is assembled
+    analytically from the potential gradients (which may fall back to finite differences)."""
     energy, grad_h, _ = _make_h(params)
     return DynamicVariable(lambda z: energy(z.tolist()),
                            lambda z: np.array(grad_h(z.tolist()), dtype=float),
@@ -255,7 +254,7 @@ _DZ = (
     "-(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3))",
     "-(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1))",
 )
-# H = p^2/(2m) + T_spin(M) + V(x, q); ** (C pow): see _apply_renorm
+# H = p^2/(2m) + T_spin(M) + V(x, q); ** (C pow): see the renorm lines of _make_step
 _H = "(p0 ** 2 + p1 ** 2 + p2 ** 2) / two_m + _spin(m1, m2, m3, inertia) + {value}"
 # grad(H), its momentum block M_i / (4 I_i) = Omega_i / 2
 _GRAD_H = ("gx0", "gx1", "gx2", "p0 / mass", "p1 / mass", "p2 / mass", "g0", "g1", "g2", "g3",
@@ -311,19 +310,28 @@ def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
 
 
 @functools.lru_cache(maxsize=8)
-def _make_step(params: BodyParams) -> Callable[[Sequence, float], list]:
-    """One RK4 step ``step(z, h)`` over 13 floats or 13 equal-shape columns:
-    _EOM written out at each stage, with the operations and order of the array
-    form z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over :func:`_make_rhs`, so bit for
-    bit that step, but with no rhs call, no stage list and, for a built-in
-    potential, no gradient call."""
-    src = [f"{', '.join(f'z{i}' for i in range(13))} = z", "half = 0.5 * h"]
+def _make_step(params: BodyParams) -> Callable[..., list]:
+    """The sample window ``step(z, h, steps=1, mode="none", eps=0.0)`` on 13 floats (13 columns
+    with mode "none"): ``steps`` RK4 steps, each _EOM written out per stage, bit for bit the
+    array form z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over :func:`_make_rhs`, then the renorm policy
+    ``mode``; the 13 coordinates once, at the end.  A non-finite coordinate stays so (a step
+    adds to it, the renorm divides q by a norm >= each |q_i| or NaN), so a finite end means
+    every step was finite: :func:`_samples` checks the end and replays a failing window."""
+    z = ", ".join(f"z{i}" for i in range(13))
+    body = []
     for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None)):
-        src += [*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ))]
-        if to_next:
-            src += [f"{v} = z{i} + {to_next} * k{s}_{i}" for i, v in enumerate(_STATE)]
-    return _define(params, "step", "z, h", [*src, "sixth = h / 6.0"], "[" + ", ".join(
-        f"z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})" for i in range(13)) + "]")
+        body += [*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ))]
+        body += [f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
+                 f"z{i} = {v} = z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+                 for i, v in enumerate(_STATE)]
+    # the renorm; x ** 2 (C pow) rather than x * x: it rounds differently in the last bit for
+    # some x, and the recorded trajectories are pinned bit for bit
+    body += ['if mode != "none":', "    norm = sqrt(z6 ** 2 + z7 ** 2 + z8 ** 2 + z9 ** 2)",
+             '    if mode == "every_step" or abs(norm - 1.0) > eps:',
+             *(f"        z{i} = {v} = z{i} / norm" for i, v in enumerate(_STATE[6:10], 6))]
+    return _define(params, "step", 'z, h, steps=1, mode="none", eps=0.0', [
+        f"{z} = z", "half = 0.5 * h", "sixth = h / 6.0", "for _ in range(steps):",
+        *(f"    {line}" for line in body)], f"[{z}]")
 
 
 @functools.lru_cache(maxsize=8)
@@ -362,19 +370,6 @@ def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
     return PhasePoint.from_coords(_make_step(params)(z, h), Chart.MIXED_M)
 
 
-def _apply_renorm(z: list[float], policy: RenormPolicy) -> None:
-    if policy.mode == "none":
-        return
-    # x ** 2 (C pow) rather than x * x: it rounds differently in the last
-    # bit for some x, and the recorded trajectories are pinned bit for bit.
-    n = math.sqrt(z[6] ** 2 + z[7] ** 2 + z[8] ** 2 + z[9] ** 2)
-    if policy.mode == "every_step" or abs(n - 1.0) > policy.eps:
-        z[6] /= n
-        z[7] /= n
-        z[8] /= n
-        z[9] /= n
-
-
 def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord:
     """Energy, |q|, |M| and the spatial momentum pi = vec(q M q^-1) / 2."""
     z = _point_coords(state, Chart.MIXED_M, "conserved_quantities", None)
@@ -386,7 +381,10 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
              renorm_policy: RenormPolicy, sample_stride: int):
     """The RK4 step loop: yields ``(step, z, row)`` at step 0, every
     ``sample_stride`` steps and the last step, ``z`` the 13 coordinates and
-    ``row`` the monitor row of :func:`_make_h`.  Checks its arguments on the first draw."""
+    ``row`` the monitor row of :func:`_make_h`.  Checks its arguments on the first draw.
+    One compiled window call and one finiteness check per stride (see :func:`_make_step`); a
+    window that ends non-finite or raises is replayed one checked step at a time, which names
+    the first failing step if the potential gives the same result for the same state."""
     if not h > 0.0:  # NaN too
         raise DomainError(f"step size h must be positive, got {h!r}")
     if n_steps < 1:
@@ -399,7 +397,8 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         log.info("potential %r steps on finite-difference gradients, several times slower "
                  "(analytic grad_x %s, grad_q %s)", pot.name, pot.analytic_grad_x,
                  pot.analytic_grad_q)
-    advance, monitor = _make_step(params), _make_h(params)[2]
+    window, monitor = _make_step(params), _make_h(params)[2]
+    mode, eps = renorm_policy.mode, renorm_policy.eps
     step = 0
     try:
         while True:
@@ -409,11 +408,18 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
             yield step, z, row
             if step == n_steps:
                 return
-            for step in range(step + 1, min(step + sample_stride, n_steps) + 1):
-                z = advance(z, h)
+            k = min(sample_stride, n_steps - step)
+            try:
+                end = window(z, h, k, mode, eps)
+                if all(map(math.isfinite, end)):
+                    z, step = end, step + k
+                    continue
+            except Exception:
+                pass  # the replay raises it again, at its step
+            for step in range(step + 1, step + k + 1):
+                z = window(z, h, 1, mode, eps)
                 if not all(map(math.isfinite, z)):
                     raise IntegrationAborted(step)
-                _apply_renorm(z, renorm_policy)
     except OverflowError:
         # float ** and math functions raise where array arithmetic gave inf
         raise IntegrationAborted(step, f"floating-point overflow at step {step}") from None
@@ -438,13 +444,9 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
     samples = _samples(state0, params, h, n_steps, renorm_policy, sample_stride)
     first = next(samples)  # checks the arguments before the buffers are sized
     k = 1 + -(-n_steps // sample_stride)  # step 0, each stride, and the last step
-    times = np.empty(k)
-    states = np.empty((k, 13))
-    monitors = np.empty((k, 6))
+    times, states, monitors = np.empty(k), np.empty((k, 13)), np.empty((k, 6))
     for i, (step, z, row) in enumerate(itertools.chain([first], samples)):
-        times[i] = step * h
-        states[i] = z
-        monitors[i] = row
+        times[i], states[i], monitors[i] = step * h, z, row
     return Trajectory(times, states, monitors[:, 0], monitors[:, 1], monitors[:, 2],
                       monitors[:, 3:6], h=h, n_steps=n_steps)
 
