@@ -21,6 +21,7 @@ from qhdyn import (
     angular_velocity,
     axis_angle_to_quat,
     conserved_quantities,
+    dynamics,
     eom_rhs,
     free,
     hamiltonian_eval,
@@ -279,13 +280,41 @@ def test_symmetric_top_precession():
     assert worst <= 1e-9
 
 
-def test_integration_abort_reports_step():
-    params = BodyParams(1.0, INERTIA, harmonic(1.0))
-    state = mixed_state(x=(1, 0, 0), M=(1, 2, 3))
+def _finite_x_only(x, q4):
+    """grad_x of V = 1e308 x1, which rejects a non-finite x as a user potential may."""
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"non-finite position {x}")
+    return (1e308, 0.0, 0.0)
+
+
+# potential, initial state, h, the step at which the per-step loop (each state checked)
+# found a non-finite state, and the (stride, policy) runs that it stopped otherwise; the
+# one-guard windows must report the same step and message
+ABORTS = {
+    "harmonic": (harmonic(1.0), dict(x=(1, 0, 0), M=(1, 2, 3)), 1e280, 1, {}),
+    # step 1 is non-finite only at its end; a step 2 would pass a non-finite x to grad_x
+    "raises_on_nonfinite_x": (PotentialSpec("finite_x_only", lambda x, q4: 1e308 * x[0],
+                                            _finite_x_only, lambda x, q4: (0.0,) * 4),
+                              dict(M=(1, 2, 3)), 1.0, 1, {}),
+    # the state at step 1 is finite and its monitor row is not, unless a renorm shrinks q;
+    # only stride 1 records that row, and step 2 is non-finite
+    "free_fast": (free(), dict(p=(1e150, 0, 0), M=(1, 2, 3)), 1e10, 2,
+                  {(1, "none"): (1, "non-finite energy or momentum at step 1")}),
+}
+
+
+@pytest.mark.parametrize("case", ABORTS)
+@pytest.mark.parametrize("stride", [1, 3, 10])
+@pytest.mark.parametrize("policy", ["none", "every_step", "threshold"])
+def test_integration_abort_reports_step(case, stride, policy):
+    pot, state, h, step, other = ABORTS[case]
+    step, message = other.get((stride, policy),
+                              (step, f"non-finite state encountered at step {step}"))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationAborted) as err:
-            integrate(state, params, 1e280, 10)
-    assert err.value.step >= 1
+            integrate(mixed_state(**state), BodyParams(1.0, INERTIA, pot), h, 10,
+                      RenormPolicy(policy), stride)
+    assert (err.value.step, str(err.value)) == (step, message)
 
 
 def test_integration_overflow_aborts():
@@ -393,9 +422,32 @@ def test_integrate_checks_arguments_before_sizing_buffers(h, n_steps, stride):
                   sample_stride=stride)
 
 
-def test_sampling_stride():
+def test_sampling_stride(monkeypatch):
+    # each stride is one call of the compiled window; a one-step call only replays a window
+    # that failed
+    calls = []
+    make_step = dynamics._make_step
+
+    def counted(params):
+        window = make_step(params)
+
+        def step(z, h, *args):
+            calls.append(args[0])
+            return window(z, h, *args)
+        return step
+
+    monkeypatch.setattr(dynamics, "_make_step", counted)
     params = BodyParams(1.0, INERTIA, free())
+    integrate(mixed_state(M=(1, 2, 3)), params, 1e-3, 10_000, sample_stride=10)
+    assert calls == [10] * 1000
+    calls.clear()
+    with pytest.raises(IntegrationAborted):  # steps 1 and 2 replayed, step 2 fails
+        integrate(mixed_state(p=(1e150, 0, 0), M=(1, 2, 3)), params, 1e10, 100,
+                  sample_stride=10)
+    assert calls == [10, 1, 1]
+    calls.clear()
     traj = integrate(mixed_state(M=(1, 2, 3)), params, 1e-3, 105, sample_stride=10)
+    assert calls == [10] * 10 + [5]
     # samples at 0, 10, ..., 100 and the final step 105
     assert len(traj) == 12
     assert traj.times[-1] == pytest.approx(0.105)

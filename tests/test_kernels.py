@@ -6,6 +6,7 @@ functions) and on array components (the verify suites).  Every column of a
 batched result must equal the public function on that column, bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +80,22 @@ units = st.one_of(nonzero, nearly_pure, st.sampled_from(list(map(tuple, SPECIAL)
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+def _state_bits(x) -> bytes:
+    """The bits of a state with each NaN as numpy's NaN: a run stops at a non-finite state,
+    so the sign of a NaN is no output, and the compiled step and the written-out reference
+    rhs may give it differently."""
+    a = np.asarray(x, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _outcome(run):
+    """``_state_bits`` of ``run()``, or OverflowError if it raised that (``**`` on a huge q)."""
+    try:
+        return _state_bits(run())
+    except OverflowError:
+        return OverflowError
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -324,6 +341,38 @@ def _reference_rk4(z, h, rhs):
             for a, b1, b2, b3, b4 in zip(z, k1, k2, k3, k4)]
 
 
+# The renorm policy as it was applied after each step before it was compiled into the
+# window, with its ** (C pow); returns whether it divided.
+def _reference_renorm(z, mode, eps):
+    if mode == "none":
+        return False
+    n = math.sqrt(z[6] ** 2 + z[7] ** 2 + z[8] ** 2 + z[9] ** 2)
+    if mode == "every_step" or abs(n - 1.0) > eps:
+        z[6] /= n
+        z[7] /= n
+        z[8] /= n
+        z[9] /= n
+        return True
+    return False
+
+
+def _reference_window(z, h, steps, mode, eps, rhs, divided=None):
+    """``steps`` reference RK4 steps, each followed by the reference renorm."""
+    for _ in range(steps):
+        z = _reference_rk4(z, h, rhs)
+        taken = _reference_renorm(z, mode, eps)
+        if divided is not None:
+            divided.append(taken)
+    return z
+
+
+# every renorm policy; 1e-14 is small enough that the threshold both divides and does not
+# within one window (see test_small_threshold_takes_both_branches)
+POLICIES = [("none", 0.0), ("every_step", 0.0), ("threshold", 1e-9), ("threshold", 1e-14)]
+WINDOW_POINT = (0.5, -0.3, 0.2, 0.1, 0.4, -0.2, 0.9210609940028851, 0.3894183423086505, 0.0, 0.0,
+                0.2, 0.3, 5.0)
+
+
 # The rhs and the built-ins' gradients as they were written by hand before
 # both were compiled from the equations-of-motion template: the specification
 # of the compiled rhs, of the fused step and of the built-ins' gradients.
@@ -444,8 +493,11 @@ def test_rk4_is_the_loop_form_bit_for_bit(cols, h):
 @settings(max_examples=40, deadline=None, database=None)
 @given(st.lists(phase_point, min_size=1, max_size=8), st.floats(1e-4, 1e-1), positive, positive,
        st.floats(0.1, 20.0), constant, constant, constant)
+@example([WINDOW_POINT], 0.003, 1.0, 1.0, 1.0, 9.81, 1.0, 1.0).via("threshold takes both branches")
 def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, pot_mass, g,
                                                             length, k):
+    # the rhs, the window of 1, 2 and 7 steps under every renorm policy on floats, and its
+    # default (one step, no renorm) also on columns
     z = np.array(cols).T
     inertia = dynamics.InertiaTensor(i1, 2.0, 3.0)
     builtins = [(pot, _reference_grads(pot.name, pot_mass, g, length, k))
@@ -459,6 +511,21 @@ def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, 
             assert _bits(_columns(rhs(list(w)))) == _bits(_columns(ref(list(w))))
             expect = _reference_rk4(list(w), h, ref)
             assert _bits(_columns(step(list(w), h))) == _bits(_columns(expect))
+        with np.errstate(over="ignore", invalid="ignore"):  # windows that diverge
+            for w, steps, (mode, eps) in itertools.product(cols, (1, 2, 7), POLICIES):
+                assert _outcome(lambda: step(list(w), h, steps, mode, eps)) == _outcome(
+                    lambda: _reference_window(list(w), h, steps, mode, eps, ref))
+            for steps in (2, 7) if columns else ():
+                expect = _reference_window(list(z), h, steps, "none", 0.0, ref)
+                assert _state_bits(_columns(step(list(z), h, steps))) == _state_bits(
+                    _columns(expect))
+
+
+def test_small_threshold_takes_both_branches():
+    divided = []
+    _reference_window(list(WINDOW_POINT), 0.003, 7, *POLICIES[3], _make_rhs(STEP_PARAMS[2]),
+                      divided)
+    assert True in divided and False in divided
 
 
 @settings(max_examples=60, deadline=None, database=None)
