@@ -262,19 +262,23 @@ def _csv_rows(fh):
     On two or more usable CPUs a forked writer formats the rows alongside
     stepping: ``put`` packs each row's doubles and sends ROWS_PER_BATCH rows
     at a time down a pipe, the writer's OSError comes back as the same OSError,
-    and an exception in the block kills the writer.  Otherwise, and on one CPU
-    where the writer only adds its cost, ``put`` formats in this process."""
+    and an exception in the block kills the writer.  Otherwise, or when the
+    pipe or the fork fails, ``put`` formats in this process.  On one CPU the
+    writer measured no faster (medians, pinned to one CPU of a 2-CPU host):
+    0.060-0.064 s in-process against 0.0645-0.067 s with the writer on the
+    README heavy top, and 0.19-0.20 s both ways on dense output."""
     fh.flush()
     reason = ("no os.fork" if not hasattr(os, "fork")
               else "one usable CPU" if _usable_cpus() < 2 else None)
     if reason is None:
-        rfd, wfd = os.pipe()
+        fds = ()
         try:
+            rfd, wfd = fds = os.pipe()
             pid = os.fork()
         except OSError as exc:
-            os.close(rfd)
-            os.close(wfd)
-            reason = f"fork failed: {exc}"
+            for fd in fds:
+                os.close(fd)
+            reason = f"{'fork' if fds else 'pipe'} failed: {exc}"
     if reason:
         log.debug("CSV rows formatted in-process (%s)", reason)
         yield lambda values: fh.write(_format_rows(values))

@@ -2,7 +2,9 @@
 
 Each suite draws reproducible samples from a seeded generator and returns a
 list of :class:`CheckResult` rows, one per identity checked, holding the
-worst observed residual and the tolerance it must stay under.  Phase points
+worst observed residual and the tolerance it must stay under.  That residual
+is the largest over all the check's samples and blocks, folded by
+:func:`_most`, and a NaN anywhere makes it NaN, so the check FAILs.  Phase points
 are drawn with q uniform on the unit sphere (normalized 4-dim Gaussian) and
 positions/momenta componentwise uniform in [-2, 2]; a 10% share of points
 forces |q0| <= 1e-6 to probe the nearly-pure-quaternion regime.
@@ -182,8 +184,15 @@ def random_polynomial(rng: np.random.Generator, chart: Optional[Chart] = None,
 
 
 def _worst(x, y) -> float:
-    """Largest componentwise |x - y| over all samples (0.0 for no samples)."""
+    """Largest componentwise |x - y| over all samples (0.0 for no samples, NaN if any is NaN)."""
     return float(np.max(np.abs(np.subtract(x, y)), initial=0.0))
+
+
+def _most(values) -> float:
+    """The largest of ``values`` (0.0 for none), NaN if any is NaN: the one fold of
+    a check's residuals over its parts and blocks.  The builtin max would keep a
+    NaN only when it comes first."""
+    return float(np.max(list(values), initial=0.0))
 
 
 def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
@@ -198,7 +207,7 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out = [CheckResult("defining relations e_r e_s", _worst(prods, expect), 0.0, 9)]
 
     ab = _mul(a, b)
-    w_ident = max(_worst(_mul(e0, a), a), _worst(_mul(a, e0), a))
+    w_ident = _most((_worst(_mul(e0, a), a), _worst(_mul(a, e0), a)))
     w_assoc = _worst(_mul(a, _mul(b, c)), _mul(ab, c))
     w_conj = _worst(_conj(ab), _mul(_conj(b), _conj(a)))
     na = np.sqrt(_norm2(a))
@@ -211,8 +220,8 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     xy, yx = np.array(_mul((0.0, *x), (0.0, *y))), np.array(_mul((0.0, *y), (0.0, *x)))
     zero = np.zeros(n)
     dot = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-    w_pure = max(_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
-                 _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0))))
+    w_pure = _most((_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
+                    _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0)))))
 
     # R_b a as a running sum over j: every column has the bits of that sum on one
     # sample, for any n (an einsum's summation order depends on the shape)
@@ -259,7 +268,7 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     # rotate_vector: the vector part of q v q^dag
     rx, ry, rxy = (np.array(_mul(_mul(q, (0.0, *v)), _conj(q))[1:])
                    for v in (x, y, np.cross(x, y, axis=0)))
-    worst = max(_worst(_dot(rx, ry), _dot(x, y)), _worst(np.cross(rx, ry, axis=0), rxy))
+    worst = _most((_worst(_dot(rx, ry), _dot(x, y)), _worst(np.cross(rx, ry, axis=0), rxy)))
     out.append(CheckResult("rotation preserves dot and cross", worst, 1e-13, m))
     return out
 
@@ -284,10 +293,9 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
         r_h = so3.maurer_cartan_residual(path, t0, h)
         r_half = so3.maurer_cartan_residual(path, t0, 0.5 * h)
         residuals.append(r_h)
-        if r_half > 1e-13:
+        if not r_half <= 1e-13:  # a NaN ratio makes the median NaN
             ratios.append(r_h / r_half)
-    out = [CheckResult("derivative identity residual at h=1e-4",
-                       float(np.max(residuals)), 1e-7, n)]
+    out = [CheckResult("derivative identity residual at h=1e-4", _most(residuals), 1e-7, n)]
     med = float(np.median(ratios)) if ratios else 4.0
     out.append(CheckResult("halving-step convergence ratio - 4", abs(med - 4.0), 0.5, len(ratios)))
     return out
@@ -299,69 +307,61 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
 
 def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Structure-tensor tables against the quaternion-product forms."""
-    worst_anti = worst_mu = worst_m = worst_xp = 0.0
+    anti, mu, m, xp = [], [], [], []  # per-block residuals of the four tables
     # each sample draws an inertial point, then a mixed one
     for _, z in _blocks(rng, np.repeat(_small_q0_flags(rng, n), 2)):
         z_mu, z_m = z[:, 0::2], z[:, 1::2]
         J_mu = poisson._tensor_components(z_mu, Chart.INERTIAL_MU)
         J_m = poisson._tensor_components(z_m, Chart.MIXED_M)
-        worst_anti = max(worst_anti, _worst(J_mu, -np.swapaxes(J_mu, 1, 2)),
-                         _worst(J_m, -np.swapaxes(J_m, 1, 2)))
+        anti += _worst(J_mu, -np.swapaxes(J_mu, 1, 2)), _worst(J_m, -np.swapaxes(J_m, 1, 2))
         # {q_mu, mom_i} columns against the product forms e_i q and q e_i
         for k in range(3):
             e = Quaternion.basis(k + 1)
-            worst_mu = max(worst_mu, _worst(J_mu[:, 6:10, 10 + k].T, _mul(e, z_mu[6:10])))
-            worst_m = max(worst_m, _worst(J_m[:, 6:10, 10 + k].T, _mul(z_m[6:10], e)))
-        worst_xp = max(worst_xp, _worst(J_mu[:, 0:3, 3:6], np.eye(3)))
-    out = [CheckResult("antisymmetry J + J^T = 0", worst_anti, 0.0, n),
-           CheckResult("inertial chart: {q, mu_i} = e_i q", worst_mu, 1e-14, n),
-           CheckResult("mixed chart: {q, M_i} = q e_i", worst_m, 1e-14, n),
-           CheckResult("canonical block {x_i, p_j} = delta_ij", worst_xp, 0.0, n)]
+            mu.append(_worst(J_mu[:, 6:10, 10 + k].T, _mul(e, z_mu[6:10])))
+            m.append(_worst(J_m[:, 6:10, 10 + k].T, _mul(z_m[6:10], e)))
+        xp.append(_worst(J_mu[:, 0:3, 3:6], np.eye(3)))
+    out = [CheckResult("antisymmetry J + J^T = 0", _most(anti), 0.0, n),
+           CheckResult("inertial chart: {q, mu_i} = e_i q", _most(mu), 1e-14, n),
+           CheckResult("mixed chart: {q, M_i} = q e_i", _most(m), 1e-14, n),
+           CheckResult("canonical block {x_i, p_j} = delta_ij", _most(xp), 0.0, n)]
 
-    worst = 0.0
     nc = max(1, n // 10)
-    for z, (vF, gF), (vG, gG), (_, gH) in _with_polynomials(rng, nc, 3, range(6, 13)):
-        lhs = _j_grad(z, _MU, vF * gG + vG * gF, gH)  # grad(FG) = F grad(G) + G grad(F)
-        rhs = vF * _j_grad(z, _MU, gG, gH) + vG * _j_grad(z, _MU, gF, gH)
-        worst = max(worst, _worst(lhs, rhs))
+    # grad(FG) = F grad(G) + G grad(F)
+    worst = _most(_worst(_j_grad(z, _MU, vF * gG + vG * gF, gH),
+                         vF * _j_grad(z, _MU, gG, gH) + vG * _j_grad(z, _MU, gF, gH))
+                  for z, (vF, gF), (vG, gG), (_, gH) in _with_polynomials(rng, nc, 3, range(6, 13)))
     out.append(CheckResult("Leibniz rule {FG, H} = F{G,H} + G{F,H}", worst, 1e-10, nc))
 
-    worst = 0.0
     # an inertial point, then a mixed one; {|q|^2, z_I} for all 13 basis gradients at once
-    for _, z in _blocks(rng, np.zeros(2 * nc, bool)):
-        for zc, chart in ((z[:, 0::2], Chart.INERTIAL_MU), (z[:, 1::2], Chart.MIXED_M)):
-            grad = (*[0.0] * 6, *(2.0 * zc[6:10]), 0.0, 0.0, 0.0)  # grad(|q|^2)
-            worst = max(worst, _worst(_j_grad(zc, chart, grad, np.eye(N_COORDS)[..., None]), 0.0))
+    worst = _most(_worst(_j_grad(zc, chart, (*[0.0] * 6, *(2.0 * zc[6:10]), 0.0, 0.0, 0.0),
+                                 np.eye(N_COORDS)[..., None]), 0.0)
+                  for _, z in _blocks(rng, np.zeros(2 * nc, bool))
+                  for zc, chart in ((z[:, 0::2], Chart.INERTIAL_MU), (z[:, 1::2], Chart.MIXED_M)))
     out.append(CheckResult("norm function commutes with all generators", worst, 1e-11, nc))
 
-    worst = 0.0
-    for flags, z in _blocks(rng, _small_q0_flags(rng, n), _random_unit_quats):
-        b = z[13:]  # a unit quaternion per point
-        worst = max(worst, _worst(poisson._covariance_residuals(z[:13], b), 0.0),
-                    _worst(poisson._covariance_residuals(z[:13, flags], Quaternion.identity()), 0.0))
+    # b: a unit quaternion per point, and b = 1 on the points with a small q0
+    worst = _most(_worst(poisson._covariance_residuals(zc, b), 0.0)
+                  for flags, z in _blocks(rng, _small_q0_flags(rng, n), _random_unit_quats)
+                  for zc, b in ((z[:13], z[13:]), (z[:13, flags], Quaternion.identity())))
     out.append(CheckResult("right-translated q b obeys the same brackets", worst, 1e-11, n))
     return out
 
 
 def jacobi_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    out = []
-    for chart in (Chart.INERTIAL_MU, Chart.MIXED_M):
-        worst = 0.0
-        for _, z in _blocks(rng, _small_q0_flags(rng, n)):
-            worst = max(worst, _worst(poisson._jacobi_residuals(z, chart), 0.0))
-        out.append(CheckResult(f"Jacobi cyclic residual ({chart.value})", worst, 1e-12, n))
-    control = 0.0
-    for _, z in _blocks(rng, np.zeros(min(n, 100), bool)):
-        control = max(control, _worst(poisson._jacobi_residuals(z, Chart.INERTIAL_MU, True), 0.0))
+    out = [CheckResult(f"Jacobi cyclic residual ({chart.value})",
+                       _most(_worst(poisson._jacobi_residuals(z, chart), 0.0)
+                             for _, z in _blocks(rng, _small_q0_flags(rng, n))), 1e-12, n)
+           for chart in (Chart.INERTIAL_MU, Chart.MIXED_M)]
+    control = _most(_worst(poisson._jacobi_residuals(z, Chart.INERTIAL_MU, True), 0.0)
+                    for _, z in _blocks(rng, np.zeros(min(n, 100), bool)))
     out.append(CheckResult("negative control (flipped sign) residual", control, 0.1,
                            min(n, 100), mode="min"))
     return out
 
 
 def poisson_map_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    worst = 0.0
-    for _, z in _blocks(rng, _small_q0_flags(rng, n)):
-        worst = max(worst, _worst(poisson._poisson_map_residuals(z), 0.0))
+    worst = _most(_worst(poisson._poisson_map_residuals(z), 0.0)
+                  for _, z in _blocks(rng, _small_q0_flags(rng, n)))
     return [CheckResult("push-forward brackets to (Q, pi)", worst, 1e-11, n)]
 
 
@@ -373,22 +373,21 @@ def _with_polynomials(rng: np.random.Generator, n: int, k: int, indices):
 
 
 def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    worst = 0.0
-    for z, (_, gF), (_, gG) in _with_polynomials(rng, n, 2, range(6, 13)):
-        omega = _forms(z, _j_grad(z, _MU, None, gF)[6:], _j_grad(z, _MU, None, gG)[6:])
-        worst = max(worst, _worst(omega, _j_grad(z, _MU, gF, gG)))
+    worst = _most(_worst(_forms(z, _j_grad(z, _MU, None, gF)[6:], _j_grad(z, _MU, None, gG)[6:]),
+                         _j_grad(z, _MU, gF, gG))
+                  for z, (_, gF), (_, gG) in _with_polynomials(rng, n, 2, range(6, 13)))
     out = [CheckResult("duality Omega(X_F, X_G) = {F, G}", worst, 1e-9, n)]
 
-    worst = 0.0
+    worst = []
     # after each point a tangent: w - <w, q> q and a mom-block
     for _, z in _blocks(rng, np.zeros(n, bool), lambda rng, n: rng.standard_normal((4, n)),
                         lambda rng, n: rng.random((3, n))):
         w, q = z[13:17], z[6:10]
         u = np.concatenate([w - _dot(w, q) * q, _uniform(z[17:20], -2.0, 2.0)])
-        worst = max(worst, _worst(_forms(z[:13], u, u), 0.0))
-    out.append(CheckResult("antisymmetry Omega(u, u) = 0", worst, 0.0, n))
+        worst.append(_worst(_forms(z[:13], u, u), 0.0))
+    out.append(CheckResult("antisymmetry Omega(u, u) = 0", _most(worst), 0.0, n))
 
-    worst = 0.0
+    worst = []
     for _, z in _blocks(rng, np.zeros(n, bool)):
         q0, q1, q2, q3 = z[6:10]
         # q-block columns of the momentum fields: the closed-form eta table
@@ -396,14 +395,12 @@ def symplectic_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
         for k in range(3):
             field = _j_grad(z, _MU, None, np.eye(N_COORDS)[10 + k])
             # the Liouville form on the left-invariant field returns mu_k
-            worst = max(worst, _worst(field[6:10], eta[k]),
-                        _worst(_forms(z, field[6:], None), z[10 + k]))
-    out.append(CheckResult("left-invariant fields and the eta table", worst, 1e-13, n))
+            worst += _worst(field[6:10], eta[k]), _worst(_forms(z, field[6:], None), z[10 + k])
+    out.append(CheckResult("left-invariant fields and the eta table", _most(worst), 1e-13, n))
 
-    worst = 0.0
-    for z, (_, gF), (_, gG) in _with_polynomials(rng, n, 2, range(6, 10)):
-        worst = max(worst, _worst(_j_grad(z, _MU, None, gF)[0:10], 0.0),
-                    _worst(_j_grad(z, _MU, gF, gG), 0.0))
+    worst = _most(w for z, (_, gF), (_, gG) in _with_polynomials(rng, n, 2, range(6, 10))
+                  for w in (_worst(_j_grad(z, _MU, None, gF)[0:10], 0.0),
+                            _worst(_j_grad(z, _MU, gF, gG), 0.0)))
     out.append(CheckResult("orientation-only functions commute; fields are pure momentum",
                            worst, 1e-15, n))
     return out
@@ -426,10 +423,9 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
     out = []
     for params in _oracle_params():
         rhs, grad_h = dynamics._make_rhs(params), dynamics._make_h(params)[1]
-        worst = 0.0
-        for _, z in _blocks(rng, np.zeros(n, bool)):
-            field = _j_grad(z, Chart.MIXED_M, None, grad_h(list(z)))
-            worst = max(worst, *map(_worst, rhs(list(z)), field))
+        worst = _most(w for _, z in _blocks(rng, np.zeros(n, bool))
+                      for w in map(_worst, rhs(list(z)),
+                                   _j_grad(z, Chart.MIXED_M, None, grad_h(list(z)))))
         out.append(CheckResult(f"eom_rhs = J grad(H), potential {params.potential.name}",
                                worst, 1e-9, n))
 

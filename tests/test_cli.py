@@ -275,13 +275,16 @@ def test_csv_row_prints_the_bytes_of_the_format_join(kind):
 def _force_rows_path(monkeypatch, path):
     """Make ``qhdyn simulate`` format its CSV rows on ``path``, whatever the
     host: in a forked writer, in-process for want of a second CPU, or
-    in-process because fork fails."""
+    in-process because fork fails or, before it, the pipe does."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1 if path == "one_cpu" else 2)
-    if path == "fork_fails":
-        def fork():
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    failing = {"fork_fails": ("fork", errno.EAGAIN), "pipe_fails": ("pipe", errno.EMFILE)}
+    if path in failing:
+        name, code = failing[path]
 
-        monkeypatch.setattr(os, "fork", fork)
+        def fails():
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, name, fails)
 
 
 def assert_no_child():
@@ -290,7 +293,7 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-ROW_PATHS = ["writer", "one_cpu", "fork_fails"]
+ROW_PATHS = ["writer", "one_cpu", "fork_fails", "pipe_fails"]
 
 
 @pytest.mark.parametrize("path", ROW_PATHS)
@@ -374,7 +377,8 @@ def test_simulate_debug_log_names_the_row_path(tmp_path, caplog, monkeypatch, pa
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("CSV rows")]
     expect = {"writer": r"CSV rows formatted by writer process \d+",
               "one_cpu": r"CSV rows formatted in-process \(one usable CPU\)",
-              "fork_fails": r"CSV rows formatted in-process \(fork failed: \[Errno 11\] .*\)"}
+              "fork_fails": r"CSV rows formatted in-process \(fork failed: \[Errno 11\] .*\)",
+              "pipe_fails": r"CSV rows formatted in-process \(pipe failed: \[Errno 24\] .*\)"}
     assert len(lines) == 1 and re.fullmatch(expect[path], lines[0]), lines
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from qhdyn import (  # noqa: E402
     Chart,
@@ -490,7 +490,9 @@ def test_rk4_is_the_loop_form_bit_for_bit(cols, h):
             assert _bits([c[k] for c in batch]) == _bits(step(list(col), h))
 
 
-@settings(max_examples=40, deadline=None, database=None)
+# no shrinking: each candidate re-runs every potential and window, so a failure
+# (a one-ulp renorm mutation) took 67 s to report with shrinking and 0.9 s without
+@settings(max_examples=40, deadline=None, database=None, phases=(Phase.explicit, Phase.generate))
 @given(st.lists(phase_point, min_size=1, max_size=8), st.floats(1e-4, 1e-1), positive, positive,
        st.floats(0.1, 20.0), constant, constant, constant)
 @example([WINDOW_POINT], 0.003, 1.0, 1.0, 1.0, 9.81, 1.0, 1.0).via("threshold takes both branches")

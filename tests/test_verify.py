@@ -29,7 +29,7 @@ from qhdyn import (
     symplectic_form_eval,
     verify,
 )
-from qhdyn import cli
+from qhdyn import cli, poisson, so3
 from qhdyn.poisson import Chart, PhasePoint
 
 import stream_reference as ref
@@ -91,6 +91,62 @@ def test_every_suite_passes_at_edge_sizes(capsys, points):
             lines = capsys.readouterr().out.splitlines()
             assert len(lines) == count + 1 and lines[-1] == f"[{name}] PASS", (name, seed)
             assert all(line.endswith(" PASS") for line in lines), (name, seed)
+
+
+# (module, kernel, {suite: positions of the checks that read the kernel's output})
+NAN_KERNELS = [
+    (poisson, "_jacobi_residuals", {"jacobi": [0, 1, 2]}),
+    (poisson, "_poisson_map_residuals", {"poisson_map": [0]}),
+    (poisson, "_covariance_residuals", {"brackets": [6]}),
+    (poisson, "_tensor_components", {"brackets": [0, 1, 2, 3], "jacobi": [0, 1, 2],
+                                     "poisson_map": [0]}),
+    (verify, "_forms", {"symplectic": [0, 1, 2]}),
+    (verify, "_j_grad", {"brackets": [4, 5], "symplectic": [0, 2, 3],
+                         "dynamics_oracle": [0, 1, 2, 3]}),
+]
+
+
+@pytest.mark.parametrize("module, kernel, reading", NAN_KERNELS,
+                         ids=[kernel for _, kernel, _ in NAN_KERNELS])
+def test_a_nan_in_any_block_fails_every_check_that_reads_it(capsys, monkeypatch, module, kernel,
+                                                             reading):
+    # sample 0 of each block NaN, at 600 points (three blocks): a check's
+    # residual folds every block, so no block's NaN may be dropped
+    original = getattr(module, kernel)
+    sample = 0 if kernel == "_tensor_components" else (..., 0)  # (n, 13, 13); the rest end in n
+
+    def with_nan(*args, **kwargs):
+        out = original(*args, **kwargs)
+        out = np.array(np.broadcast_arrays(*out) if isinstance(out, list) else out, float)
+        if out.size:
+            out[sample] = np.nan
+        return out
+
+    monkeypatch.setattr(module, kernel, with_nan)
+    for suite, picked in reading.items():
+        results = verify.run_suite(suite, seed=0, n_points=600)
+        nan = [i for i, r in enumerate(results) if np.isnan(r.residual)]
+        assert nan == picked, [(r.name, r.residual) for r in results]
+        assert not any(results[i].passed for i in picked)
+        assert cli.main(["verify", suite, "--points", "600"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [i for i, line in enumerate(lines) if ": residual nan " in line] == picked
+        assert all(lines[i].endswith(" FAIL") for i in picked) and lines[-1] == f"[{suite}] FAIL"
+
+
+def test_a_nan_at_the_half_step_fails_the_convergence_ratio(monkeypatch):
+    # the ratio check reads r(h/2) only through the ratio, so a NaN there must not be dropped
+    original, calls = so3.maurer_cartan_residual, []
+
+    def nan_at_the_first_half_step(path, t0, h):
+        calls.append(h)
+        return np.nan if len(calls) == 2 else original(path, t0, h)
+
+    clean = verify.run_suite("maurer_cartan", seed=0, n_points=7)
+    monkeypatch.setattr(so3, "maurer_cartan_residual", nan_at_the_first_half_step)
+    derivative, ratio = verify.run_suite("maurer_cartan", seed=0, n_points=7)
+    assert calls[1] == 0.5 * calls[0] and derivative == clean[0]
+    assert np.isnan(ratio.residual) and not ratio.passed and ratio.n == clean[1].n
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
