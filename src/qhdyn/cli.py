@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import logging
 import math
@@ -470,9 +471,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # once per process: building costs more than parsing
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config)

@@ -154,6 +154,12 @@ def _inv(q):
     return tuple(c / n2 for c in _conj(q))
 
 
+def _axis_angle(axis, phi):  # np.sin/np.cos on floats too: a column and a call agree
+    a1, a2, a3 = axis
+    s = np.sin(0.5 * phi) / np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
+    return (np.cos(0.5 * phi), a1 * s, a2 * s, a3 * s)
+
+
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     """Quaternion product a*b.
 
@@ -228,12 +234,10 @@ def axis_angle_to_quat(axis: Sequence[float], phi: float) -> Quaternion:
     DomainError
         If ``axis`` is the zero vector.
     """
-    a1, a2, a3 = (float(c) for c in axis)
-    n = math.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
-    if n == 0.0:
+    axis = [float(c) for c in axis]
+    if _norm2((0.0, *axis)) == 0.0:
         raise DomainError("rotation axis must be nonzero")
-    s = math.sin(0.5 * phi) / n
-    return Quaternion(math.cos(0.5 * phi), (a1 * s, a2 * s, a3 * s))
+    return Quaternion.from_array(_axis_angle(axis, float(phi)))
 
 
 def right_action_matrix(b: Quaternion) -> Matrix4:

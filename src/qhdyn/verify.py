@@ -44,10 +44,9 @@ from .quaternion import (
     Quaternion,
     _conj,
     _inv,
+    _axis_angle,
     _mul,
     _norm2,
-    axis_angle_to_quat,
-    quat_mul,
     right_action_matrix,
 )
 
@@ -275,28 +274,31 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
 def maurer_cartan_checks(rng: np.random.Generator, n: int,
                          h: float = 1e-4) -> list[CheckResult]:
-    """Right-invariant derivative identity under central differences."""
+    """Right-invariant derivative identity under central differences, on columns in
+    blocks of ``_BLOCK`` samples.  The ratio check is the median of r(h)/r(h/2) over
+    samples, so at ``--points 1`` it is one path's own, which fails at seeds 8, 32, 63,
+    64, 82, 86 and 98 of 0-99: there r(h) is already at the rounding level."""
     residuals, ratios = [], []
     # per sample column: the normals of a unit-quaternion base, u and v, then
-    # the doubles of alpha, beta and t0; all drawn first, then evaluated one by one
+    # the doubles of alpha, beta and t0; all drawn first, then evaluated by block
     w, r = rng.standard_normal((10, n)), rng.random((3, n))
-    alphas, betas = _uniform(r[:2], 0.2, 0.8).tolist()
-    for base, u, v, alpha, beta, t0 in zip(_unit_quats(w[:4], [], []).T.tolist(),
-                                           w[4:7].T, w[7:10].T, alphas, betas,
-                                           _uniform(r[2], -1.0, 1.0).tolist()):
-        base = Quaternion.from_array(base)
+    base, (alpha, beta) = _unit_quats(w[:4], [], []), _uniform(r[:2], 0.2, 0.8)
+    t0 = _uniform(r[2], -1.0, 1.0)
 
-        def path(t, base=base, u=u, v=v, alpha=alpha, beta=beta):
-            return quat_mul(quat_mul(axis_angle_to_quat(u, alpha * t), base),
-                            axis_angle_to_quat(v, beta * t))
+    def path(t, c):
+        return _mul(_mul(_axis_angle(w[4:7, c], alpha[c] * t), base[:, c]),
+                    _axis_angle(w[7:10, c], beta[c] * t))
 
-        r_h = so3.maurer_cartan_residual(path, t0, h)
-        r_half = so3.maurer_cartan_residual(path, t0, 0.5 * h)
-        residuals.append(r_h)
-        if not r_half <= 1e-13:  # a NaN ratio makes the median NaN
-            ratios.append(r_h / r_half)
+    for c in (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)):
+        t, q_t = t0[c], path(t0[c], c)
+        r_h, r_half = (so3._maurer_cartan_residuals(path(t - k, c), q_t, path(t + k, c), k)
+                       for k in (h, 0.5 * h))
+        keep = ~(r_half <= 1e-13)  # a NaN r(h/2) is kept, so the median reads NaN
+        residuals.append(_worst(r_h, 0.0))
+        ratios.append(r_h[keep] / r_half[keep])
     out = [CheckResult("derivative identity residual at h=1e-4", _most(residuals), 1e-7, n)]
-    med = float(np.median(ratios)) if ratios else 4.0
+    ratios = np.concatenate(ratios)
+    med = float(np.median(ratios)) if len(ratios) else 4.0
     out.append(CheckResult("halving-step convergence ratio - 4", abs(med - 4.0), 0.5, len(ratios)))
     return out
 

@@ -595,6 +595,30 @@ def test_cli_option_surface():
     assert err.value.code == 2
 
 
+def test_main_behaves_in_one_process_as_in_fresh_ones(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process, so each later call must print,
+    # write and exit as the same command does as the first call of a new process
+    cfg_path, _ = write_config(tmp_path, FREE_TOP)
+    monkeypatch.setenv("QH_LOG", "quiet")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to this width
+    codes = []
+    for argv in (["verify", "jacobi", "--points", "50"], ["simulate", str(cfg_path)],
+                 ["verify", "jacobi", "--points", "x"], ["verify", "jacobi", "--points", "50"]):
+        fresh = subprocess.run([sys.executable, "-m", "qhdyn", *argv], capture_output=True,
+                               text=True, env=child_env(QH_LOG="quiet", COLUMNS="80"))
+        fresh_csv = (tmp_path / "traj.csv").read_bytes() if argv[0] == "simulate" else None
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        if fresh_csv is not None:
+            assert (tmp_path / "traj.csv").read_bytes() == fresh_csv
+        codes.append(code)
+    assert codes == [0, 0, 2, 0]
+
+
 @pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SHA256))
 def test_verify_golden_output(capsys, suite):
     assert main(["verify", suite, "--seed", "0"]) == 0

@@ -8,6 +8,7 @@ import pytest
 from qhdyn import (
     DynamicVariable,
     Quaternion,
+    axis_angle_to_quat,
     coordinate,
     eom_rhs,
     hamiltonian_variable,
@@ -15,6 +16,7 @@ from qhdyn import (
     jacobi_residual,
     liouville_form_eval,
     matrix_to_quat,
+    maurer_cartan_residual,
     poisson_bracket,
     poisson_map_residual,
     quat_conj,
@@ -103,6 +105,7 @@ NAN_KERNELS = [
     (verify, "_forms", {"symplectic": [0, 1, 2]}),
     (verify, "_j_grad", {"brackets": [4, 5], "symplectic": [0, 2, 3],
                          "dynamics_oracle": [0, 1, 2, 3]}),
+    (so3, "_maurer_cartan_residuals", {"maurer_cartan": [0, 1]}),
 ]
 
 
@@ -136,14 +139,17 @@ def test_a_nan_in_any_block_fails_every_check_that_reads_it(capsys, monkeypatch,
 
 def test_a_nan_at_the_half_step_fails_the_convergence_ratio(monkeypatch):
     # the ratio check reads r(h/2) only through the ratio, so a NaN there must not be dropped
-    original, calls = so3.maurer_cartan_residual, []
+    original, calls = so3._maurer_cartan_residuals, []
 
-    def nan_at_the_first_half_step(path, t0, h):
+    def nan_at_the_first_half_step(qm, qc, qp, h):
         calls.append(h)
-        return np.nan if len(calls) == 2 else original(path, t0, h)
+        out = original(qm, qc, qp, h)
+        if len(calls) == 2:
+            out[0] = np.nan
+        return out
 
     clean = verify.run_suite("maurer_cartan", seed=0, n_points=7)
-    monkeypatch.setattr(so3, "maurer_cartan_residual", nan_at_the_first_half_step)
+    monkeypatch.setattr(so3, "_maurer_cartan_residuals", nan_at_the_first_half_step)
     derivative, ratio = verify.run_suite("maurer_cartan", seed=0, n_points=7)
     assert calls[1] == 0.5 * calls[0] and derivative == clean[0]
     assert np.isnan(ratio.residual) and not ratio.passed and ratio.n == clean[1].n
@@ -354,6 +360,28 @@ def _symplectic_reference(rng, n):
     return [duality, anti, left, orient]
 
 
+def _maurer_cartan_reference(rng, n, h=1e-4):
+    """The derivative residual and the ratio check, one path at a time through
+    the public maurer_cartan_residual, drawing from ``rng`` as
+    ``maurer_cartan_checks`` does."""
+    residuals, ratios = [], []
+    w, r = rng.standard_normal((10, n)), rng.random((3, n))
+    alphas, betas = ref.uniform(r[:2], 0.2, 0.8).tolist()
+    for col, alpha, beta, t0 in zip(w.T, alphas, betas, ref.uniform(r[2], -1.0, 1.0).tolist()):
+        base = Quaternion.from_array(ref.unit_quat(col[:4]))
+
+        def path(t, base=base, u=col[4:7], v=col[7:10], alpha=alpha, beta=beta):
+            return quat_mul(quat_mul(axis_angle_to_quat(u, alpha * t), base),
+                            axis_angle_to_quat(v, beta * t))
+
+        r_h = maurer_cartan_residual(path, t0, h)
+        r_half = maurer_cartan_residual(path, t0, 0.5 * h)
+        residuals.append(r_h)
+        if not r_half <= 1e-13:
+            ratios.append(r_h / r_half)
+    return [max(residuals), abs(float(np.median(ratios)) - 4.0) if ratios else 0.0]
+
+
 # (array suite, the residuals a reference reproduces, per-sample reference)
 _REFERENCES = [
     (verify.algebra_checks, slice(1, None), _algebra_reference),
@@ -363,6 +391,7 @@ _REFERENCES = [
     (verify.poisson_map_checks, slice(None), _poisson_map_reference),
     (verify.dynamics_oracle_checks, slice(0, 4), _oracle_reference),
     (verify.symplectic_checks, slice(None), _symplectic_reference),
+    (verify.maurer_cartan_checks, slice(None), _maurer_cartan_reference),
 ]
 
 
