@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dynamics, so3, verify
 from .dynamics import BodyParams, InertiaTensor, RenormPolicy, Trajectory
-from .errors import ConfigError, GeometryError, IntegrationAborted, QhdynError
+from .errors import ConfigError, DomainError, GeometryError, IntegrationAborted, QhdynError
 from .poisson import Chart, PhasePoint
 from .quaternion import Quaternion, axis_angle_to_quat, quat_norm, quat_normalize
 
@@ -125,6 +125,14 @@ def _as_output_path(value, path: str) -> str:
     return value
 
 
+def _checked(path: str, make, *args):
+    """``make(*args)``, with a DomainError it raises reported as a ConfigError on ``path``."""
+    try:
+        return make(*args)
+    except DomainError as exc:
+        raise ConfigError(path, str(exc)) from exc
+
+
 def _build_potential(node: dict, path: str, body_mass: float) -> dynamics.PotentialSpec:
     kind = _get(node, "type", path)
     if kind == "free":
@@ -136,15 +144,11 @@ def _build_potential(node: dict, path: str, body_mass: float) -> dynamics.Potent
     if kind == "heavy_top":
         g = _as_number(_get(node, "g", path), f"{path}.g")
         ell = _as_number(_get(node, "l", path), f"{path}.l")
-        if ell < 0.0:
-            raise ConfigError(f"{path}.l", "must be >= 0")
         m = _as_number(node.get("mass", body_mass), f"{path}.mass", positive=True)
-        return dynamics.heavy_top(m, g, ell)
+        return _checked(f"{path}.l", dynamics.heavy_top, m, g, ell)
     if kind == "harmonic":
         k = _as_number(_get(node, "k", path), f"{path}.k")
-        if k < 0.0:
-            raise ConfigError(f"{path}.k", "must be >= 0")
-        return dynamics.harmonic(k)
+        return _checked(f"{path}.k", dynamics.harmonic, k)
     raise ConfigError(f"{path}.type",
                       f"unknown potential {kind!r}; expected one of {dynamics.BUILTIN_POTENTIALS}")
 
@@ -193,18 +197,12 @@ def load_config(path: str) -> RunConfig:
         aa = _as_mapping(init["axis_angle"], "initial.axis_angle")
         axis = _as_vec(_get(aa, "axis", "initial.axis_angle"), "initial.axis_angle.axis", 3)
         angle = _as_number(_get(aa, "angle", "initial.axis_angle"), "initial.axis_angle.angle")
-        if float(np.linalg.norm(axis)) == 0.0:
-            raise ConfigError("initial.axis_angle.axis", "must be nonzero")
-        q0 = axis_angle_to_quat(axis, angle)
+        q0 = _checked("initial.axis_angle.axis", axis_angle_to_quat, axis, angle)
     else:
-        qvals = _as_vec(init.get("q", [1.0, 0.0, 0.0, 0.0]), "initial.q", 4)
-        q0 = Quaternion.from_array(qvals)
-        n = quat_norm(q0)
-        if n == 0.0:
-            raise ConfigError("initial.q", "must be nonzero")
+        q0 = Quaternion.from_array(_as_vec(init.get("q", [1.0, 0.0, 0.0, 0.0]), "initial.q", 4))
+        n, q0 = quat_norm(q0), _checked("initial.q", quat_normalize, q0)
         if abs(n - 1.0) > 1e-6:
             log.warning("initial.q has norm %.9g; normalizing", n)
-        q0 = quat_normalize(q0)
     state0 = PhasePoint(x0, p0, q0, mom0, Chart.MIXED_M)
 
     integ = _as_mapping(_get(root, "integrator", "<root>"), "integrator")
@@ -426,15 +424,15 @@ def cmd_convert(direction: str, values: list[float]) -> int:
         if len(values) != 4:
             print("quat2mat expects 4 values: q0 q1 q2 q3", file=sys.stderr)
             return EXIT_USAGE
-        q = Quaternion.from_array(values)
-        n = quat_norm(q)
-        if n == 0.0:
-            print("invalid geometry: zero quaternion", file=sys.stderr)
+        try:
+            q = Quaternion.from_array(values)
+            n, unit = quat_norm(q), quat_normalize(q)
+        except DomainError as exc:  # a non-finite component, or a zero or overflowing norm
+            print(f"invalid geometry: {exc}", file=sys.stderr)
             return EXIT_GEOMETRY
         if abs(n - 1.0) > 1e-6:
             log.warning("input quaternion has norm %.9g; normalizing", n)
-        mat = so3.quat_to_matrix(quat_normalize(q))
-        for row in mat:
+        for row in so3.quat_to_matrix(unit):
             print(" ".join(f"{v:.17g}" for v in row))
         return EXIT_OK
     if direction == "mat2quat":

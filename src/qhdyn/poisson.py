@@ -48,8 +48,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -84,30 +85,38 @@ def coordinate_labels(chart: Chart) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Phase point (x, p, q, mom) plus the chart tag for ``mom``."""
+    """Phase point (x, p, q, mom) plus the chart tag for ``mom``.  A value: x, p and mom are
+    read-only copies, and points compare and hash as (chart, the 13 coordinates)."""
 
-    x: np.ndarray
-    p: np.ndarray
-    q: Quaternion
-    mom: np.ndarray
+    x: np.ndarray = field(compare=False)
+    p: np.ndarray = field(compare=False)
+    q: Quaternion = field(compare=False)
+    mom: np.ndarray = field(compare=False)
     chart: Chart
+    _z: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("x", "p", "mom"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise DomainError(f"PhasePoint.{name} must have shape (3,), got {v.shape}")
-            if not np.all(np.isfinite(v)):
+            if not all(map(math.isfinite, v.tolist())):
                 raise DomainError(f"PhasePoint.{name} has non-finite components")
+            v.flags.writeable = False
             object.__setattr__(self, name, v)
         if not isinstance(self.q, Quaternion):
             raise DomainError(f"PhasePoint.q must be a Quaternion, got {type(self.q).__name__}")
         if not isinstance(self.chart, Chart):
             raise ChartError(f"unknown chart tag {self.chart!r}")
+        object.__setattr__(self, "_z", (*self.x.tolist(), *self.p.tolist(), *self.q,
+                                        *self.mom.tolist()))
 
     def coords(self) -> np.ndarray:
         """All 13 coordinates in the fixed (x, p, q, mom) order."""
-        return np.concatenate([self.x, self.p, self.q, self.mom])
+        return np.array(self._z)
+
+    def __reduce__(self):  # a copy or unpickled point gets read-only copies too
+        return type(self), (self.x, self.p, self.q, self.mom, self.chart)
 
     @classmethod
     def from_coords(cls, z: Sequence[float], chart: Chart) -> "PhasePoint":
@@ -207,11 +216,9 @@ def _fd_partials(f: Callable[[tuple], float], v: Sequence[float]) -> list[float]
 
 
 def _merge_charts(a: Optional[Chart], b: Optional[Chart]) -> Optional[Chart]:
-    if a is None:
-        return b
-    if b is None or a is b:
-        return a
-    raise ChartError(f"chart mismatch between variables: {a} vs {b}")
+    if None not in (a, b) and a is not b:
+        raise ChartError(f"chart mismatch between variables: {a} vs {b}")
+    return a or b
 
 
 class DynamicVariable:
@@ -221,13 +228,13 @@ class DynamicVariable:
     must return the full 13-gradient; otherwise gradients fall back to central
     finite differences with step cbrt(eps) * max(1, |z_i|).  Variables combine
     under ``+``, ``-``, ``*`` and scalar arithmetic with exact product and sum
-    rules for the gradients.
+    rules for the gradients, which are analytic when every operand's is.
 
     A non-None ``chart`` restricts the variable to points of that chart;
     ``poisson_bracket`` raises :class:`ChartError` on mismatch.
     """
 
-    __slots__ = ("fn", "grad_fn", "name", "chart")
+    __slots__ = ("fn", "grad_fn", "name", "chart", "_analytic")
 
     def __init__(self, fn: Callable[[np.ndarray], float],
                  grad: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -236,10 +243,11 @@ class DynamicVariable:
         self.grad_fn = grad
         self.name = name
         self.chart = chart
+        self._analytic = grad is not None
 
     @property
     def has_analytic_gradient(self) -> bool:
-        return self.grad_fn is not None
+        return self._analytic
 
     def _coords(self, point_or_z) -> np.ndarray:
         if isinstance(point_or_z, PhasePoint):
@@ -255,46 +263,41 @@ class DynamicVariable:
             return np.asarray(self.grad_fn(z), dtype=float)
         return np.array(_fd_partials(lambda v: self.fn(np.array(v)), z.tolist()))
 
-    def __add__(self, other):
+    def _combined(self, op, other, name: str):
+        """``self op other``, op add or mul, for a variable g or a number c by the sum rule
+        (f + g, df + dg; f + c, df) or the product rule (f g, f dg + g df; f c, c df)."""
+        f, df, chart, analytic = self.fn, self.gradient, self.chart, self._analytic
         if isinstance(other, DynamicVariable):
-            chart = _merge_charts(self.chart, other.chart)
-            return DynamicVariable(
-                lambda z: self.fn(z) + other.fn(z),
-                lambda z: self.gradient(z) + other.gradient(z),
-                name=f"({self.name}+{other.name})", chart=chart)
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return DynamicVariable(lambda z: self.fn(z) + c, self.gradient,
-                                   name=f"({self.name}+{c})", chart=self.chart)
-        return NotImplemented
+            g, dg, label = other.fn, other.gradient, other.name
+            chart, analytic = _merge_charts(chart, other.chart), analytic and other._analytic
+            grad = ((lambda z: df(z) + dg(z)) if op is operator.add
+                    else lambda z: f(z) * dg(z) + g(z) * df(z))
+        elif isinstance(other, (int, float)):
+            c = label = float(other)
+            g = lambda z: c
+            grad = df if op is operator.add else lambda z: c * df(z)
+        else:
+            return NotImplemented
+        out = DynamicVariable(lambda z: op(f(z), g(z)), grad, name.format(self.name, label), chart)
+        out._analytic = analytic
+        return out
 
-    __radd__ = __add__
+    def __add__(self, other):
+        return self._combined(operator.add, other, "({0}+{1})")
+
+    def __mul__(self, other):
+        return self._combined(operator.mul, other, "({0}*{1})")
 
     def __neg__(self):
-        return DynamicVariable(lambda z: -self.fn(z), lambda z: -self.gradient(z),
-                               name=f"(-{self.name})", chart=self.chart)
+        return self._combined(operator.mul, -1.0, "(-{0})")
+
+    __radd__, __rmul__ = __add__, __mul__
 
     def __sub__(self, other):
         return self + -other if isinstance(other, (DynamicVariable, int, float)) else NotImplemented
 
     def __rsub__(self, other):
         return -self + other if isinstance(other, (int, float)) else NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, DynamicVariable):
-            chart = _merge_charts(self.chart, other.chart)
-            return DynamicVariable(
-                lambda z: self.fn(z) * other.fn(z),
-                lambda z: self.fn(z) * other.gradient(z) + other.fn(z) * self.gradient(z),
-                name=f"({self.name}*{other.name})", chart=chart)
-        if isinstance(other, (int, float)):
-            c = float(other)
-            return DynamicVariable(lambda z: c * self.fn(z),
-                                   lambda z: c * self.gradient(z),
-                                   name=f"({c}*{self.name})", chart=self.chart)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         return f"DynamicVariable({self.name or self.fn!r}, chart={self.chart})"
@@ -307,22 +310,15 @@ def coordinate(which: Union[int, str], chart: Optional[Chart] = None) -> Dynamic
     mu1..mu3 (implies the inertial chart) or M1..M3 (implies the mixed chart).
     """
     if isinstance(which, str):
-        if which in _BASE_LABELS:
-            idx = _BASE_LABELS.index(which)
-        elif which in _MOM_LABELS[Chart.INERTIAL_MU]:
-            idx = _MOM0 + _MOM_LABELS[Chart.INERTIAL_MU].index(which)
-            chart = _merge_charts(chart, Chart.INERTIAL_MU)
-        elif which in _MOM_LABELS[Chart.MIXED_M]:
-            idx = _MOM0 + _MOM_LABELS[Chart.MIXED_M].index(which)
-            chart = _merge_charts(chart, Chart.MIXED_M)
-        else:
+        charts = [c for c in Chart if which in coordinate_labels(c)]
+        if not charts:
             raise DomainError(f"unknown coordinate label {which!r}")
-        name = which
+        idx, name = coordinate_labels(charts[0]).index(which), which
+        chart = _merge_charts(chart, charts[0] if idx >= _MOM0 else None)
     else:
-        idx = int(which)
+        idx, name = int(which), f"z{int(which)}"
         if not 0 <= idx < N_COORDS:
             raise DomainError(f"coordinate index must be 0..12, got {idx}")
-        name = f"z{idx}"
     e = np.eye(N_COORDS)[idx]
     return DynamicVariable(lambda z: z[idx], lambda z, e=e: e.copy(), name=name, chart=chart)
 
@@ -375,19 +371,12 @@ def _point_coords(point: PhasePoint, chart: Optional[Chart] = None, who: str = "
     return point.coords()
 
 
-def _require_variable_chart(var: DynamicVariable, point: PhasePoint) -> None:
-    if var.chart is not None and var.chart is not point.chart:
-        raise ChartError(f"variable {var.name!r} is bound to {var.chart}, point is {point.chart}")
-
-
 def poisson_bracket(F: DynamicVariable, G: DynamicVariable, point: PhasePoint) -> float:
     """{F, G} at the point: grad(F) . J . grad(G).
 
     Antisymmetric in (F, G) and a derivation in each slot.
     """
-    _require_variable_chart(F, point)
-    _require_variable_chart(G, point)
-    z = _point_coords(point)
+    z = _point_coords(point, _merge_charts(F.chart, G.chart), "poisson_bracket of these variables")
     return float(_j_grad(z.tolist(), point.chart, F.gradient(z).tolist(), G.gradient(z).tolist()))
 
 
@@ -397,8 +386,7 @@ def hamiltonian_vector_field(H: DynamicVariable, point: PhasePoint) -> np.ndarra
     For any F, the bracket {F, H} equals the directional derivative of F
     along the returned 13-vector.
     """
-    _require_variable_chart(H, point)
-    z = _point_coords(point)
+    z = _point_coords(point, H.chart, "hamiltonian_vector_field of this variable")
     return np.array(_j_grad(z.tolist(), point.chart, None, H.gradient(z).tolist()))
 
 

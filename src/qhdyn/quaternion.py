@@ -194,10 +194,10 @@ def quat_inverse(q: Quaternion) -> Quaternion:
 
 
 def quat_normalize(q: Quaternion) -> Quaternion:
-    """Return q / |q|.  Raises DomainError on the zero quaternion."""
+    """Return q / |q|.  Raises DomainError when |q| is zero or overflows."""
     n = quat_norm(q)
-    if n == 0.0:
-        raise DomainError("cannot normalize the zero quaternion")
+    if not 0.0 < n < math.inf:
+        raise DomainError(f"cannot normalize a quaternion of norm {n!r}")
     return Quaternion.from_array([c / n for c in q])
 
 
@@ -232,11 +232,11 @@ def axis_angle_to_quat(axis: Sequence[float], phi: float) -> Quaternion:
     Raises
     ------
     DomainError
-        If ``axis`` is the zero vector.
+        If |axis|^2 is zero or not finite.
     """
     axis = [float(c) for c in axis]
-    if _norm2((0.0, *axis)) == 0.0:
-        raise DomainError("rotation axis must be nonzero")
+    if not 0.0 < _norm2((0.0, *axis)) < math.inf:
+        raise DomainError(f"rotation axis must be nonzero with a finite |axis|^2, got {axis}")
     return Quaternion.from_array(_axis_angle(axis, float(phi)))
 
 

@@ -13,6 +13,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,60 @@ def test_simulate_missing_field_named(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, cfg)
     assert main(["simulate", str(cfg_path)]) == 2
     assert "integrator.h" in capsys.readouterr().err
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("integration started before the config was checked")
+
+
+def _both_q_and_axis_angle(cfg):
+    cfg["initial"]["axis_angle"] = {"axis": [1, 0, 0], "angle": 0.4}
+
+
+def _initial(**init):
+    return lambda cfg: cfg.update(initial=init)
+
+
+@pytest.mark.parametrize("edit, field", [
+    (_both_q_and_axis_angle, "initial"),
+    (lambda cfg: cfg["potential"].update(type="spring"), "potential.type"),
+    (lambda cfg: cfg["integrator"].update(renorm_policy="sometimes"), "integrator.renorm_policy"),
+    (lambda cfg: cfg["body"].update(inertia=[1.0, 2.0]), "body.inertia"),
+    (_initial(q=[0, 0, 0, 0]), "initial.q"),
+    (_initial(q=[1e308, 1e308, 0, 0]), "initial.q"),
+    (_initial(axis_angle={"axis": [0, 0, 0], "angle": 0.4}), "initial.axis_angle.axis"),
+    (_initial(axis_angle={"axis": [1e308, 1e308, 0], "angle": 0.4}), "initial.axis_angle.axis"),
+], ids=["q and axis_angle", "potential type", "renorm policy", "inertia length", "zero q",
+        "overflowing q", "zero axis", "overflowing axis"])
+def test_simulate_config_error_names_the_field(tmp_path, capsys, monkeypatch, edit, field):
+    monkeypatch.setattr(dynamics, "_samples", _must_not_run)
+    cfg = json.loads(json.dumps(FREE_TOP))
+    edit(cfg)
+    cfg_path, _ = write_config(tmp_path, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert main(["simulate", str(cfg_path)]) == 2
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_simulate_unreadable_config_exits_2(tmp_path, capsys, name):
+    assert main(["simulate", str(tmp_path / name)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_simulate_linear_gravity_is_free_fall(tmp_path):
+    # V = m g x3: x3 and p3 are polynomials of degree 2 and 1 in t, which RK4 steps exactly
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["body"]["mass"] = 2.0  # potential.mass defaults to body.mass
+    cfg["potential"] = {"type": "linear_gravity", "g": 9.81}
+    cfg["initial"].update(x=[0.0, 0.0, 1.0], p=[0.0, 0.0, 3.0])
+    cfg_path, _ = write_config(tmp_path, cfg)
+    assert main(["simulate", str(cfg_path)]) == 0
+    _, data = read_csv(tmp_path / "traj.csv")
+    t = data[:, 0]
+    np.testing.assert_allclose(data[:, 3], 1.0 + 1.5 * t - 0.5 * 9.81 * t * t, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(data[:, 6], 3.0 - 2.0 * 9.81 * t, rtol=0, atol=1e-12)
 
 
 def test_simulate_numerical_abort(tmp_path, capsys, monkeypatch):
@@ -543,6 +598,18 @@ def test_convert_parse_and_geometry_errors(capsys):
     assert main(["convert", "quat2mat", "0", "0", "0", "0"]) == 4
     err = capsys.readouterr().err
     assert "invalid geometry" in err
+
+
+@pytest.mark.parametrize("args, code", [
+    (["quat2mat", "inf", "0", "0", "0"], 4),
+    (["quat2mat", "1e308", "1e308", "0", "0"], 4),
+    (["mat2quat", "nan", "0", "0", "0", "1", "0", "0", "0", "1"], 4),
+    (["mat2quat", *["1"] * 8], 2),
+], ids=["non-finite q", "overflowing norm", "non-finite matrix", "8 values"])
+def test_convert_rejects_bad_input(capsys, args, code):
+    assert main(["convert", *args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("invalid geometry: ") == (code == 4), err
 
 
 def test_quiet_log_level_suppresses_info(tmp_path):

@@ -45,15 +45,17 @@ FIELDS = [
     ("potential.l", ("potential", "l"), "heavy_top", "non_negative"),
     ("potential.mass", ("potential", "mass"), "heavy_top", "positive"),
     ("potential.k", ("potential", "k"), "harmonic", "non_negative"),
+    ("potential.g", ("potential", "g"), "linear_gravity", "real"),
+    ("potential.mass", ("potential", "mass"), "linear_gravity", "positive"),
 ]
+POTENTIALS = {"heavy_top": BASE["potential"], "harmonic": {"type": "harmonic", "k": 1.0},
+              "linear_gravity": {"type": "linear_gravity", "g": 9.81, "mass": 1.0}}
 
 
 @st.composite
 def bad_configs(draw):
     path, keys, potential, kind = draw(st.sampled_from(FIELDS))
-    cfg = json.loads(json.dumps(BASE))
-    if potential == "harmonic":
-        cfg["potential"] = {"type": "harmonic", "k": 1.0}
+    cfg = json.loads(json.dumps({**BASE, "potential": POTENTIALS[potential]}))
     node = cfg
     for key in keys[:-1]:
         node = node[key]

@@ -422,6 +422,25 @@ def test_integrate_checks_arguments_before_sizing_buffers(h, n_steps, stride):
                   sample_stride=stride)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: rk4_step(mixed_state(), BodyParams(1.0, INERTIA, free()), 0.0),
+    lambda: rk4_step(mixed_state(), BodyParams(1.0, INERTIA, free()), -1e-3),
+    lambda: heavy_top(1.0, 9.81, -1.0),
+    lambda: harmonic(-1.0),
+], ids=["rk4_step h = 0", "rk4_step h < 0", "heavy_top l < 0", "harmonic k < 0"])
+def test_bad_arguments_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_trajectory_point_is_a_read_only_copy():
+    traj = integrate(mixed_state(M=(1, 2, 3)), BodyParams(1.0, INERTIA, free()), 1e-3, 4)
+    states = traj.states.copy()
+    with pytest.raises(ValueError):
+        traj.point(2).mom[0] = 1e9
+    np.testing.assert_array_equal(traj.states, states)
+
+
 def test_sampling_stride(monkeypatch):
     # each stride is one call of the compiled window; a one-step call only replays a window
     # that failed

@@ -8,6 +8,7 @@ batched result must equal the public function on that column, bit for bit.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from qhdyn import (  # noqa: E402
     Quaternion,
     ad,
     ad_star,
+    coordinate,
     dynamics,
     eom_rhs,
     hamiltonian_variable,
@@ -231,6 +233,77 @@ def test_polynomial_kernel_matches_dynamic_variable_tree(cols):
         one_value, one_grad = verify._polynomial(terms[:, :, k], col)
         assert _bits(value[k]) == _bits(one_value) == _bits(F.value(col))
         assert _bits(grad[:, k]) == _bits(one_grad) == _bits(F.gradient(col))
+
+
+# DynamicVariable trees: a leaf is ("coord", i), coordinate(i) with its analytic gradient,
+# or ("fd", i, j), sin(z_i) z_j with no gradient, so finite differences; a node is
+# (op, a, b) for op in "+-*" with a number on at most one side, or ("neg", a).
+number = st.one_of(st.floats(-3.0, 3.0, allow_nan=False), st.integers(-3, 3))
+leaf = st.one_of(st.tuples(st.just("coord"), index), st.tuples(st.just("fd"), index, index))
+trees = st.recursive(leaf, lambda kids: st.one_of(
+    st.tuples(st.just("neg"), kids),
+    st.tuples(st.sampled_from("+-*"), kids, st.one_of(kids, number)),
+    st.tuples(st.sampled_from("+-*"), number, kids)), max_leaves=8)
+FD_STEP = float(np.cbrt(np.finfo(float).eps))
+
+
+def _sin_times(i, j):
+    return lambda z: math.sin(z[i]) * z[j]
+
+
+def _variable(tree):
+    """The tree built with the DynamicVariable operators (a number stays a number)."""
+    if not isinstance(tree, tuple):
+        return tree
+    kind, *args = tree
+    if kind == "coord":
+        return coordinate(args[0])
+    if kind == "fd":
+        return DynamicVariable(_sin_times(*args))
+    if kind == "neg":
+        return -_variable(args[0])
+    return {"+": operator.add, "-": operator.sub, "*": operator.mul}[kind](*map(_variable, args))
+
+
+def _reference(tree, z):
+    """(value, gradient, analytic) of the tree at z: the sum, difference and product rules
+    written out, with a number's gradient None; a "fd" leaf takes central differences with
+    step cbrt(eps) max(1, |z_k|)."""
+    if not isinstance(tree, tuple):
+        return float(tree), None, True
+    kind, *args = tree
+    if kind == "coord":
+        return z[args[0]], np.eye(N_COORDS)[args[0]], True
+    if kind == "fd":
+        f, grad = _sin_times(*args), []
+        for k, zk in enumerate(z.tolist()):
+            h = FD_STEP * max(1.0, abs(zk))
+            zp, zm = z.tolist(), z.tolist()
+            zp[k], zm[k] = zk + h, zk - h
+            grad.append((f(np.array(zp)) - f(np.array(zm))) / (2.0 * h))
+        return f(z), np.array(grad), False
+    if kind == "neg":
+        a, da, analytic = _reference(args[0], z)
+        return -a, -da, analytic
+    (a, da, fa), (b, db, fb) = (_reference(t, z) for t in args)
+    if da is None:  # c op g
+        return {"+": (a + b, db), "-": (a - b, -db), "*": (a * b, a * db)}[kind] + (fb,)
+    if db is None:  # f op c; f - c is f + (-c), c negated as given: f - 0 at f = -0.0 is +0.0
+        return {"+": (a + b, da), "-": (a + float(-args[1]), da),
+                "*": (a * b, b * da)}[kind] + (fa,)
+    return {"+": (a + b, da + db), "-": (a - b, da - db),
+            "*": (a * b, a * db + b * da)}[kind] + (fa and fb,)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(trees, phase_point)
+def test_dynamic_variable_tree_is_the_sum_and_product_rules(tree, col):
+    z = np.array(col)
+    F = _variable(tree)
+    value, grad, analytic = _reference(tree, z)
+    assert _bits(F.value(z)) == _bits(value)
+    assert _bits(F.gradient(z)) == _bits(grad)
+    assert F.has_analytic_gradient is analytic
 
 
 def _tangent(q, w):

@@ -1,5 +1,8 @@
 """Structure tensors, brackets, Jacobi and Poisson-map verifiers."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from qhdyn import (
     rotation_entry_variable,
     structure_tensor,
 )
-from qhdyn.poisson import structure_jacobian, _tensor_components
+from qhdyn.poisson import coordinate_labels, structure_jacobian, _tensor_components
 from qhdyn.quaternion import _conj, _mul
 from qhdyn.verify import random_phase_point, random_polynomial, random_unit_quat
 
@@ -43,6 +46,32 @@ def test_phase_point_validation():
         PhasePoint(np.zeros(2), np.zeros(3), q, np.zeros(3), Chart.MIXED_M)
     with pytest.raises(ChartError):
         PhasePoint(np.zeros(3), np.zeros(3), q, np.zeros(3), "not-a-chart")
+
+
+def test_phase_point_keeps_read_only_copies(rng):
+    x, p, mom = rng.standard_normal((3, 3))
+    pt = PhasePoint(x, p, Quaternion.identity(), mom, Chart.MIXED_M)
+    before = pt.coords()
+    x[0] = p[1] = mom[2] = np.nan  # the caller's arrays stay the caller's
+    assert pt.coords().tobytes() == before.tobytes()
+    for v in (pt.x, pt.p, pt.mom):
+        with pytest.raises(ValueError):
+            v[0] = 1e9
+    assert pt.coords().tobytes() == before.tobytes()
+
+
+def test_phase_points_compare_and_hash_as_chart_and_coordinates(rng):
+    a = random_phase_point(rng, Chart.MIXED_M)
+    b = PhasePoint.from_coords(a.coords().tolist(), Chart.MIXED_M)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != PhasePoint.from_coords(a.coords(), Chart.INERTIAL_MU)
+    moved = a.coords()
+    moved[12] = np.nextafter(moved[12], np.inf)
+    assert a != PhasePoint.from_coords(moved, Chart.MIXED_M)
+    clones = [copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+    for clone in clones:
+        assert clone == a and hash(clone) == hash(a)
+        assert not any(v.flags.writeable for v in (clone.x, clone.p, clone.mom))
 
 
 def test_structure_tensor_mixed_momentum_block(rng):
@@ -172,6 +201,47 @@ def test_dynamic_variable_rejects_non_numbers():
             a - other
         with pytest.raises(TypeError):
             other - a
+
+
+def test_combined_gradient_is_analytic_only_when_every_operand_is():
+    bare, q1 = DynamicVariable(lambda z: z[6] * z[7]), coordinate("q1")
+    for combo in (bare + q1, q1 * bare, 2 * bare, bare - 1, 1.0 - bare, -bare, q1 - bare):
+        assert not combo.has_analytic_gradient
+    for combo in (q1 + q1, 2 * q1, q1 * coordinate("mu2") - 0.5, -q1, 1 - q1):
+        assert combo.has_analytic_gradient
+
+
+@pytest.mark.parametrize("chart", list(Chart))
+def test_coordinate_labels_give_index_and_chart(chart):
+    z = np.arange(13.0)
+    for idx, label in enumerate(coordinate_labels(chart)):
+        var = coordinate(label)
+        assert var.name == label and var.value(z) == idx
+        assert var.gradient(z).tolist() == np.eye(13)[idx].tolist()
+        assert var.chart is (chart if idx >= 10 else None)  # a momentum label implies its chart
+
+
+POINT = PhasePoint(np.zeros(3), np.zeros(3), Quaternion.identity(), np.ones(3), Chart.MIXED_M)
+NAN_X = ([np.nan, 0.0, 0.0], np.zeros(3), Quaternion.identity(), np.zeros(3), Chart.MIXED_M)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: coordinate("m1"), DomainError),
+    (lambda: coordinate(13), DomainError),
+    (lambda: coordinate("M1", Chart.INERTIAL_MU), ChartError),
+    (lambda: coordinate("mu1") + coordinate("M1"), ChartError),
+    (lambda: poisson_bracket(coordinate("q0"), coordinate("mu1") * coordinate("q1"), POINT),
+     ChartError),
+    (lambda: hamiltonian_vector_field(coordinate("mu3"), POINT), ChartError),
+    (lambda: rotation_entry_variable(3, 0), DomainError),
+    (lambda: PhasePoint.from_coords(np.zeros(12), Chart.MIXED_M), DomainError),
+    (lambda: PhasePoint(*NAN_X), DomainError),
+], ids=["unknown label", "index 13", "label off its chart", "variables on two charts",
+        "bracket off the point's chart", "field off the point's chart", "rotation entry 3",
+        "12 coordinates", "non-finite x"])
+def test_bad_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def _jacobi_bruteforce(z, chart):

@@ -151,6 +151,27 @@ def test_normalize():
     np.testing.assert_allclose(q.as_array(), [0.6, 0.0, 0.8, 0.0], rtol=1e-15)
 
 
+@pytest.mark.parametrize("q", [Quaternion(0.0), Quaternion(1e308, (1e308, 0.0, 0.0)),
+                               Quaternion(0.0, (0.0, 0.0, 1e200))])
+def test_normalize_rejects_zero_and_overflowing_norms(q):
+    with pytest.raises(DomainError):
+        quat_normalize(q)
+
+
+@pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [1e308, 1e308, 0.0], [0.0, 1e200, 0.0],
+                                  [math.nan, 0.0, 0.0], [math.inf, 0.0, 0.0]])
+def test_axis_angle_rejects_zero_and_overflowing_axes(axis):
+    with pytest.raises(DomainError):
+        axis_angle_to_quat(axis, 0.3)
+
+
+def test_star_is_the_quaternion_product():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        a, b = (Quaternion.from_array(rng.standard_normal(4)) for _ in range(2))
+        assert type(a * b) is Quaternion and a * b == quat_mul(a, b)
+
+
 def test_nonfinite_components_rejected():
     with pytest.raises(DomainError):
         Quaternion(float("nan"))

@@ -190,6 +190,14 @@ def test_matrix_to_quat_rejects_bad_matrices():
         require_rotation(np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_matrix_to_quat_rejects_non_finite_entries(bad):
+    Q = np.eye(3)
+    Q[1, 2] = bad
+    with pytest.raises(GeometryError, match="non-finite"):
+        matrix_to_quat(Q)
+
+
 def test_adjoint_operators():
     rng = np.random.default_rng(32)
     np.testing.assert_allclose(ad([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]),
