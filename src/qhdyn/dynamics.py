@@ -160,7 +160,8 @@ class RenormPolicy:
 
     def __post_init__(self):
         if self.mode not in ("none", "every_step", "threshold"):
-            raise DomainError(f"unknown renormalization mode {self.mode!r}")
+            raise DomainError(f"unknown renormalization mode {self.mode!r}; "
+                              "expected none, every_step or threshold")
         eps = float(self.eps)
         if not (math.isfinite(eps) and eps > 0.0):
             raise DomainError(f"renormalization threshold must be positive and finite, got {eps!r}")

@@ -230,8 +230,10 @@ class DynamicVariable:
     under ``+``, ``-``, ``*`` and scalar arithmetic with exact product and sum
     rules for the gradients, which are analytic when every operand's is.
 
-    A non-None ``chart`` restricts the variable to points of that chart;
-    ``poisson_bracket`` raises :class:`ChartError` on mismatch.
+    A non-None ``chart`` restricts the variable to points of that chart: at a
+    :class:`PhasePoint` of another chart ``value``, ``gradient``, ``poisson_bracket``
+    and ``hamiltonian_vector_field`` raise :class:`ChartError` (a bare coordinate
+    array carries no chart and is not checked).
     """
 
     __slots__ = ("fn", "grad_fn", "name", "chart", "_analytic")
@@ -251,7 +253,7 @@ class DynamicVariable:
 
     def _coords(self, point_or_z) -> np.ndarray:
         if isinstance(point_or_z, PhasePoint):
-            return point_or_z.coords()
+            return _point_coords(point_or_z, self.chart, f"variable {self.name}", None)
         return np.asarray(point_or_z, dtype=float)
 
     def value(self, point_or_z) -> float:
@@ -293,8 +295,10 @@ class DynamicVariable:
 
     __radd__, __rmul__ = __add__, __mul__
 
-    def __sub__(self, other):
-        return self + -other if isinstance(other, (DynamicVariable, int, float)) else NotImplemented
+    def __sub__(self, other):  # -float(c): F - 0 is float subtraction, -0.0 at F = -0.0
+        if isinstance(other, (int, float)):
+            other = float(other)
+        return self + -other if isinstance(other, (DynamicVariable, float)) else NotImplemented
 
     def __rsub__(self, other):
         return -self + other if isinstance(other, (int, float)) else NotImplemented
@@ -315,10 +319,11 @@ def coordinate(which: Union[int, str], chart: Optional[Chart] = None) -> Dynamic
             raise DomainError(f"unknown coordinate label {which!r}")
         idx, name = coordinate_labels(charts[0]).index(which), which
         chart = _merge_charts(chart, charts[0] if idx >= _MOM0 else None)
+    elif (isinstance(which, bool) or not isinstance(which, (int, np.integer))
+          or not 0 <= which < N_COORDS):
+        raise DomainError(f"coordinate index must be an integer 0..12, got {which!r}")
     else:
         idx, name = int(which), f"z{int(which)}"
-        if not 0 <= idx < N_COORDS:
-            raise DomainError(f"coordinate index must be 0..12, got {idx}")
     e = np.eye(N_COORDS)[idx]
     return DynamicVariable(lambda z: z[idx], lambda z, e=e: e.copy(), name=name, chart=chart)
 

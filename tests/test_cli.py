@@ -222,13 +222,15 @@ def _initial(**init):
     (_both_q_and_axis_angle, "initial"),
     (lambda cfg: cfg["potential"].update(type="spring"), "potential.type"),
     (lambda cfg: cfg["integrator"].update(renorm_policy="sometimes"), "integrator.renorm_policy"),
+    (lambda cfg: cfg["integrator"].update(renorm_policy="none", renorm_eps=-1),
+     "integrator.renorm_eps"),
     (lambda cfg: cfg["body"].update(inertia=[1.0, 2.0]), "body.inertia"),
     (_initial(q=[0, 0, 0, 0]), "initial.q"),
     (_initial(q=[1e308, 1e308, 0, 0]), "initial.q"),
     (_initial(axis_angle={"axis": [0, 0, 0], "angle": 0.4}), "initial.axis_angle.axis"),
     (_initial(axis_angle={"axis": [1e308, 1e308, 0], "angle": 0.4}), "initial.axis_angle.axis"),
-], ids=["q and axis_angle", "potential type", "renorm policy", "inertia length", "zero q",
-        "overflowing q", "zero axis", "overflowing axis"])
+], ids=["q and axis_angle", "potential type", "renorm policy", "eps of an unused threshold",
+        "inertia length", "zero q", "overflowing q", "zero axis", "overflowing axis"])
 def test_simulate_config_error_names_the_field(tmp_path, capsys, monkeypatch, edit, field):
     monkeypatch.setattr(dynamics, "_samples", _must_not_run)
     cfg = json.loads(json.dumps(FREE_TOP))
@@ -238,6 +240,14 @@ def test_simulate_config_error_names_the_field(tmp_path, capsys, monkeypatch, ed
         warnings.simplefilter("error")  # no numpy overflow warning either
         assert main(["simulate", str(cfg_path)]) == 2
     assert f"config error: {field}: " in capsys.readouterr().err
+
+
+def test_simulate_unknown_renorm_policy_lists_the_three(tmp_path, capsys):
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["integrator"]["renorm_policy"] = "sometimes"
+    cfg_path, _ = write_config(tmp_path, cfg)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert "expected none, every_step or threshold" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["missing.json", "."])

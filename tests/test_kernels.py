@@ -288,8 +288,8 @@ def _reference(tree, z):
     (a, da, fa), (b, db, fb) = (_reference(t, z) for t in args)
     if da is None:  # c op g
         return {"+": (a + b, db), "-": (a - b, -db), "*": (a * b, a * db)}[kind] + (fb,)
-    if db is None:  # f op c; f - c is f + (-c), c negated as given: f - 0 at f = -0.0 is +0.0
-        return {"+": (a + b, da), "-": (a + float(-args[1]), da),
+    if db is None:  # f op c
+        return {"+": (a + b, da), "-": (a - b, da),
                 "*": (a * b, b * da)}[kind] + (fa,)
     return {"+": (a + b, da + db), "-": (a - b, da - db),
             "*": (a * b, a * db + b * da)}[kind] + (fa and fb,)

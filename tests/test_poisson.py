@@ -194,6 +194,13 @@ def test_dynamic_variable_scalar_subtraction(rng):
         np.testing.assert_array_equal(combo.gradient(z), expect)
 
 
+def test_dynamic_variable_minus_a_number_is_float_subtraction():
+    z = np.zeros(13)
+    z[6] = -0.0
+    for c in (0, 0.0):  # -0.0 - 0 is -0.0; -0.0 + (-0) would be +0.0
+        assert np.signbit((coordinate("q0") - c).value(z))
+
+
 def test_dynamic_variable_rejects_non_numbers():
     a = coordinate("q0")
     for other in ("a", None, [1.0]):
@@ -228,20 +235,34 @@ NAN_X = ([np.nan, 0.0, 0.0], np.zeros(3), Quaternion.identity(), np.zeros(3), Ch
 @pytest.mark.parametrize("call, error", [
     (lambda: coordinate("m1"), DomainError),
     (lambda: coordinate(13), DomainError),
+    (lambda: coordinate(12.7), DomainError),
+    (lambda: coordinate(True), DomainError),
     (lambda: coordinate("M1", Chart.INERTIAL_MU), ChartError),
     (lambda: coordinate("mu1") + coordinate("M1"), ChartError),
     (lambda: poisson_bracket(coordinate("q0"), coordinate("mu1") * coordinate("q1"), POINT),
      ChartError),
     (lambda: hamiltonian_vector_field(coordinate("mu3"), POINT), ChartError),
+    (lambda: coordinate("mu1").value(POINT), ChartError),
+    (lambda: (coordinate("q1") * coordinate("mu1")).gradient(POINT), ChartError),
     (lambda: rotation_entry_variable(3, 0), DomainError),
     (lambda: PhasePoint.from_coords(np.zeros(12), Chart.MIXED_M), DomainError),
     (lambda: PhasePoint(*NAN_X), DomainError),
-], ids=["unknown label", "index 13", "label off its chart", "variables on two charts",
-        "bracket off the point's chart", "field off the point's chart", "rotation entry 3",
+], ids=["unknown label", "index 13", "float index", "bool index", "label off its chart",
+        "variables on two charts", "bracket off the point's chart", "field off the point's chart",
+        "value off the point's chart", "gradient off the point's chart", "rotation entry 3",
         "12 coordinates", "non-finite x"])
 def test_bad_arguments_raise(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_chart_of_a_variable_is_checked_only_at_a_phase_point():
+    mu1 = coordinate("mu1")
+    assert mu1.value(POINT.coords()) == 1.0  # a bare array carries no chart
+    assert coordinate(np.int64(11)).value(POINT) == coordinate(11).value(POINT) == 1.0
+    inertial = PhasePoint.from_coords(POINT.coords(), Chart.INERTIAL_MU)
+    assert mu1.value(inertial) == 1.0
+    assert mu1.gradient(inertial).tolist() == np.eye(13)[10].tolist()
 
 
 def _jacobi_bruteforce(z, chart):
