@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import signal
-import struct
 import sys
 import time
 from dataclasses import dataclass
@@ -52,11 +51,6 @@ MAX_POINTS = 10**6
 CSV_HEADER = ",".join(("t", *coordinate_labels(Chart.MIXED_M), "H", "qnorm", "pi1", "pi2", "pi3"))
 # One CSV line for the 19 columns; "%.17g" prints the bytes "{:.17g}" does.
 _CSV_ROW = ",".join(["%.17g"] * 19) + "\n"
-# Rows formatted in one call: a simulate run sends its CSV writer this many
-# at once, and write_trajectory_csv converts this many to Python floats.
-ROWS_PER_BATCH = 64
-# A row's 19 floats as the writer process receives them.
-_PACK_ROW = struct.Struct("19d").pack
 
 
 def _setup_logging() -> None:
@@ -233,8 +227,8 @@ def write_trajectory_csv(path: str, traj: Trajectory) -> None:
         fh.write(CSV_HEADER + "\n")
         # A batch at a time: converting the whole table to Python floats at
         # once would hold every row as objects and raise peak memory.
-        for start in range(0, len(table), ROWS_PER_BATCH):
-            fh.write(_format_rows(table[start:start + ROWS_PER_BATCH].ravel().tolist()))
+        for start in range(0, len(table), dynamics.ROWS_PER_BATCH):
+            fh.write(_format_rows(table[start:start + dynamics.ROWS_PER_BATCH].ravel().tolist()))
 
 
 def _usable_cpus() -> int:
@@ -251,15 +245,15 @@ def _reap(pid: int) -> None:
 
 @contextlib.contextmanager
 def _csv_rows(fh):
-    """Yield ``put(values)``, which writes a CSV row of 19 floats to ``fh``.
+    """Yield ``put(rows)``, which writes an ``(n, 19)`` float array to ``fh`` as CSV rows.
 
     On two or more usable CPUs a forked writer formats the rows alongside
-    stepping: ``put`` packs each row's doubles into a buffered pipe that holds
-    ROWS_PER_BATCH rows, so the writer is sent whole batches and the rest when
-    the block ends; the writer's OSError comes back as the same OSError, and
-    an exception in the block kills the writer.  Otherwise, or when the
-    pipe or the fork fails, ``put`` formats in this process.  On one CPU the
-    writer measured no faster (medians, pinned to one CPU of a 2-CPU host):
+    stepping: ``put`` sends an array's doubles down a pipe, a run's block of
+    ROWS_PER_BATCH rows at a time.  When the block ends, even by an exception,
+    the pipe is closed and the writer awaited, and an OSError it exited on is
+    raised in place of any other exception.  Otherwise, or when the pipe or
+    the fork fails, ``put`` formats in this process.  On one CPU the writer
+    measured no faster (medians, pinned to one CPU of a 2-CPU host):
     0.060-0.064 s in-process against 0.0645-0.067 s with the writer on the
     README heavy top, and 0.19-0.20 s both ways on dense output."""
     fh.flush()
@@ -276,7 +270,7 @@ def _csv_rows(fh):
             reason = f"{'fork' if fds else 'pipe'} failed: {exc}"
     if reason:
         log.debug("CSV rows formatted in-process (%s)", reason)
-        yield lambda values: fh.write(_format_rows(values))
+        yield lambda rows: fh.write(_format_rows(rows.ravel().tolist()))
         return
     if pid == 0:  # the writer leaves only by os._exit, never into the caller's blocks
         code = 255
@@ -285,7 +279,7 @@ def _csv_rows(fh):
             os.close(wfd)
             with open(rfd, "rb") as src, open(fh.fileno(), "w", encoding="utf-8",
                                               newline="\n", closefd=False) as dst:
-                while data := src.read(8 * 19 * ROWS_PER_BATCH):  # whole batches
+                while data := src.read(8 * 19 * dynamics.ROWS_PER_BATCH):  # whole batches
                     dst.write(_format_rows(memoryview(data).cast("d")))
             code = 0
         except OSError as exc:
@@ -295,16 +289,10 @@ def _csv_rows(fh):
     os.close(rfd)
     log.debug("CSV rows formatted by writer process %d", pid)
     try:
-        with open(wfd, "wb", buffering=8 * 19 * ROWS_PER_BATCH) as pipe:
-            yield lambda values: pipe.write(_PACK_ROW(*values))
-    except BrokenPipeError:  # the writer failed: raise its error
+        with open(wfd, "wb") as pipe:
+            yield lambda rows: pipe.write(rows.tobytes())
+    finally:
         _reap(pid)
-        raise
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    _reap(pid)
 
 
 @contextlib.contextmanager
@@ -327,26 +315,28 @@ def _replacing(path: str):
 
 
 def _simulate(cfg: RunConfig) -> dict:
-    """Step the run, write each sample as a CSV row as it arrives, and return
-    the summary, whose drifts are running maxima of |row - row at step 0|.
+    """Step the run, write each block of samples as CSV rows as it arrives, and
+    return the summary, whose drifts are running maxima of |row - row at step 0|.
     Rows go through :func:`_replacing`, so output.csv changes only on success."""
     with _replacing(cfg.csv_path) as fh:
         t0 = time.perf_counter()
         fh.write(CSV_HEADER + "\n")
-        drift = [0.0] * 6
+        samples, drift = 0, 0.0
         with _csv_rows(fh) as put:
-            for samples, (step, z, row) in enumerate(dynamics._samples(
-                    cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm,
-                    cfg.sample_stride), 1):
-                put((step * cfg.h, *z, row[0], row[1], *row[3:]))  # no |M| column
-                if samples == 1:
-                    ref = (row[0], 1.0, *row[2:])  # |q| drifts from 1
-                drift = [max(d, abs(a - b)) for d, a, b in zip(drift, row, ref)]
+            for rows in dynamics._samples(cfg.state0, cfg.params, cfg.h, cfg.n_steps, cfg.renorm,
+                                          cfg.sample_stride):
+                put(rows[:, :19])  # no |M| column
+                if not samples:
+                    ref = np.array([rows[0, 14], 1.0, *rows[0, 16:]])  # |q| drifts from 1
+                # abs and max are exact, and every value is finite: the bits of a running max
+                drift = np.maximum(drift, np.abs(rows[:, 14:] - ref).max(axis=0))
+                samples += len(rows)
         wall = time.perf_counter() - t0
-    h0, _, mom0, *pi0 = ref
-    e_drift, qnorm_drift, mom_drift, *pi_abs = drift
+    h0, _, *pi0, mom0 = ref.tolist()
+    e_drift, qnorm_drift, *pi_abs, mom_drift = drift.tolist()
+    t, *z = rows[-1, :14].tolist()
     return {
-        "final_state": {"t": step * cfg.h, "x": z[0:3], "p": z[3:6], "q": z[6:10], "M": z[10:]},
+        "final_state": {"t": t, "x": z[0:3], "p": z[3:6], "q": z[6:10], "M": z[10:]},
         "max_drift": {
             "energy_abs": e_drift,
             "energy_rel": e_drift / max(abs(h0), 1e-300),

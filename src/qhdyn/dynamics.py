@@ -37,6 +37,8 @@ Vec3 = np.ndarray
 
 log = logging.getLogger("qhdyn")
 
+ROWS_PER_BATCH = 64  # samples per compiled block of _samples, and CSV rows formatted in one call
+
 
 @dataclass(frozen=True)
 class InertiaTensor:
@@ -79,9 +81,10 @@ class PotentialSpec:
     sequences: ``x`` the position 3-vector and ``q4`` the quaternion, scalar
     first, each a tuple of Python floats.  The gradients may return any
     sequence of numbers.  Analytic gradients are optional; missing ones fall
-    back to central finite differences of ``value``.  A sample window that fails
+    back to central finite differences of ``value``.  A sample block that fails
     is stepped again from its start, calling the potential again at the same
-    states: the reported abort step assumes the same result for the same input.
+    states (the block may have called it past the failing one): the reported
+    abort step assumes the same result for the same input.
     """
 
     __slots__ = ("name", "value", "analytic_grad_x", "analytic_grad_q", "_grad_x", "_grad_q",
@@ -255,21 +258,34 @@ _DZ = (
     "-(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3))",
     "-(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1))",
 )
-# H = p^2/(2m) + T_spin(M) + V(x, q); ** (C pow): see the renorm lines of _make_step
+# H = p^2/(2m) + T_spin(M) + V(x, q); ** (C pow): see the renorm lines of _RK4
 _H = "(p0 ** 2 + p1 ** 2 + p2 ** 2) / two_m + _spin(m1, m2, m3, inertia) + {value}"
 # grad(H), its momentum block M_i / (4 I_i) = Omega_i / 2
 _GRAD_H = ("gx0", "gx1", "gx2", "p0 / mass", "p1 / mass", "p2 / mass", "g0", "g1", "g2", "g3",
            "m1 * e1", "m2 * e2", "m3 * e3")
-# the monitor row (H, |q|, |M|, pi) with pi = vec(q M q^-1) / 2, the exact inverse q^dag / |q|^2
+# the monitor row (H, |q|, pi, |M|) with pi = vec(q M q^-1) / 2, the exact inverse q^dag / |q|^2
 _ROW = ("n2 = q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3", "t0 = -(q1 * m1 + q2 * m2 + q3 * m3)",
         "t1 = q0 * m1 + q2 * m3 - q3 * m2", "t2 = q0 * m2 + q3 * m1 - q1 * m3",
         "t3 = q0 * m3 + q1 * m2 - q2 * m1", "s = 0.5 / n2")
-_ROW_VALUES = (_H, "sqrt(n2)", "sqrt(m1 * m1 + m2 * m2 + m3 * m3)",
-               "(-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s",
+_ROW_VALUES = (_H, "sqrt(n2)", "(-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s",
                "(-t0 * q2 + t2 * q0 - t3 * q1 + t1 * q3) * s",
-               "(-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s")
+               "(-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s", "sqrt(m1 * m1 + m2 * m2 + m3 * m3)")
 # a user potential's line: a call of its callable
 _CALL = "{}((x0, x1, x2), (q0, q1, q2, q3))"
+# One RK4 step over z0..z12 and the names of _STATE, each stage _EOM written out, bit for bit
+# z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs; then the renorm ``mode``, whose x ** 2 (C
+# pow) rounds unlike x * x for some x, and the recorded trajectories are pinned bit for bit.
+_RK4 = (*itertools.chain.from_iterable(
+    (*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)),
+     *(f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
+       f"z{i} = {v} = z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+       for i, v in enumerate(_STATE)))
+    for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None))),
+    'if mode != "none":', "    norm = sqrt(z6 ** 2 + z7 ** 2 + z8 ** 2 + z9 ** 2)",
+    '    if mode == "every_step" or abs(norm - 1.0) > eps:',
+    *(f"        z{i} = {v} = z{i} / norm" for i, v in enumerate(_STATE[6:10], 6)))
+_Z = ", ".join(f"z{i}" for i in range(13))
+_PROLOGUE = (f"{_Z} = z", "half = 0.5 * h", "sixth = h / 6.0")
 
 
 @functools.lru_cache(maxsize=32)  # a source holds no number: bodies of one kind share it
@@ -312,34 +328,30 @@ def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
 
 @functools.lru_cache(maxsize=8)
 def _make_step(params: BodyParams) -> Callable[..., list]:
-    """The sample window ``step(z, h, steps=1, mode="none", eps=0.0)`` on 13 floats (13 columns
-    with mode "none"): ``steps`` RK4 steps, each _EOM written out per stage, bit for bit the
-    array form z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over :func:`_make_rhs`, then the renorm policy
-    ``mode``; the 13 coordinates once, at the end.  A non-finite coordinate stays so (a step
-    adds to it, the renorm divides q by a norm >= each |q_i| or NaN), so a finite end means
-    every step was finite: :func:`_samples` checks the end and replays a failing window."""
-    z = ", ".join(f"z{i}" for i in range(13))
-    body = []
-    for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None)):
-        body += [*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ))]
-        body += [f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
-                 f"z{i} = {v} = z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-                 for i, v in enumerate(_STATE)]
-    # the renorm; x ** 2 (C pow) rather than x * x: it rounds differently in the last bit for
-    # some x, and the recorded trajectories are pinned bit for bit
-    body += ['if mode != "none":', "    norm = sqrt(z6 ** 2 + z7 ** 2 + z8 ** 2 + z9 ** 2)",
-             '    if mode == "every_step" or abs(norm - 1.0) > eps:',
-             *(f"        z{i} = {v} = z{i} / norm" for i, v in enumerate(_STATE[6:10], 6))]
+    """The window ``step(z, h, steps=1, mode="none", eps=0.0)`` on 13 floats (13 columns with mode
+    "none"): ``steps`` steps of _RK4, then the 13 coordinates.  A non-finite coordinate stays so
+    (a step adds to it, the renorm divides q by a norm >= each |q_i| or NaN): a finite end means
+    every step was finite, here and between the samples of :func:`_make_block`."""
     return _define(params, "step", 'z, h, steps=1, mode="none", eps=0.0', [
-        f"{z} = z", "half = 0.5 * h", "sixth = h / 6.0", "for _ in range(steps):",
-        *(f"    {line}" for line in body)], f"[{z}]")
+        *_PROLOGUE, "for _ in range(steps):", *(f"    {line}" for line in _RK4)], f"[{_Z}]")
+
+
+@functools.lru_cache(maxsize=8)
+def _make_block(params: BodyParams) -> Callable[..., list]:
+    """The sample block ``block(z, h, step, ks, mode, eps)``: per count k of ``ks``, k steps of
+    _RK4 and the _ROW lines, adding the row t = step * h, the 13 coordinates and the monitor row
+    of :func:`_make_h` to one flat list of 20 floats per sample, which it returns."""
+    return _define(params, "block", "z, h, step, ks, mode, eps", [
+        *_PROLOGUE, "out = []", "for steps in ks:", "    for _ in range(steps):",
+        *(f"        {line}" for line in _RK4), *(f"    {line}" for line in (
+            "step += steps", *_ROW, f"out += [step * h, {_Z}, {', '.join(_ROW_VALUES)}]"))], "out")
 
 
 @functools.lru_cache(maxsize=8)
 def _make_h(params: BodyParams) -> tuple[Callable, Callable, Callable]:
     """``(energy, grad_h, row)`` compiled from _H, _GRAD_H and _ROW over 13 floats: H, grad(H)
     as a list of 13 (like :func:`_make_rhs`, also on 13 equal-shape columns) and the monitor
-    row (energy, |q|, |M|, pi1, pi2, pi3)."""
+    row (energy, |q|, pi1, pi2, pi3, |M|)."""
     return (_define(params, "energy", "z", (), _H),
             _define(params, "grad_h", "z", _GRAD, f"[{', '.join(_GRAD_H)}]"),
             _define(params, "row", "z", _ROW, f"({', '.join(_ROW_VALUES)})"))
@@ -374,18 +386,45 @@ def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
 def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord:
     """Energy, |q|, |M| and the spatial momentum pi = vec(q M q^-1) / 2."""
     z = _point_coords(state, Chart.MIXED_M, "conserved_quantities", None)
-    energy, qn, mom_norm, *pi = _make_h(params)[2](z.tolist())
+    energy, qn, *pi, mom_norm = _make_h(params)[2](z.tolist())
     return MonitorRecord(energy, qn, mom_norm, np.array(pi))
+
+
+def _replay(params: BodyParams, z: list, h: float, step: int, ks: list, mode, eps) -> list:
+    """The rows of :func:`_make_block` the per-sample way: per sample a window, stepped again one
+    checked step at a time if it ends non-finite or raises, then the monitor row and its check;
+    raises IntegrationAborted at the first non-finite state or row, or overflow, with its step."""
+    window, monitor, out = _make_step(params), _make_h(params)[2], []
+    try:
+        for k in ks:
+            try:
+                end = window(z, h, k, mode, eps)
+            except Exception:
+                end = [math.nan]  # stepped again below, which raises it again at its step
+            if all(map(math.isfinite, end)):
+                z, step = end, step + k
+            else:
+                for step in range(step + 1, step + k + 1):
+                    z = window(z, h, 1, mode, eps)
+                    if not all(map(math.isfinite, z)):
+                        raise IntegrationAborted(step)
+            row = monitor(z)
+            if not all(map(math.isfinite, row)):
+                raise IntegrationAborted(step, f"non-finite energy or momentum at step {step}")
+            out += [step * h, *z, *row]
+    except OverflowError:
+        # float ** and math functions raise where array arithmetic gave inf
+        raise IntegrationAborted(step, f"floating-point overflow at step {step}") from None
+    return out
 
 
 def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
              renorm_policy: RenormPolicy, sample_stride: int):
-    """The RK4 step loop: yields ``(step, z, row)`` at step 0, every
-    ``sample_stride`` steps and the last step, ``z`` the 13 coordinates and
-    ``row`` the monitor row of :func:`_make_h`.  Checks its arguments on the first draw.
-    One compiled window call and one finiteness check per stride (see :func:`_make_step`); a
-    window that ends non-finite or raises is replayed one checked step at a time, which names
-    the first failing step if the potential gives the same result for the same state."""
+    """The RK4 step loop: yields the rows of :func:`_make_block` at step 0, every ``sample_stride``
+    steps and the last step, as ``(n, 20)`` arrays of up to ROWS_PER_BATCH rows, one block call
+    and one finiteness check each.  Checks its arguments on the first draw.  A block that holds a
+    non-finite value or raises is stepped again by :func:`_replay`, which names the first failing
+    step if the potential gives the same result for the same state."""
     if not h > 0.0:  # NaN too
         raise DomainError(f"step size h must be positive, got {h!r}")
     if n_steps < 1:
@@ -398,32 +437,21 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         log.info("potential %r steps on finite-difference gradients, several times slower "
                  "(analytic grad_x %s, grad_q %s)", pot.name, pot.analytic_grad_x,
                  pot.analytic_grad_q)
-    window, monitor = _make_step(params), _make_h(params)[2]
-    mode, eps = renorm_policy.mode, renorm_policy.eps
-    step = 0
-    try:
-        while True:
-            row = monitor(z)
-            if not all(map(math.isfinite, row)):
-                raise IntegrationAborted(step, f"non-finite energy or momentum at step {step}")
-            yield step, z, row
-            if step == n_steps:
-                return
-            k = min(sample_stride, n_steps - step)
-            try:
-                end = window(z, h, k, mode, eps)
-                if all(map(math.isfinite, end)):
-                    z, step = end, step + k
-                    continue
-            except Exception:
-                pass  # the replay raises it again, at its step
-            for step in range(step + 1, step + k + 1):
-                z = window(z, h, 1, mode, eps)
-                if not all(map(math.isfinite, z)):
-                    raise IntegrationAborted(step)
-    except OverflowError:
-        # float ** and math functions raise where array arithmetic gave inf
-        raise IntegrationAborted(step, f"floating-point overflow at step {step}") from None
+    block, mode, eps, step = _make_block(params), renorm_policy.mode, renorm_policy.eps, 0
+    strides, rest = divmod(n_steps, sample_stride)  # the steps before each sample, 0 for step 0
+    counts = itertools.chain([0], itertools.repeat(sample_stride, strides), [rest] if rest else [])
+    while ks := list(itertools.islice(counts, ROWS_PER_BATCH)):
+        try:
+            out = block(z, h, step, ks, mode, eps)
+            rows = np.fromiter(out, float).reshape(-1, 20)
+            ok = np.isfinite(rows).all()
+        except Exception:
+            ok = False
+        if not ok:
+            out = _replay(params, z, h, step, ks, mode, eps)
+            rows = np.fromiter(out, float).reshape(-1, 20)
+        z, step = out[-19:-6], step + sum(ks)  # the next block starts from the same objects
+        yield rows
 
 
 def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
@@ -446,10 +474,11 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
     first = next(samples)  # checks the arguments before the buffers are sized
     k = 1 + -(-n_steps // sample_stride)  # step 0, each stride, and the last step
     times, states, monitors = np.empty(k), np.empty((k, 13)), np.empty((k, 6))
-    for i, (step, z, row) in enumerate(itertools.chain([first], samples)):
-        times[i], states[i], monitors[i] = step * h, z, row
-    return Trajectory(times, states, monitors[:, 0], monitors[:, 1], monitors[:, 2],
-                      monitors[:, 3:6], h=h, n_steps=n_steps)
+    for b, rows in enumerate(itertools.chain([first], samples)):  # full blocks but the last
+        i = slice(b * ROWS_PER_BATCH, b * ROWS_PER_BATCH + len(rows))
+        times[i], states[i], monitors[i] = rows[:, 0], rows[:, 1:14], rows[:, 14:]
+    return Trajectory(times, states, monitors[:, 0], monitors[:, 1], monitors[:, 5],
+                      monitors[:, 2:5], h=h, n_steps=n_steps)
 
 
 def _builtin(name: str, value: str, grad_x: str, grad_q: str, **constants) -> PotentialSpec:

@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 import qhdyn
-from qhdyn import cli, dynamics, verify
+from qhdyn import IntegrationAborted, PotentialSpec, cli, dynamics, verify
 from qhdyn.cli import main
+
+import sample_reference
 
 FREE_TOP = {
     "body": {"mass": 1.0, "inertia": [1.0, 2.0, 3.0]},
@@ -160,6 +162,26 @@ def test_simulate_free_top(tmp_path):
     assert summary["max_drift"]["qnorm"] <= 1e-6
 
 
+def test_simulate_summary_drifts_are_the_trajectory_maxima(tmp_path):
+    # the drifts are folded a block at a time; they are the exact maxima over all samples of
+    # |value - value at step 0|, and of |1 - |q||, which is not 0 at step 0 for this q
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["potential"] = {"type": "heavy_top", "g": 9.81, "l": 1.0}
+    cfg["initial"]["q"] = [1.0, 2.0, 3.0, 4.0]
+    cfg["integrator"].update(n_steps=200, sample_stride=1)
+    cfg_path, _ = write_config(tmp_path, cfg)
+    run = cli.load_config(str(cfg_path))
+    traj = dynamics.integrate(run.state0, run.params, run.h, run.n_steps, run.renorm, 1)
+    assert traj.qnorm[0] != 1.0
+    assert main(["simulate", str(cfg_path)]) == 0
+    drift = json.loads((tmp_path / "summary.json").read_text())["max_drift"]
+    assert drift["energy_abs"] == np.max(np.abs(traj.energy - traj.energy[0]))
+    assert drift["qnorm"] == np.max(np.abs(traj.qnorm - 1.0))
+    assert drift["mom_norm_abs"] == np.max(np.abs(traj.mom_norm - traj.mom_norm[0]))
+    assert drift["pi_abs"] == np.max(np.abs(traj.pi_spatial - traj.pi_spatial[0]), axis=0).tolist()
+    assert drift["pi_initial"] == traj.pi_spatial[0].tolist()
+
+
 def test_simulate_deterministic_output(tmp_path):
     cfg_path, cfg = write_config(tmp_path, FREE_TOP)
     assert main(["simulate", str(cfg_path)]) == 0
@@ -293,6 +315,109 @@ def test_simulate_numerical_abort(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
 
 
+def _zero(x, q4):
+    return (0.0,) * len(q4)
+
+
+def _beyond(value):
+    """``value`` where x1 > 0.1002, reached at step 101 from x1 = 0 with p = (1, 0, 0) and
+    h = 1e-3, else 0: a failure at the 38th sample of the second block at stride 1, and at the
+    35th of the first at stride 3."""
+    def fn(x, q4):
+        return value() if x[0] > 0.1002 else 0.0
+    return fn
+
+
+def _raise():
+    raise RuntimeError("no potential beyond x1 = 0.1002")
+
+
+# potential (None: the config's), config edits, and how the per-sample loop stops the run
+ABORT_RUNS = {
+    "non-finite state": (PotentialSpec("nan_force", _beyond(lambda: 0.0),
+                                       lambda x, q4: (_beyond(lambda: math.nan)(x, q4), 0.0, 0.0),
+                                       _zero), {}, "non-finite state encountered at step"),
+    "non-finite H": (PotentialSpec("inf_beyond", _beyond(lambda: math.inf), lambda x, q4: _zero(x, x),
+                                   _zero), {}, "non-finite energy or momentum at step"),
+    # p3 = -g t passes sqrt(max float) at step 101, where p3 ** 2 raises
+    "overflow": (None, {"type": "linear_gravity", "g": 1.3307e155}, "floating-point overflow at step"),
+    "potential raises": (PotentialSpec("raises", _beyond(lambda: 0.0),
+                                       lambda x, q4: (_beyond(_raise)(x, q4), 0.0, 0.0), _zero),
+                         {}, RuntimeError),
+}
+
+
+def _abort_config(tmp_path, monkeypatch, case, stride):
+    pot, potential, _ = ABORT_RUNS[case]
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["initial"]["p"] = [1.0, 0.0, 0.0]
+    cfg["integrator"].update(n_steps=1000, sample_stride=stride, renorm_policy="threshold")
+    cfg["potential"] = potential or cfg["potential"]
+    if pot is not None:
+        monkeypatch.setattr(cli, "_build_potential", lambda node, path, mass: pot)
+    return write_config(tmp_path, cfg)[0]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("case", ABORT_RUNS)
+def test_simulate_abort_mid_block_as_per_sample(tmp_path, capsys, monkeypatch, case, stride):
+    # a block that fails is stepped again the per-sample way, so the run stops where the
+    # per-sample loop stopped it: the same step and message and exit 3, or the exception the
+    # potential raised, on both row paths and in integrate
+    cfg_path = _abort_config(tmp_path, monkeypatch, case, stride)
+    run = cli.load_config(str(cfg_path))
+    args = (run.state0, run.params, run.h, run.n_steps, run.renorm, run.sample_stride)
+    expect = sample_reference.outcome(lambda: list(sample_reference.samples(*args)))
+    kind = ABORT_RUNS[case][2]
+    if kind is RuntimeError:
+        assert expect == (RuntimeError, "no potential beyond x1 = 0.1002")
+    else:
+        assert expect[0] == "abort" and 101 <= expect[1] <= 102
+        assert expect[2] == f"{kind} {expect[1]}"
+    assert sample_reference.outcome(lambda: dynamics.integrate(*args)) == expect
+    for path in ("writer", "one_cpu"):
+        _force_rows_path(monkeypatch, path)
+        got = sample_reference.outcome(lambda: main(["simulate", str(cfg_path)]))
+        assert_no_child()
+        assert os.listdir(tmp_path) == ["run.json"]
+        if kind is RuntimeError:
+            assert got == expect
+        else:
+            assert got == ("returned", 3)
+            assert capsys.readouterr().err == f"numerical abort: {expect[2]} (step {expect[1]})\n"
+
+
+def test_simulate_writer_failure_then_abort_exits_2(tmp_path, capsys, monkeypatch):
+    # the rows of the first block cannot be written, and the run overflows in its second
+    # block: the output error decides, exit 2, on both row paths.  In-process the first write
+    # raises before the second block is stepped; the writer is sent the first block, fails on
+    # it, and is awaited when the abort ends the run, so its error replaces the abort
+    cfg_path = _abort_config(tmp_path, monkeypatch, "overflow", 1)
+    aborted = []
+    samples = dynamics._samples
+
+    def recording(*args):
+        try:
+            yield from samples(*args)
+        except IntegrationAborted as exc:
+            aborted.append(exc.step)
+            raise
+
+    def no_space(values):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(dynamics, "_samples", recording)
+    monkeypatch.setattr(cli, "_format_rows", no_space)
+    for path, steps in (("writer", [101]), ("one_cpu", [])):
+        _force_rows_path(monkeypatch, path)
+        assert main(["simulate", str(cfg_path)]) == 2
+        assert_no_child()
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left on device\n"
+        assert os.listdir(tmp_path) == ["run.json"]
+        assert aborted == steps
+        aborted.clear()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
 def test_simulate_golden_csv(tmp_path, name):
     run = {"sim_heavy_top": HEAVY_TOP_RUN, "sim_dense_output": DENSE_OUTPUT_RUN}[name]
@@ -382,17 +507,20 @@ def test_simulate_rows_match_write_trajectory_csv(tmp_path, monkeypatch, path, n
 
 
 @pytest.mark.parametrize("path", ["writer", "one_cpu"])
-@pytest.mark.parametrize("rows", [0, 1])
+@pytest.mark.parametrize("rows", [0, 1, 64, 65])
 def test_csv_rows_writes_what_it_is_given(tmp_path, monkeypatch, path, rows):
-    values = [float(i) / 3.0 for i in range(19 * rows)]
+    # put takes the first 19 columns of a run's (n, 20) blocks, a strided view, a block of
+    # up to ROWS_PER_BATCH rows at a time
+    table = np.arange(20.0 * rows).reshape(rows, 20) / 3.0
     _force_rows_path(monkeypatch, path)
     with open(tmp_path / "out.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("header\n")
         with cli._csv_rows(fh) as put:
-            for i in range(rows):
-                put(tuple(values[19 * i:19 * i + 19]))
+            for start in range(0, rows, dynamics.ROWS_PER_BATCH):
+                put(table[start:start + dynamics.ROWS_PER_BATCH, :19])
     assert_no_child()
-    assert (tmp_path / "out.csv").read_text() == "header\n" + cli._format_rows(values)
+    expect = "header\n" + cli._format_rows(table[:, :19].ravel().tolist())
+    assert (tmp_path / "out.csv").read_text() == expect
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
@@ -499,20 +627,24 @@ def test_simulate_summary_same_as_csv_exits_2_naming_it(tmp_path, capsys, monkey
 
 
 def test_simulate_output_error_mid_stream(tmp_path, capsys, monkeypatch):
-    # a write error after some rows: exit 2, no temporary file left, and an
+    # a write error after two blocks of 64 rows: exit 2, no temporary file left, and an
     # earlier run's outputs keep their bytes
     cfg_path, _ = write_config(tmp_path, FREE_TOP)
     (tmp_path / "traj.csv").write_bytes(b"earlier run\n")
     (tmp_path / "summary.json").write_bytes(b"{}\n")
     samples = dynamics._samples
+    sizes = []
 
-    def fails_after_three_rows(*args, **kwargs):
-        yield from itertools.islice(samples(*args, **kwargs), 3)
+    def fails_after_two_blocks(*args, **kwargs):
+        for rows in itertools.islice(samples(*args, **kwargs), 2):
+            sizes.append(len(rows))
+            yield rows
         assert len(list(tmp_path.glob("*.tmp"))) == 2  # both outputs are being written
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(dynamics, "_samples", fails_after_three_rows)
+    monkeypatch.setattr(dynamics, "_samples", fails_after_two_blocks)
     assert main(["simulate", str(cfg_path)]) == 2
+    assert sizes == [64, 64]  # 201 samples: the stream is drawn a block at a time
     assert_no_child()
     assert "output error" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["run.json", "summary.json", "traj.csv"]

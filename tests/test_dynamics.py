@@ -380,7 +380,13 @@ def test_finite_difference_fallback_logs_once_before_stepping(caplog, monkeypatc
         integrate(state, params, 1e-3, 20, sample_stride=5)
         assert [r.getMessage() for r in caplog.records] == expect
         caplog.clear()
+        # the window is built only to replay a failing block, so a run that succeeds never
+        # builds it; the block is built after the log line
         monkeypatch.setattr("qhdyn.dynamics._make_step", _no_step)
+        integrate(state, params, 1e-3, 20)
+        assert [r.getMessage() for r in caplog.records] == expect
+        caplog.clear()
+        monkeypatch.setattr("qhdyn.dynamics._make_block", _no_step)
         with pytest.raises(RuntimeError, match="stepped"):
             integrate(state, params, 1e-3, 20)
         assert [r.getMessage() for r in caplog.records] == expect
@@ -442,31 +448,44 @@ def test_trajectory_point_is_a_read_only_copy():
 
 
 def test_sampling_stride(monkeypatch):
-    # each stride is one call of the compiled window; a one-step call only replays a window
-    # that failed
-    calls = []
-    make_step = dynamics._make_step
+    # one compiled block call per ROWS_PER_BATCH samples, given the steps before each sample;
+    # the window runs only to replay a block that failed: once per sample of the block, then
+    # once per step of the sample whose window failed
+    blocks, windows = [], []
+    make_block, make_step = dynamics._make_block, dynamics._make_step
 
-    def counted(params):
+    def counted_block(params):
+        block = make_block(params)
+
+        def run(z, h, step, ks, *args):
+            blocks.append(list(ks))
+            return block(z, h, step, ks, *args)
+        return run
+
+    def counted_step(params):
         window = make_step(params)
 
         def step(z, h, *args):
-            calls.append(args[0])
+            windows.append(args[0])
             return window(z, h, *args)
         return step
 
-    monkeypatch.setattr(dynamics, "_make_step", counted)
+    monkeypatch.setattr(dynamics, "_make_block", counted_block)
+    monkeypatch.setattr(dynamics, "_make_step", counted_step)
+    assert dynamics.ROWS_PER_BATCH == 64
     params = BodyParams(1.0, INERTIA, free())
     integrate(mixed_state(M=(1, 2, 3)), params, 1e-3, 10_000, sample_stride=10)
-    assert calls == [10] * 1000
-    calls.clear()
+    # 1001 samples: step 0 and 63 strides, 14 blocks of 64 strides, and 41 strides
+    assert blocks == [[0] + [10] * 63, *[[10] * 64] * 14, [10] * 41] and windows == []
+    blocks.clear()
     with pytest.raises(IntegrationAborted):  # steps 1 and 2 replayed, step 2 fails
         integrate(mixed_state(p=(1e150, 0, 0), M=(1, 2, 3)), params, 1e10, 100,
                   sample_stride=10)
-    assert calls == [10, 1, 1]
-    calls.clear()
+    assert blocks == [[0] + [10] * 10] and windows == [0, 10, 1, 1]
+    blocks.clear()
+    windows.clear()
     traj = integrate(mixed_state(M=(1, 2, 3)), params, 1e-3, 105, sample_stride=10)
-    assert calls == [10] * 10 + [5]
+    assert blocks == [[0] + [10] * 10 + [5]] and windows == []
     # samples at 0, 10, ..., 100 and the final step 105
     assert len(traj) == 12
     assert traj.times[-1] == pytest.approx(0.105)

@@ -46,11 +46,12 @@ from qhdyn import (  # noqa: E402
     symplectic_form_eval,
     verify,
 )
-from qhdyn.dynamics import _make_h, _make_rhs, _make_step  # noqa: E402
+from qhdyn.dynamics import _make_block, _make_h, _make_rhs, _make_step  # noqa: E402
 from qhdyn.poisson import N_COORDS  # noqa: E402
 from qhdyn.quaternion import _conj, _inv, _mul, _norm2  # noqa: E402
 from qhdyn.so3 import _matrix, _quat_of_matrix  # noqa: E402
 
+import sample_reference  # noqa: E402
 import stream_reference  # noqa: E402
 
 R2, R3 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(3.0)
@@ -596,6 +597,35 @@ def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, 
                     _columns(expect))
 
 
+# sample counts either side of a block of 64 and of two, and 2 (n_steps <= stride)
+SAMPLE_COUNTS = (2, 63, 64, 65, 129)
+
+
+@pytest.mark.parametrize("mode, eps", POLICIES)
+@pytest.mark.parametrize("params", [*STEP_PARAMS, VALUE_ONLY],
+                         ids=[p.potential.name for p in (*STEP_PARAMS, VALUE_ONLY)])
+@settings(max_examples=10, deadline=None, database=None, phases=(Phase.explicit, Phase.generate))
+@given(phase_point, st.floats(1e-4, 5e-2), st.integers(1, 5), st.sampled_from(SAMPLE_COUNTS),
+       st.integers(0, 4))
+@example(WINDOW_POINT, 0.003, 3, 65, 2).via("a stride that does not divide n_steps")
+@example(WINDOW_POINT, 0.003, 5, 2, 3).via("n_steps < stride")
+def test_sample_blocks_are_the_per_sample_stream_bit_for_bit(params, mode, eps, col, h, stride,
+                                                             count, rest):
+    # the compiled blocks against the per-sample step loop they replaced, and the replay of
+    # the first block (the path a failing block takes) against the block itself
+    rest %= stride
+    n_steps = (count - 1) * stride if rest == 0 else (count - 2) * stride + rest
+    policy = dynamics.RenormPolicy(mode, eps or 1e-9)
+    args = (PhasePoint.from_coords(col, Chart.MIXED_M), params, h, n_steps, policy, stride)
+    blocks = list(dynamics._samples(*args))
+    assert [len(b) for b in blocks] == [64] * (count // 64) + [count % 64] * (count % 64 > 0)
+    assert _bits(np.concatenate(blocks)) == _bits(sample_reference.rows(*args))
+    ks = [0] + [stride] * (len(blocks[0]) - 1)
+    ks[-1] = min(stride, n_steps - stride * (len(ks) - 2))
+    replay = dynamics._replay(params, list(col), h, 0, ks, mode, eps)
+    assert _bits(replay) == _bits(blocks[0].ravel())
+
+
 def test_small_threshold_takes_both_branches():
     divided = []
     _reference_window(list(WINDOW_POINT), 0.003, 7, *POLICIES[3], _make_rhs(STEP_PARAMS[2]),
@@ -629,7 +659,7 @@ def test_builtin_gradients_are_the_reference_bit_for_bit(cols, mass, g, length, 
 
 def _compiled(params):
     """Every function compiled from the templates for ``params``."""
-    return (_make_rhs(params), _make_step(params), *_make_h(params))
+    return (_make_rhs(params), _make_step(params), _make_block(params), *_make_h(params))
 
 
 def test_step_source_holds_no_number():
@@ -639,7 +669,8 @@ def test_step_source_holds_no_number():
     a, b = (dynamics.BodyParams(m, dynamics.InertiaTensor(m, 2.0, 3.0),
                                 dynamics.heavy_top(m, g, 1.0))
             for m, g in ((1.0, 9.81), (2.5, 1.62)))
-    for fa, fb, name in zip(_compiled(a), _compiled(b), ("rhs", "step", "energy", "grad_h", "row")):
+    for fa, fb, name in zip(_compiled(a), _compiled(b),
+                            ("rhs", "step", "block", "energy", "grad_h", "row")):
         assert fa is not fb and fa.__code__.co_code == fb.__code__.co_code
         assert fa.__code__ == fb.__code__  # constants and names too
         assert fa.__code__.co_filename == f"<qhdyn.dynamics {name}>"
@@ -667,7 +698,7 @@ def test_compiled_functions_are_cached_and_bounded():
     # an equal BodyParams (same potential object) shares the compiled step
     assert _make_step(dynamics.BodyParams(p.mass, p.inertia, p.potential)) is _make_step(p)
     assert dynamics._code.cache_info().maxsize is not None
-    for make in (_make_rhs, _make_step, _make_h):
+    for make in (_make_rhs, _make_step, _make_block, _make_h):
         bound = make.cache_info().maxsize
         assert bound is not None
         for _ in range(bound + 3):
@@ -678,7 +709,8 @@ def test_compiled_functions_are_cached_and_bounded():
 def test_compile_cache_holds_every_source_of_a_run():
     # all seven verify suites, then every built-in under every renorm policy through the
     # public calls: the code cache evicts nothing, so no call recompiles shared code
-    for cache in (dynamics._code, _make_rhs, _make_step, _make_h, verify._oracle_params):
+    for cache in (dynamics._code, _make_rhs, _make_step, _make_block, _make_h,
+                  verify._oracle_params):
         cache.cache_clear()
     for name in verify.SUITES:
         verify.run_suite(name, n_points=4)
