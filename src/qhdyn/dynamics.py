@@ -390,7 +390,7 @@ def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord
     return MonitorRecord(energy, qn, mom_norm, np.array(pi))
 
 
-def _replay(params: BodyParams, z: list, h: float, step: int, ks: list, mode, eps) -> list:
+def _replay(params, z, h, step, ks, mode, eps) -> list:
     """The rows of :func:`_make_block` the per-sample way: per sample a window, stepped again one
     checked step at a time if it ends non-finite or raises, then the monitor row and its check;
     raises IntegrationAborted at the first non-finite state or row, or overflow, with its step."""

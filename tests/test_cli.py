@@ -315,35 +315,39 @@ def test_simulate_numerical_abort(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "traj.csv").read_bytes() == b"earlier run\n"
 
 
-def _zero(x, q4):
-    return (0.0,) * len(q4)
+def _beyond(x, value):
+    """``value()`` where x1 > 0.1002, else 0: from x1 = 0 with p = (1, 0, 0) and h = 1e-3,
+    a stage of step 101 passes it, so a run fails at the 38th sample of its second block at
+    stride 1, and at the 35th of its first at stride 3."""
+    return value() if x[0] > 0.1002 else 0.0
 
 
-def _beyond(value):
-    """``value`` where x1 > 0.1002, reached at step 101 from x1 = 0 with p = (1, 0, 0) and
-    h = 1e-3, else 0: a failure at the 38th sample of the second block at stride 1, and at the
-    35th of the first at stride 3."""
-    def fn(x, q4):
-        return value() if x[0] > 0.1002 else 0.0
-    return fn
+def _zero_grad_q(x, q4):
+    return (0.0, 0.0, 0.0, 0.0)
 
 
 def _raise():
     raise RuntimeError("no potential beyond x1 = 0.1002")
 
 
-# potential (None: the config's), config edits, and how the per-sample loop stops the run
+# potential (None: the config's), the config's potential, and how the per-sample loop stops
+# the run: its abort message less the step, or the exception the potential raises
 ABORT_RUNS = {
-    "non-finite state": (PotentialSpec("nan_force", _beyond(lambda: 0.0),
-                                       lambda x, q4: (_beyond(lambda: math.nan)(x, q4), 0.0, 0.0),
-                                       _zero), {}, "non-finite state encountered at step"),
-    "non-finite H": (PotentialSpec("inf_beyond", _beyond(lambda: math.inf), lambda x, q4: _zero(x, x),
-                                   _zero), {}, "non-finite energy or momentum at step"),
+    "non-finite state": (
+        PotentialSpec("nan_force", lambda x, q4: 0.0,
+                      lambda x, q4: (_beyond(x, lambda: math.nan), 0.0, 0.0), _zero_grad_q),
+        None, "non-finite state encountered at step"),
+    "non-finite H": (
+        PotentialSpec("inf_value", lambda x, q4: _beyond(x, lambda: math.inf),
+                      lambda x, q4: (0.0, 0.0, 0.0), _zero_grad_q),
+        None, "non-finite energy or momentum at step"),
     # p3 = -g t passes sqrt(max float) at step 101, where p3 ** 2 raises
-    "overflow": (None, {"type": "linear_gravity", "g": 1.3307e155}, "floating-point overflow at step"),
-    "potential raises": (PotentialSpec("raises", _beyond(lambda: 0.0),
-                                       lambda x, q4: (_beyond(_raise)(x, q4), 0.0, 0.0), _zero),
-                         {}, RuntimeError),
+    "overflow": (None, {"type": "linear_gravity", "g": 1.3307e155},
+                 "floating-point overflow at step"),
+    "potential raises": (
+        PotentialSpec("raises", lambda x, q4: 0.0,
+                      lambda x, q4: (_beyond(x, _raise), 0.0, 0.0), _zero_grad_q),
+        None, RuntimeError),
 }
 
 

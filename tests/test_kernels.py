@@ -611,19 +611,18 @@ SAMPLE_COUNTS = (2, 63, 64, 65, 129)
 @example(WINDOW_POINT, 0.003, 5, 2, 3).via("n_steps < stride")
 def test_sample_blocks_are_the_per_sample_stream_bit_for_bit(params, mode, eps, col, h, stride,
                                                              count, rest):
-    # the compiled blocks against the per-sample step loop they replaced, and the replay of
-    # the first block (the path a failing block takes) against the block itself
+    # the compiled blocks against the per-sample step loop of sample_reference, and the
+    # replay (the path a failing block takes) of the whole run against the blocks
     rest %= stride
     n_steps = (count - 1) * stride if rest == 0 else (count - 2) * stride + rest
     policy = dynamics.RenormPolicy(mode, eps or 1e-9)
     args = (PhasePoint.from_coords(col, Chart.MIXED_M), params, h, n_steps, policy, stride)
     blocks = list(dynamics._samples(*args))
     assert [len(b) for b in blocks] == [64] * (count // 64) + [count % 64] * (count % 64 > 0)
-    assert _bits(np.concatenate(blocks)) == _bits(sample_reference.rows(*args))
-    ks = [0] + [stride] * (len(blocks[0]) - 1)
-    ks[-1] = min(stride, n_steps - stride * (len(ks) - 2))
-    replay = dynamics._replay(params, list(col), h, 0, ks, mode, eps)
-    assert _bits(replay) == _bits(blocks[0].ravel())
+    rows = np.concatenate(blocks)
+    assert _bits(rows) == _bits(sample_reference.rows(*args))
+    ks = [0] + [stride] * (n_steps // stride) + [rest] * (rest > 0)  # the steps before each sample
+    assert _bits(dynamics._replay(params, list(col), h, 0, ks, mode, eps)) == _bits(rows.ravel())
 
 
 def test_small_threshold_takes_both_branches():
