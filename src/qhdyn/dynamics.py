@@ -36,7 +36,6 @@ from .quaternion import TOL_UNIT
 Vec3 = np.ndarray
 
 log = logging.getLogger("qhdyn")
-
 ROWS_PER_BATCH = 64  # samples per compiled block of _samples, and CSV rows formatted in one call
 
 
@@ -272,9 +271,10 @@ _ROW_VALUES = (_H, "sqrt(n2)", "(-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s",
                "(-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s", "sqrt(m1 * m1 + m2 * m2 + m3 * m3)")
 # a user potential's line: a call of its callable
 _CALL = "{}((x0, x1, x2), (q0, q1, q2, q3))"
-# One RK4 step over z0..z12 and the names of _STATE, each stage _EOM written out, bit for bit
-# z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs; then the renorm ``mode``, whose x ** 2 (C
-# pow) rounds unlike x * x for some x, and the recorded trajectories are pinned bit for bit.
+# One RK4 step, each stage _EOM written out, bit for bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over
+# _make_rhs; it leaves the new state in z0..z12 and in the names of _STATE, which the next step
+# and the _ROW lines read.  Then the renorm ``mode``, whose x ** 2 (C pow) rounds unlike x * x
+# for some x: the recorded trajectories are pinned bit for bit.
 _RK4 = (*itertools.chain.from_iterable(
     (*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)),
      *(f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
