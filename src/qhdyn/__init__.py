@@ -80,3 +80,10 @@ from .dynamics import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # qhdyn.verify loads on first use: import qhdyn.cli leaves it out
+    if name == "verify":
+        import importlib
+        return importlib.import_module(".verify", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

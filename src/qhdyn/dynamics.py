@@ -24,6 +24,7 @@ import functools
 import itertools
 import logging
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -215,13 +216,9 @@ def angular_velocity(M: Sequence[float], inertia: InertiaTensor) -> Vec3:
                      M[2] / (2.0 * inertia.i3)])
 
 
-def _spin(m1: float, m2: float, m3: float, inertia: InertiaTensor) -> float:
-    return 0.125 * (m1 * m1 / inertia.i1 + m2 * m2 / inertia.i2 + m3 * m3 / inertia.i3)
-
-
 def spin_kinetic(M: Sequence[float], inertia: InertiaTensor) -> float:
     """Rotational kinetic energy (M1^2/I1 + M2^2/I2 + M3^2/I3) / 8."""
-    return _spin(*_floats(M), inertia)
+    return _spin(*_floats(M), inertia.i1, inertia.i2, inertia.i3)
 
 
 def hamiltonian_eval(state: PhasePoint, params: BodyParams) -> float:
@@ -243,7 +240,7 @@ def hamiltonian_variable(params: BodyParams) -> DynamicVariable:
 # the names of _STATE, with the potential's lines in place of {grad_x}, {grad_q} and {value}.
 # They compile per BodyParams into the rhs, the fused RK4 step (_EOM once per stage), H,
 # grad(H) and the row; numbers (mass, inertia, the potential's constants) reach the code only
-# as globals, never as source text.
+# as keyword-only parameters with the body's values as defaults, never as source text.
 _STATE = ("x0", "x1", "x2", "p0", "p1", "p2", "q0", "q1", "q2", "q3", "m1", "m2", "m3")
 _GRAD = ("gx0, gx1, gx2 = {grad_x}", "g0, g1, g2, g3 = {grad_q}")
 _EOM = ("o1 = m1 * d1", "o2 = m2 * d2", "o3 = m3 * d3", *_GRAD)
@@ -257,8 +254,9 @@ _DZ = (
     "-(o3 * m1 - o1 * m3) - (q0 * g2 - g0 * q2 - (q3 * g1 - q1 * g3))",
     "-(o1 * m2 - o2 * m1) - (q0 * g3 - g0 * q3 - (q1 * g2 - q2 * g1))",
 )
-# H = p^2/(2m) + T_spin(M) + V(x, q); ** (C pow): see the renorm lines of _RK4
-_H = "(p0 ** 2 + p1 ** 2 + p2 ** 2) / two_m + _spin(m1, m2, m3, inertia) + {value}"
+# H = p^2/(2m) + T_spin(M) + V(x, q), T_spin = (M1^2/I1 + M2^2/I2 + M3^2/I3) / 8; **: see _RENORM
+_SPIN = "0.125 * (m1 * m1 / i1 + m2 * m2 / i2 + m3 * m3 / i3)"
+_H = f"(p0 ** 2 + p1 ** 2 + p2 ** 2) / two_m + {_SPIN} + {{value}}"
 # grad(H), its momentum block M_i / (4 I_i) = Omega_i / 2
 _GRAD_H = ("gx0", "gx1", "gx2", "p0 / mass", "p1 / mass", "p2 / mass", "g0", "g1", "g2", "g3",
            "m1 * e1", "m2 * e2", "m3 * e3")
@@ -271,24 +269,36 @@ _ROW_VALUES = (_H, "sqrt(n2)", "(-t0 * q1 + t1 * q0 - t2 * q3 + t3 * q2) * s",
                "(-t0 * q3 + t3 * q0 - t1 * q2 + t2 * q1) * s", "sqrt(m1 * m1 + m2 * m2 + m3 * m3)")
 # a user potential's line: a call of its callable
 _CALL = "{}((x0, x1, x2), (q0, q1, q2, q3))"
-# One RK4 step, each stage _EOM written out, bit for bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over
-# _make_rhs; it leaves the new state in z0..z12 and in the names of _STATE, which the next step
-# and the _ROW lines read.  Then the renorm ``mode``, whose x ** 2 (C pow) rounds unlike x * x
-# for some x: the recorded trajectories are pinned bit for bit.
-_RK4 = (*itertools.chain.from_iterable(
-    (*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)),
-     *(f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
-       f"z{i} = {v} = z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-       for i, v in enumerate(_STATE)))
-    for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None))),
-    'if mode != "none":', "    norm = sqrt(z6 ** 2 + z7 ** 2 + z8 ** 2 + z9 ** 2)",
-    '    if mode == "every_step" or abs(norm - 1.0) > eps:',
-    *(f"        z{i} = {v} = z{i} / norm" for i, v in enumerate(_STATE[6:10], 6)))
+# Each renorm policy's lines, after each step; x ** 2 (C pow) rounds unlike x * x for some x,
+# and the trajectories are pinned bit for bit.  "threshold" runs its check ||q| - 1| > eps only
+# where n2 fails -lim < n2 - 1 < lim, lim = min(eps, 1) - 1e-14 (so always if eps <= 1e-14).
+# Exact: where n2 passes, n2 < 2, no square overflows and the ** sum s is within 2e-15 of n2,
+# so |sqrt(s) - 1| <= |s - 1| < eps - 8e-15, and the check (rounding by < 3e-16) would not
+# divide.  NaN and inf fail the test and reach the check.
+_NORM = "norm = sqrt(z6 ** 2 + z7 ** 2 + z8 ** 2 + z9 ** 2)"
+_DIVIDE = tuple(f"z{i} = {v} = z{i} / norm" for i, v in enumerate(_STATE[6:10], 6))
+_RENORM = {"none": (), "every_step": (_NORM, *_DIVIDE),
+           "threshold": ("n2 = z6 * z6 + z7 * z7 + z8 * z8 + z9 * z9",
+                         "if not -lim < n2 - 1.0 < lim:", f"    {_NORM}",
+                         "    if abs(norm - 1.0) > eps:", *(f"        {d}" for d in _DIVIDE))}
 _Z = ", ".join(f"z{i}" for i in range(13))
-_PROLOGUE = (f"{_Z} = z", "half = 0.5 * h", "sixth = h / 6.0")
+_PROLOGUE = (f"{_Z} = z", "half = 0.5 * h", "sixth = h / 6.0", "lim = min(eps, 1.0) - 1e-14")
 
 
-@functools.lru_cache(maxsize=32)  # a source holds no number: bodies of one kind share it
+def _rk4(params: BodyParams, renorm: Sequence[str]) -> list:
+    """One RK4 step, each stage _EOM written out (storing only names _EOM and _DZ read), bit for
+    bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs, then ``renorm``; it leaves the new state
+    in z0..z12 and in the names of _STATE, which the next step and the _ROW lines read."""
+    read = set(re.findall(r"\w+", "\n".join((*_EOM, *_DZ)).format(**params.potential._source[0])))
+    return [*itertools.chain.from_iterable(
+        (*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)),
+         *(f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
+           f"z{i} = {v} = z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+           for i, v in enumerate(_STATE) if v in read or not to_next))
+        for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None))), *renorm]
+
+
+@functools.lru_cache(maxsize=64)  # a source holds no number: bodies of one kind share it
 def _code(source: str, name: str):
     return compile(source, f"<qhdyn.dynamics {name}>", "exec")
 
@@ -299,19 +309,23 @@ def _compile(source: str, namespace: dict, name: str) -> Callable:
     return namespace[name]
 
 
+_spin = _compile(f"def _spin(m1, m2, m3, i1, i2, i3):\n    return {_SPIN}", {}, "_spin")
+
+
 def _define(params: BodyParams, name: str, args: str, lines: Sequence[str],
             result: str) -> Callable:
     """``def name(args)``: unpack ``z`` into the names of _STATE, run ``lines``, return
-    ``result``; the potential's lines in place of its fields, the body's numbers as globals."""
+    ``result``; the potential's lines in place of its fields, the numbers read as keywords."""
     fields, constants = params.potential._source
-    m, inertia = params.mass, params.inertia
-    namespace = {"inv_m": 1.0 / m, "mass": m, "two_m": 2.0 * m, "inertia": inertia,
-                 "d1": 0.5 / inertia.i1, "d2": 0.5 / inertia.i2, "d3": 0.5 / inertia.i3,
-                 "e1": 0.25 / inertia.i1, "e2": 0.25 / inertia.i2, "e3": 0.25 / inertia.i3,
-                 "_spin": _spin, "sqrt": math.sqrt, **constants}
-    source = "\n    ".join([f"def {name}({args}):", f"{', '.join(_STATE)} = z", *lines,
-                            f"return {result}"])
-    return _compile(source.format(**fields), namespace, name)
+    m, i1, i2, i3 = params.mass, params.inertia.i1, params.inertia.i2, params.inertia.i3
+    numbers = {"inv_m": 1.0 / m, "mass": m, "two_m": 2.0 * m, "i1": i1, "i2": i2, "i3": i3,
+               "d1": 0.5 / i1, "d2": 0.5 / i2, "d3": 0.5 / i3, "e1": 0.25 / i1, "e2": 0.25 / i2,
+               "e3": 0.25 / i3, "sqrt": math.sqrt, **constants}
+    body = "\n    ".join([f"{', '.join(_STATE)} = z", *lines, f"return {result}"]).format(**fields)
+    defaults = {k: v for k, v in numbers.items() if re.search(rf"\b{k}\b", body)}
+    fn = _compile(f"def {name}({args}, *, {', '.join(defaults)}):\n    {body}", {}, name)
+    fn.__kwdefaults__ = defaults
+    return fn
 
 
 @functools.lru_cache(maxsize=8)
@@ -329,21 +343,24 @@ def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
 @functools.lru_cache(maxsize=8)
 def _make_step(params: BodyParams) -> Callable[..., list]:
     """The window ``step(z, h, steps=1, mode="none", eps=0.0)`` on 13 floats (13 columns with mode
-    "none"): ``steps`` steps of _RK4, then the 13 coordinates.  A non-finite coordinate stays so
-    (a step adds to it, the renorm divides q by a norm >= each |q_i| or NaN): a finite end means
-    every step was finite, here and between the samples of :func:`_make_block`."""
+    "none"): ``steps`` steps of _rk4 with the _RENORM of ``mode``, then the 13 coordinates.  A
+    non-finite coordinate stays so (a step adds to it, the renorm divides q by a norm >= each
+    |q_i| or NaN): a finite end means every step was finite, here and in :func:`_make_block`."""
+    renorm = ('if mode == "every_step":', *(f"    {line}" for line in _RENORM["every_step"]),
+              'elif mode != "none":', *(f"    {line}" for line in _RENORM["threshold"]))
     return _define(params, "step", 'z, h, steps=1, mode="none", eps=0.0', [
-        *_PROLOGUE, "for _ in range(steps):", *(f"    {line}" for line in _RK4)], f"[{_Z}]")
+        *_PROLOGUE, "for _ in range(steps):", *(f"    {s}" for s in _rk4(params, renorm))],
+        f"[{_Z}]")
 
 
 @functools.lru_cache(maxsize=8)
-def _make_block(params: BodyParams) -> Callable[..., list]:
-    """The sample block ``block(z, h, step, ks, mode, eps)``: per count k of ``ks``, k steps of
-    _RK4 and the _ROW lines, adding the row t = step * h, the 13 coordinates and the monitor row
-    of :func:`_make_h` to one flat list of 20 floats per sample, which it returns."""
-    return _define(params, "block", "z, h, step, ks, mode, eps", [
+def _make_block(params: BodyParams, mode: str = DEFAULT_RENORM.mode) -> Callable[..., list]:
+    """The sample block ``block(z, h, step, ks, eps)``: per count k of ``ks``, k steps of _rk4 with
+    the _RENORM of ``mode`` and the _ROW lines, adding the row t = step * h, the 13 coordinates
+    and the monitor row of :func:`_make_h` to one flat list of 20 floats per sample, its return."""
+    return _define(params, "block", "z, h, step, ks, eps", [
         *_PROLOGUE, "out = []", "for steps in ks:", "    for _ in range(steps):",
-        *(f"        {line}" for line in _RK4), *(f"    {line}" for line in (
+        *(f"        {line}" for line in _rk4(params, _RENORM[mode])), *(f"    {line}" for line in (
             "step += steps", *_ROW, f"out += [step * h, {_Z}, {', '.join(_ROW_VALUES)}]"))], "out")
 
 
@@ -437,18 +454,18 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         log.info("potential %r steps on finite-difference gradients, several times slower "
                  "(analytic grad_x %s, grad_q %s)", pot.name, pot.analytic_grad_x,
                  pot.analytic_grad_q)
-    block, mode, eps, step = _make_block(params), renorm_policy.mode, renorm_policy.eps, 0
+    block, eps, step = _make_block(params, renorm_policy.mode), renorm_policy.eps, 0
     strides, rest = divmod(n_steps, sample_stride)  # the steps before each sample, 0 for step 0
     counts = itertools.chain([0], itertools.repeat(sample_stride, strides), [rest] if rest else [])
     while ks := list(itertools.islice(counts, ROWS_PER_BATCH)):
         try:
-            out = block(z, h, step, ks, mode, eps)
+            out = block(z, h, step, ks, eps)
             rows = np.fromiter(out, float).reshape(-1, 20)
             ok = np.isfinite(rows).all()
         except Exception:
             ok = False
         if not ok:
-            out = _replay(params, z, h, step, ks, mode, eps)
+            out = _replay(params, z, h, step, ks, renorm_policy.mode, eps)
             rows = np.fromiter(out, float).reshape(-1, 20)
         z, step = out[-19:-6], step + sum(ks)  # the next block starts from the same objects
         yield rows

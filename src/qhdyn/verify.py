@@ -441,9 +441,10 @@ def dynamics_oracle_checks(rng: np.random.Generator, n: int) -> list[CheckResult
                            1e-12, min(n, 200)))
 
     inertia, h = params.inertia, 1e-6
+    moments = inertia.i1, inertia.i2, inertia.i3
     M = _uniform(rng.random((min(n, 200), 3)), -2.0, 2.0).T[:, None]  # (3, 1, n) columns
     dM = h * np.eye(3)[:, :, None]  # dM[:, i]: the step along M_i
-    fd = (dynamics._spin(*(M + dM), inertia) - dynamics._spin(*(M - dM), inertia)) / (2 * h)
+    fd = (dynamics._spin(*(M + dM), *moments) - dynamics._spin(*(M - dM), *moments)) / (2 * h)
     worst = _worst(2.0 * fd, dynamics.angular_velocity(M[:, 0], inertia))
     out.append(CheckResult("2 dT_spin/dM equals the angular velocity", worst, 1e-8,
                            min(n, 200)))

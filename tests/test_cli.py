@@ -132,13 +132,27 @@ def child_env(**extra):
     The directory holding the ``qhdyn`` this process imported goes first on
     PYTHONPATH, so the child runs the same package whether it is installed,
     found through PYTHONPATH, or put on ``sys.path`` by pytest's
-    ``pythonpath`` option. Nothing else of the parent's environment is kept,
-    so a QH_LOG set in the parent cannot leak into the child.
+    ``pythonpath`` option. Of the rest of the parent's environment only
+    PYTHONDONTWRITEBYTECODE is kept: a QH_LOG set in the parent cannot leak
+    into the child, and a child of a run that writes no bytecode writes no
+    ``__pycache__`` into the package it imports either.
     """
     paths = [str(Path(qhdyn.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         paths.append(os.environ["PYTHONPATH"])
-    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(paths), **extra}
+    kept = {k: v for k, v in os.environ.items() if k == "PYTHONDONTWRITEBYTECODE"}
+    return {"PATH": "/usr/bin:/bin", "PYTHONPATH": os.pathsep.join(paths), **kept, **extra}
+
+
+def test_child_env_keeps_only_dont_write_bytecode(monkeypatch):
+    child = [sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"]
+    monkeypatch.setenv("QH_LOG", "debug")
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert "PYTHONDONTWRITEBYTECODE" not in child_env() and "QH_LOG" not in child_env()
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert child_env()["PYTHONDONTWRITEBYTECODE"] == "1" and "QH_LOG" not in child_env()
+    proc = subprocess.run(child, capture_output=True, text=True, env=child_env())
+    assert proc.stdout == "True\n"
 
 
 def read_csv(path):
@@ -770,6 +784,20 @@ def test_quiet_log_level_suppresses_info(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "INFO" in proc.stderr
+
+
+def test_simulate_and_convert_leave_verify_unloaded(tmp_path):
+    # the parser lists the suites without loading verify, and so do convert and simulate;
+    # the package still reaches it as qhdyn.verify
+    assert list(cli.VERIFY_SUITES) == sorted(verify.SUITES)
+    code = ("import sys, qhdyn, qhdyn.cli\n"
+            "assert qhdyn.cli.main(['convert', 'quat2mat', '1', '0', '0', '0']) == 0\n"
+            f"assert qhdyn.cli.main(['simulate', {str(tmp_path / 'missing.json')!r}]) == 2\n"
+            "assert 'qhdyn.verify' not in sys.modules and 'signal' not in sys.modules\n"
+            "assert qhdyn.verify is sys.modules['qhdyn.verify']\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(QH_LOG="quiet"))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_suite_passes(capsys):

@@ -454,8 +454,8 @@ def test_sampling_stride(monkeypatch):
     blocks, windows = [], []
     make_block, make_step = dynamics._make_block, dynamics._make_step
 
-    def counted_block(params):
-        block = make_block(params)
+    def counted_block(params, mode):
+        block = make_block(params, mode)
 
         def run(z, h, step, ks, *args):
             blocks.append(list(ks))

@@ -632,6 +632,74 @@ def test_small_threshold_takes_both_branches():
     assert True in divided and False in divided
 
 
+# A unit q whose product sum q0 * q0 + ... + q3 * q3 is 1.0 and whose ** sum has a square
+# root other than 1.0, found by search: an eps below an ulp of 1 divides it, which a fast
+# reject with no margin (lim = eps) would skip
+POW_SPLIT_Q = (-0.16574950983398587, 0.6129401384850696, 0.369388838359643, -0.6785155655686984)
+GATE_EPS = (1e-16, 1e-15, 1e-14, 1e-9, 0.5, 2.0)
+
+
+def _counting_sqrt():
+    """``(sqrt, divided)``: math.sqrt whose results add to ``divided`` each float divided by
+    them, so four entries per renorm that divides."""
+    divided = []
+
+    class Norm(float):
+        def __rtruediv__(self, other):
+            divided.append(other)
+            return other / float(self)
+
+    return (lambda s: Norm(math.sqrt(s))), divided
+
+
+def _gate_states(eps):
+    """WINDOW_POINT, then at rest (M = 0, where a free top's step leaves q as it is) with q
+    POW_SPLIT_Q, POW_SPLIT_Q and WINDOW_POINT's q scaled to |q|^2 = 1 +- eps (1 +- 1e-3),
+    and q non-finite."""
+    qs = [POW_SPLIT_Q, (math.inf, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0)]
+    for u in (POW_SPLIT_Q, WINDOW_POINT[6:10]):
+        qs += [tuple(c * math.sqrt(n2) for c in u) for n2 in
+               (1.0 + a * eps * (1.0 + b * 1e-3) for a in (1.0, -1.0) for b in (1.0, -1.0))
+               if n2 > 0.0]
+    return [WINDOW_POINT, *((*WINDOW_POINT[:6], *q, 0.0, 0.0, 0.0) for q in qs)]
+
+
+@pytest.mark.parametrize("eps", GATE_EPS)
+def test_threshold_fast_reject_divides_where_the_reference_does(eps):
+    # the window step by step and the block over the same steps against the reference renorm,
+    # bit for bit and dividing in the same steps, where the product-sum test and the ** check
+    # come closest to parting
+    q, h = POW_SPLIT_Q, 1e-3
+    assert q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3] == 1.0
+    assert math.sqrt(q[0] ** 2 + q[1] ** 2 + q[2] ** 2 + q[3] ** 2) != 1.0
+    states = _gate_states(eps)
+    assert _make_step(STEP_PARAMS[0])(list(states[1]), h)[6:10] == list(q)
+    for params in STEP_PARAMS:
+        rhs, window, monitor = _make_rhs(params), _make_step(params), _make_h(params)[2]
+        block = _make_block(params, "threshold")
+        for z in states:
+            ref, w, ref_rows, ref_taken, taken = list(z), list(z), [0.0, *z, *monitor(z)], [], []
+            for step in (1, 2, 3):
+                ref = _reference_window(ref, h, 1, "threshold", eps, rhs, ref_taken)
+                ref_rows += [step * h, *ref, *monitor(ref)]
+                sqrt, divided = _counting_sqrt()
+                w = window(w, h, 1, "threshold", eps, sqrt=sqrt)
+                assert _state_bits(w) == _state_bits(ref)
+                taken.append(len(divided))
+            assert taken == [4 * t for t in ref_taken]
+            sqrt, divided = _counting_sqrt()
+            assert _state_bits(block(list(z), h, 0, [0, 1, 1, 1], eps, sqrt=sqrt)) == _state_bits(
+                ref_rows)
+            assert len(divided) == sum(taken)
+        # a q whose ** overflows, where the product sum is only inf, raises in all three
+        big = (*WINDOW_POINT[:6], 1e200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        for run in (lambda: _reference_window(list(big), h, 1, "threshold", eps, rhs),
+                    lambda: window(list(big), h, 1, "threshold", eps),
+                    lambda: block(list(big), h, 0, [1], eps)):
+            with pytest.raises(OverflowError):
+                run()
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(phase_point, min_size=1, max_size=8), constant, constant, constant, constant)
 @example([(0.29659562689614205, -0.717529866212888, 0.9194748517260067,
@@ -664,7 +732,7 @@ def _compiled(params):
 def test_step_source_holds_no_number():
     # two bodies of different mass and inertia, with heavy tops of different mass and g,
     # compile to the same code, and so does each built-in's value at different constants:
-    # every number is a global of the compiled function, none is in its source
+    # every number is a keyword-only default of the compiled function, none is in its source
     a, b = (dynamics.BodyParams(m, dynamics.InertiaTensor(m, 2.0, 3.0),
                                 dynamics.heavy_top(m, g, 1.0))
             for m, g in ((1.0, 9.81), (2.5, 1.62)))
@@ -674,8 +742,8 @@ def test_step_source_holds_no_number():
         assert fa.__code__ == fb.__code__  # constants and names too
         assert fa.__code__.co_filename == f"<qhdyn.dynamics {name}>"
     assert a.potential.value.__code__ == b.potential.value.__code__
-    assert _make_step(a).__globals__["c"] != _make_step(b).__globals__["c"]
-    assert _make_h(a)[0].__globals__["two_m"] != _make_h(b)[0].__globals__["two_m"]
+    assert _make_step(a).__kwdefaults__["c"] != _make_step(b).__kwdefaults__["c"]
+    assert _make_h(a)[0].__kwdefaults__["two_m"] != _make_h(b)[0].__kwdefaults__["two_m"]
     for pa, pb in zip(_builtins(1.0, 9.81, 1.0, 1.0), _builtins(2.5, 1.62, 0.5, 3.0)):
         assert pa.value is not pb.value and pa.value.__code__ == pb.value.__code__
 
