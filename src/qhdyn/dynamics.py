@@ -289,7 +289,7 @@ def _rk4(params: BodyParams, renorm: Sequence[str]) -> list:
     """One RK4 step, each stage _EOM written out (storing only names _EOM and _DZ read), bit for
     bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs, then ``renorm``; it leaves the new state
     in z0..z12 and in the names of _STATE, which the next step and the _ROW lines read."""
-    read = set(re.findall(r"\w+", "\n".join((*_EOM, *_DZ)).format(**params.potential._source[0])))
+    read = _words("\n".join((*_EOM, *_DZ)).format(**params.potential._source[0]))
     return [*itertools.chain.from_iterable(
         (*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)),
          *(f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
@@ -301,6 +301,11 @@ def _rk4(params: BodyParams, renorm: Sequence[str]) -> list:
 @functools.lru_cache(maxsize=64)  # a source holds no number: bodies of one kind share it
 def _code(source: str, name: str):
     return compile(source, f"<qhdyn.dynamics {name}>", "exec")
+
+
+@functools.lru_cache(maxsize=64)  # per source, like _code: a scan costs 100-250 us
+def _words(source: str) -> frozenset:
+    return frozenset(re.findall(r"\w+", source))
 
 
 def _compile(source: str, namespace: dict, name: str) -> Callable:
@@ -322,7 +327,7 @@ def _define(params: BodyParams, name: str, args: str, lines: Sequence[str],
                "d1": 0.5 / i1, "d2": 0.5 / i2, "d3": 0.5 / i3, "e1": 0.25 / i1, "e2": 0.25 / i2,
                "e3": 0.25 / i3, "sqrt": math.sqrt, **constants}
     body = "\n    ".join([f"{', '.join(_STATE)} = z", *lines, f"return {result}"]).format(**fields)
-    defaults = {k: v for k, v in numbers.items() if re.search(rf"\b{k}\b", body)}
+    defaults = {k: v for k, v in numbers.items() if k in _words(body)}
     fn = _compile(f"def {name}({args}, *, {', '.join(defaults)}):\n    {body}", {}, name)
     fn.__kwdefaults__ = defaults
     return fn
