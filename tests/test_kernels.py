@@ -6,6 +6,7 @@ functions) and on array components (the verify suites).  Every column of a
 batched result must equal the public function on that column, bit for bit.
 """
 
+import dis
 import itertools
 import math
 import operator
@@ -654,13 +655,12 @@ def _counting_sqrt():
 
 def _gate_states(eps):
     """WINDOW_POINT, then at rest (M = 0, where a free top's step leaves q as it is) with q
-    POW_SPLIT_Q, POW_SPLIT_Q and WINDOW_POINT's q scaled to |q|^2 = 1 +- eps (1 +- 1e-3),
-    and q non-finite."""
+    POW_SPLIT_Q, non-finite, or POW_SPLIT_Q and WINDOW_POINT's q scaled to r = 1 +- eps (1 +-
+    1e-3) as |q|^2 (either side of the fast test) and as |q| (either side of the check)."""
     qs = [POW_SPLIT_Q, (math.inf, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0)]
-    for u in (POW_SPLIT_Q, WINDOW_POINT[6:10]):
-        qs += [tuple(c * math.sqrt(n2) for c in u) for n2 in
-               (1.0 + a * eps * (1.0 + b * 1e-3) for a in (1.0, -1.0) for b in (1.0, -1.0))
-               if n2 > 0.0]
+    for u, a, b in itertools.product((POW_SPLIT_Q, WINDOW_POINT[6:10]), (1.0, -1.0), (1.0, -1.0)):
+        r = 1.0 + a * eps * (1.0 + b * 1e-3)
+        qs += [tuple(c * math.sqrt(r) for c in u), tuple(c * r for c in u)] if r > 0.0 else []
     return [WINDOW_POINT, *((*WINDOW_POINT[:6], *q, 0.0, 0.0, 0.0) for q in qs)]
 
 
@@ -757,6 +757,19 @@ def test_step_locals_shadow_no_global():
         pot = params.potential
         for fn in (pot.value, pot._grad_x, pot._grad_q):
             assert set(fn.__code__.co_varnames).isdisjoint(fn.__globals__)
+
+
+def test_step_locals_rebind_no_number():
+    # the body's numbers are keyword-only parameters of each compiled function, so no line of
+    # a template may assign to one
+    for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
+                                   for pot in USER)]:
+        for fn in _compiled(params):
+            code = fn.__code__
+            numbers = code.co_varnames[code.co_argcount:][:code.co_kwonlyargcount]
+            assert set(numbers) == set(fn.__kwdefaults__)
+            stored = {i.argval for i in dis.get_instructions(fn) if i.opname.startswith("STORE")}
+            assert stored.isdisjoint(numbers)
 
 
 def test_compiled_functions_are_cached_and_bounded():
