@@ -283,19 +283,30 @@ _RENORM = {"none": (), "every_step": (_NORM, *_DIVIDE),
                          "    if abs(norm - 1.0) > eps:", *(f"        {d}" for d in _DIVIDE))}
 _Z = ", ".join(f"z{i}" for i in range(13))
 _PROLOGUE = (f"{_Z} = z", "half = 0.5 * h", "sixth = h / 6.0", "lim = min(eps, 1.0) - 1e-14")
+_SUM = "sixth * ({} + 2.0 * {} + 2.0 * {} + {})"  # the RK4 weights of the four slopes
 
 
-def _rk4(params: BodyParams, renorm: Sequence[str]) -> list:
-    """One RK4 step, each stage _EOM written out (storing only names _EOM and _DZ read), bit for
-    bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs, then ``renorm``; it leaves the new state
-    in z0..z12 and in the names of _STATE, which the next step and the _ROW lines read."""
-    read = _words("\n".join((*_EOM, *_DZ)).format(**params.potential._source[0]))
-    return [*itertools.chain.from_iterable(
-        (*_EOM, *(f"k{s}_{i} = {dz}" for i, dz in enumerate(_DZ)),
-         *(f"{v} = z{i} + {to_next} * k{s}_{i}" if to_next else
-           f"z{i} = {v} = z{i} + sixth * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-           for i, v in enumerate(_STATE) if v in read or not to_next))
-        for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None))), *renorm]
+def _rk4(params: BodyParams, renorm: Sequence[str]) -> tuple[list, list]:
+    """``(prologue, step)``: one RK4 step, each stage _EOM written out (storing only names _EOM and
+    _DZ read), bit for bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs, then ``renorm``; it
+    leaves the new state in z0..z12 and in the names of _STATE, which the next step and the _ROW
+    lines read.  Where component i of a built-in's grad_x is the literal 0.0, every k_{3+i} is
+    -0.0 and z + t * -0.0 is z for any float z and finite t: p_i is held, so each x_i slope is
+    p_i * inv_m and the prologue forms the step's increment dx_i once (no gx line if all three)."""
+    fields = params.potential._source[0]
+    gx = fields["grad_x"].split(", ")
+    held = [i for i in range(3) if len(gx) == 3 and gx[i] == "0.0"]
+    eom = [line for line in _EOM if line != _GRAD[0] or len(held) < 3]
+    dz = [(i, d) for i, d in enumerate(_DZ) if i not in held and i - 3 not in held]
+    read = _words("\n".join((*eom, *(d for _, d in dz))).format(**fields))
+    return [*_PROLOGUE, *(f"dx{i} = " + _SUM.format(*[f"({_DZ[i]})"] * 4) for i in held)], [
+        *itertools.chain.from_iterable(
+            (*eom, *(f"k{s}_{i} = {d}" for i, d in dz),
+             *(f"{_STATE[i]} = z{i} + {to_next} * k{s}_{i}" if to_next else
+               f"z{i} = {_STATE[i]} = z{i} + " + _SUM.format(*(f"k{r}_{i}" for r in range(1, 5)))
+               for i, _ in dz if _STATE[i] in read or not to_next))
+            for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None))),
+        *(f"z{i} = x{i} = z{i} + dx{i}" for i in held), *renorm]
 
 
 @functools.lru_cache(maxsize=64)  # a source holds no number: bodies of one kind share it
@@ -353,9 +364,9 @@ def _make_step(params: BodyParams) -> Callable[..., list]:
     |q_i| or NaN): a finite end means every step was finite, here and in :func:`_make_block`."""
     renorm = ('if mode == "every_step":', *(f"    {line}" for line in _RENORM["every_step"]),
               'elif mode != "none":', *(f"    {line}" for line in _RENORM["threshold"]))
+    prologue, lines = _rk4(params, renorm)
     return _define(params, "step", 'z, h, steps=1, mode="none", eps=0.0', [
-        *_PROLOGUE, "for _ in range(steps):", *(f"    {s}" for s in _rk4(params, renorm))],
-        f"[{_Z}]")
+        *prologue, "for _ in range(steps):", *(f"    {s}" for s in lines)], f"[{_Z}]")
 
 
 @functools.lru_cache(maxsize=8)
@@ -363,9 +374,10 @@ def _make_block(params: BodyParams, mode: str = DEFAULT_RENORM.mode) -> Callable
     """The sample block ``block(z, h, step, ks, eps)``: per count k of ``ks``, k steps of _rk4 with
     the _RENORM of ``mode`` and the _ROW lines, adding the row t = step * h, the 13 coordinates
     and the monitor row of :func:`_make_h` to one flat list of 20 floats per sample, its return."""
+    prologue, lines = _rk4(params, _RENORM[mode])
     return _define(params, "block", "z, h, step, ks, eps", [
-        *_PROLOGUE, "out = []", "for steps in ks:", "    for _ in range(steps):",
-        *(f"        {line}" for line in _rk4(params, _RENORM[mode])), *(f"    {line}" for line in (
+        *prologue, "out = []", "for steps in ks:", "    for _ in range(steps):",
+        *(f"        {line}" for line in lines), *(f"    {line}" for line in (
             "step += steps", *_ROW, f"out += [step * h, {_Z}, {', '.join(_ROW_VALUES)}]"))], "out")
 
 
@@ -399,8 +411,8 @@ def eom_rhs(state: PhasePoint, params: BodyParams, unit_tol: float = TOL_UNIT) -
 def rk4_step(state: PhasePoint, params: BodyParams, h: float) -> PhasePoint:
     """One classical fourth-order Runge-Kutta step; no renormalization. Each call checks and
     converts the state, about 3x the cached float step (12 vs 4 us): loop in :func:`integrate`."""
-    if not h > 0.0:  # NaN too
-        raise DomainError(f"step size h must be positive, got {h!r}")
+    if not 0.0 < h < math.inf:  # NaN too
+        raise DomainError(f"step size h must be positive and finite, got {h!r}")
     z = _point_coords(state, Chart.MIXED_M, "rk4_step").tolist()
     return PhasePoint.from_coords(_make_step(params)(z, h), Chart.MIXED_M)
 
@@ -447,8 +459,8 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
     and one finiteness check each.  Checks its arguments on the first draw.  A block that holds a
     non-finite value or raises is stepped again by :func:`_replay`, which names the first failing
     step if the potential gives the same result for the same state."""
-    if not h > 0.0:  # NaN too
-        raise DomainError(f"step size h must be positive, got {h!r}")
+    if not 0.0 < h < math.inf:  # NaN too
+        raise DomainError(f"step size h must be positive and finite, got {h!r}")
     if n_steps < 1:
         raise DomainError(f"n_steps must be >= 1, got {n_steps}")
     if sample_stride < 1:

@@ -213,10 +213,10 @@ def maurer_cartan_residual(path: Callable[[float], Quaternion], t: float, h: flo
     Raises
     ------
     DomainError
-        If ``h <= 0``.
+        If ``h`` is not positive and finite (NaN too).
     """
-    if h <= 0.0:
-        raise DomainError(f"step h must be positive, got {h!r}")
+    if not 0.0 < h < np.inf:
+        raise DomainError(f"step h must be positive and finite, got {h!r}")
     qs = path(t - h), path(t), path(t + h)
     for q in qs:
         q.require_unit(TOL_UNIT, "quaternion for quat_to_matrix")

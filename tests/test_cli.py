@@ -800,6 +800,21 @@ def test_simulate_and_convert_leave_verify_unloaded(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_trace_reaches_every_layer_after_importing_cli_alone():
+    # perfbench/tracer.py (read, not edited) takes each layer as an attribute of the package
+    # after the benchmark child imported qhdyn.cli alone: qhdyn.verify comes from the
+    # package's lazy attribute, without which a --trace 1 run raises AttributeError
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    code = ("import sys\nsys.dont_write_bytecode = True\nimport qhdyn, qhdyn.cli\n"
+            "assert 'qhdyn.verify' not in sys.modules\n"
+            f"sys.path.insert(0, {str(bench)!r})\nfrom tracer import LAYERS, Tracer\n"
+            "tracer = Tracer(qhdyn)\ntracer.install()\ntracer.uninstall()\n"
+            "assert [m.__name__ for m in tracer._modules] == [f'qhdyn.{n}' for n in LAYERS]\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(QH_LOG="quiet"))
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_verify_suite_passes(capsys):
     assert main(["verify", "jacobi", "--seed", "1", "--points", "50"]) == 0
     out = capsys.readouterr().out

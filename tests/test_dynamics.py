@@ -428,6 +428,23 @@ def test_integrate_checks_arguments_before_sizing_buffers(h, n_steps, stride):
                   sample_stride=stride)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_bad_step_size_raises_before_any_step(h):
+    # an infinite h passed the old test h > 0 and failed only in the step it made
+    calls = []
+
+    def value(x, q4):
+        calls.append(x)
+        return 0.0
+
+    params = BodyParams(1.0, INERTIA, PotentialSpec("counting", value))
+    for run in (lambda: integrate(mixed_state(M=(1, 2, 3)), params, h, 10),
+                lambda: rk4_step(mixed_state(M=(1, 2, 3)), params, h)):
+        with pytest.raises(DomainError, match="step size h must be positive and finite"):
+            run()
+    assert calls == []
+
+
 @pytest.mark.parametrize("call", [
     lambda: rk4_step(mixed_state(), BodyParams(1.0, INERTIA, free()), 0.0),
     lambda: rk4_step(mixed_state(), BodyParams(1.0, INERTIA, free()), -1e-3),

@@ -700,6 +700,62 @@ def test_threshold_fast_reject_divides_where_the_reference_does(eps):
                 run()
 
 
+# The built-ins whose grad_x has literal 0.0 components (free and heavy_top all three,
+# linear_gravity two): their steps hold those p_i and add an increment dx_i formed once per call
+# to x_i.  p components of both signs at zero, at the smallest subnormal and near the largest
+# float, and WINDOW_POINT's own p; h up to 1e300, where every run overflows.
+HELD_P = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)
+HELD_MOMENTA = [*(tuple(HELD_P[(i + j) % 6] for j in range(3)) for i in range(6)),
+                WINDOW_POINT[3:6]]
+HELD = [dynamics.BodyParams(m, STEP_PARAMS[0].inertia, params.potential)
+        for params in STEP_PARAMS[:3] for m in (1.0, 3.0)]
+
+
+def _rows_outcome(run):
+    """sample_reference.outcome of ``run``, the rows it returned as their bits."""
+    kind, *rest = sample_reference.outcome(run)
+    return (kind, _bits(rest[0])) if kind == "returned" else (kind, *rest)
+
+
+@pytest.mark.parametrize("h", [1e-4, 1e-3, 0.05, 1e300])
+@pytest.mark.parametrize("params", HELD, ids=[f"{p.potential.name}-m{p.mass:g}" for p in HELD])
+def test_held_momenta_are_the_reference_bit_for_bit(params, h):
+    # the window against the reference steps on the rhs, and the blocks against the per-sample
+    # stream of sample_reference, bit for bit or aborting at the same step with the same message
+    rhs = _make_rhs(params)
+    xs = (WINDOW_POINT[0:3], (-0.0, 0.0, -0.0))
+    for p, x, (mode, eps) in itertools.product(HELD_MOMENTA, xs, POLICIES[:3]):
+        z = (*x, *p, *WINDOW_POINT[6:13])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for steps in (1, 2, 7):
+                assert _outcome(lambda: _make_step(params)(list(z), h, steps, mode, eps)) == (
+                    _outcome(lambda: _reference_window(list(z), h, steps, mode, eps, rhs)))
+        args = (PhasePoint.from_coords(z, Chart.MIXED_M), params, h, 7,
+                dynamics.RenormPolicy(mode, eps or 1e-9), 3)
+        expect = _rows_outcome(lambda: sample_reference.rows(*args))
+        assert _rows_outcome(lambda: np.concatenate(list(dynamics._samples(*args)))) == expect
+        assert expect[0] == ("abort" if h == 1e300 or 1e308 in map(abs, p) else "returned")
+
+
+def _step_locals(params):
+    """The local names of the window and of the block under each renorm policy."""
+    return [set(fn.__code__.co_varnames) for fn in (
+        _make_step(params), *(_make_block(params, mode) for mode in dynamics._RENORM))]
+
+
+def test_steps_fold_exactly_the_literal_zero_forces():
+    stage = {f"k{s}_{i}" for s in range(1, 5) for i in range(13)}
+    held = {"free": {0, 1, 2}, "linear_gravity": {0, 1}, "heavy_top": {0, 1, 2}, "harmonic": set()}
+    for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
+                                   for pot in USER)]:
+        fold = held.get(params.potential.name, set())
+        for names in _step_locals(params):
+            assert {n for n in names if n.startswith("dx")} == {f"dx{i}" for i in fold}
+            assert stage - names == {f"k{s}_{j}" for s in range(1, 5)
+                                     for i in fold for j in (i, i + 3)}
+            assert names.isdisjoint({"gx0", "gx1", "gx2"}) == (fold == {0, 1, 2})
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(phase_point, min_size=1, max_size=8), constant, constant, constant, constant)
 @example([(0.29659562689614205, -0.717529866212888, 0.9194748517260067,
