@@ -737,19 +737,14 @@ def test_held_momenta_are_the_reference_bit_for_bit(params, h):
         assert expect[0] == ("abort" if h == 1e300 or 1e308 in map(abs, p) else "returned")
 
 
-def _step_locals(params):
-    """The local names of the window and of the block under each renorm policy."""
-    return [set(fn.__code__.co_varnames) for fn in (
-        _make_step(params), *(_make_block(params, mode) for mode in dynamics._RENORM))]
-
-
 def test_steps_fold_exactly_the_literal_zero_forces():
     stage = {f"k{s}_{i}" for s in range(1, 5) for i in range(13)}
     held = {"free": {0, 1, 2}, "linear_gravity": {0, 1}, "heavy_top": {0, 1, 2}, "harmonic": set()}
     for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
                                    for pot in USER)]:
         fold = held.get(params.potential.name, set())
-        for names in _step_locals(params):
+        for fn in (_make_step(params), *(_make_block(params, mode) for mode in dynamics._RENORM)):
+            names = set(fn.__code__.co_varnames)  # the window's and each block's locals
             assert {n for n in names if n.startswith("dx")} == {f"dx{i}" for i in fold}
             assert stage - names == {f"k{s}_{j}" for s in range(1, 5)
                                      for i in fold for j in (i, i + 3)}
