@@ -82,9 +82,9 @@ class PotentialSpec:
     first, each a tuple of Python floats.  The gradients may return any
     sequence of numbers.  Analytic gradients are optional; missing ones fall
     back to central finite differences of ``value``.  A sample block that fails
-    is stepped again from its start, calling the potential again at the same
-    states (the block may have called it past the failing one): the reported
-    abort step assumes the same result for the same input.
+    is stepped again from its start one step at a time, calling the potential
+    again at the same states (the block may have called it past the failing
+    one): the reported abort step assumes the same result for the same input.
     """
 
     __slots__ = ("name", "value", "analytic_grad_x", "analytic_grad_q", "_grad_x", "_grad_q",
@@ -357,16 +357,13 @@ def _make_rhs(params: BodyParams) -> Callable[[Sequence], list]:
 
 
 @functools.lru_cache(maxsize=8)
-def _make_step(params: BodyParams) -> Callable[..., list]:
-    """The window ``step(z, h, steps=1, mode="none", eps=0.0)`` on 13 floats (13 columns with mode
-    "none"): ``steps`` steps of _rk4 with the _RENORM of ``mode``, then the 13 coordinates.  A
-    non-finite coordinate stays so (a step adds to it, the renorm divides q by a norm >= each
-    |q_i| or NaN): a finite end means every step was finite, here and in :func:`_make_block`."""
-    renorm = ('if mode == "every_step":', *(f"    {line}" for line in _RENORM["every_step"]),
-              'elif mode != "none":', *(f"    {line}" for line in _RENORM["threshold"]))
-    prologue, lines = _rk4(params, renorm)
-    return _define(params, "step", 'z, h, steps=1, mode="none", eps=0.0', [
-        *prologue, "for _ in range(steps):", *(f"    {s}" for s in lines)], f"[{_Z}]")
+def _make_step(params: BodyParams, mode: str = "none") -> Callable[..., list]:
+    """The window ``step(z, h, eps=0.0)`` on 13 floats (13 columns with mode "none"): one step of
+    _rk4 with the _RENORM of ``mode``, compiled per policy like :func:`_make_block`, then the 13
+    coordinates.  A non-finite coordinate stays so (a step adds to it, the renorm divides q by a
+    norm >= each |q_i| or NaN): a block whose rows are finite made only finite steps."""
+    prologue, lines = _rk4(params, _RENORM[mode])
+    return _define(params, "step", "z, h, eps=0.0", [*prologue, *lines], f"[{_Z}]")
 
 
 @functools.lru_cache(maxsize=8)
@@ -425,23 +422,16 @@ def conserved_quantities(state: PhasePoint, params: BodyParams) -> MonitorRecord
 
 
 def _replay(params, z, h, step, ks, mode, eps) -> list:
-    """The rows of :func:`_make_block` the per-sample way: per sample a window, stepped again one
-    checked step at a time if it ends non-finite or raises, then the monitor row and its check;
-    raises IntegrationAborted at the first non-finite state or row, or overflow, with its step."""
-    window, monitor, out = _make_step(params), _make_h(params)[2], []
+    """The rows of :func:`_make_block` the per-sample way: per sample one window call per step,
+    each step checked, then the monitor row and its check; raises IntegrationAborted at the first
+    non-finite state or row, or overflow, with its step."""
+    window, monitor, out = _make_step(params, mode), _make_h(params)[2], []
     try:
         for k in ks:
-            try:
-                end = window(z, h, k, mode, eps)
-            except Exception:
-                end = [math.nan]  # stepped again below, which raises it again at its step
-            if all(map(math.isfinite, end)):
-                z, step = end, step + k
-            else:
-                for step in range(step + 1, step + k + 1):
-                    z = window(z, h, 1, mode, eps)
-                    if not all(map(math.isfinite, z)):
-                        raise IntegrationAborted(step)
+            for step in range(step + 1, step + k + 1):
+                z = window(z, h, eps)
+                if not all(map(math.isfinite, z)):
+                    raise IntegrationAborted(step)
             row = monitor(z)
             if not all(map(math.isfinite, row)):
                 raise IntegrationAborted(step, f"non-finite energy or momentum at step {step}")
@@ -457,8 +447,8 @@ def _samples(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
     """The RK4 step loop: yields the rows of :func:`_make_block` at step 0, every ``sample_stride``
     steps and the last step, as ``(n, 20)`` arrays of up to ROWS_PER_BATCH rows, one block call
     and one finiteness check each.  Checks its arguments on the first draw.  A block that holds a
-    non-finite value or raises is stepped again by :func:`_replay`, which names the first failing
-    step if the potential gives the same result for the same state."""
+    non-finite value or raises is stepped again one checked step at a time by :func:`_replay`,
+    which names the first failing step if the potential gives the same result for the same state."""
     if not 0.0 < h < math.inf:  # NaN too
         raise DomainError(f"step size h must be positive and finite, got {h!r}")
     if n_steps < 1:
@@ -494,8 +484,8 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
     """Fixed-step RK4 integration with optional quaternion renormalization.
 
     Samples (state plus monitor row) are recorded at step 0, every
-    ``sample_stride`` steps, and at the final step, into buffers of 20 floats
-    per sample (time, 13 coordinates, 6 monitors) sized before the first step.
+    ``sample_stride`` steps, and at the final step, as rows of 20 floats (time,
+    13 coordinates, 6 monitors) of one table sized before the first step.
 
     Raises
     ------
@@ -505,14 +495,12 @@ def integrate(state0: PhasePoint, params: BodyParams, h: float, n_steps: int,
         carries the step index at which integration stopped.
     """
     samples = _samples(state0, params, h, n_steps, renorm_policy, sample_stride)
-    first = next(samples)  # checks the arguments before the buffers are sized
-    k = 1 + -(-n_steps // sample_stride)  # step 0, each stride, and the last step
-    times, states, monitors = np.empty(k), np.empty((k, 13)), np.empty((k, 6))
+    first = next(samples)  # checks the arguments before the table is sized
+    table = np.empty((1 + -(-n_steps // sample_stride), 20))  # step 0, each stride, the last
     for b, rows in enumerate(itertools.chain([first], samples)):  # full blocks but the last
-        i = slice(b * ROWS_PER_BATCH, b * ROWS_PER_BATCH + len(rows))
-        times[i], states[i], monitors[i] = rows[:, 0], rows[:, 1:14], rows[:, 14:]
-    return Trajectory(times, states, monitors[:, 0], monitors[:, 1], monitors[:, 5],
-                      monitors[:, 2:5], h=h, n_steps=n_steps)
+        table[b * ROWS_PER_BATCH:b * ROWS_PER_BATCH + len(rows)] = rows
+    return Trajectory(table[:, 0], table[:, 1:14], table[:, 14], table[:, 15], table[:, 19],
+                      table[:, 16:19], h=h, n_steps=n_steps)
 
 
 def _builtin(name: str, value: str, grad_x: str, grad_q: str, **constants) -> PotentialSpec:

@@ -232,12 +232,14 @@ def axis_angle_to_quat(axis: Sequence[float], phi: float) -> Quaternion:
     Raises
     ------
     DomainError
-        If |axis|^2 is zero or not finite.
+        If |axis|^2 is zero or not finite, or ``phi`` is not finite.
     """
-    axis = [float(c) for c in axis]
+    axis, phi = [float(c) for c in axis], float(phi)
     if not 0.0 < _norm2((0.0, *axis)) < math.inf:
         raise DomainError(f"rotation axis must be nonzero with a finite |axis|^2, got {axis}")
-    return Quaternion.from_array(_axis_angle(axis, float(phi)))
+    if not math.isfinite(phi):
+        raise DomainError(f"rotation angle phi must be finite, got {phi!r}")
+    return Quaternion.from_array(_axis_angle(axis, phi))
 
 
 def right_action_matrix(b: Quaternion) -> Matrix4:

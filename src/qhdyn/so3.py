@@ -213,10 +213,15 @@ def maurer_cartan_residual(path: Callable[[float], Quaternion], t: float, h: flo
     Raises
     ------
     DomainError
-        If ``h`` is not positive and finite (NaN too).
+        If ``t`` is not finite, or ``h`` is not finite or is below
+        2**-52 (|t| + 1), where t - h, t and t + h need not be distinct floats.
     """
-    if not 0.0 < h < np.inf:
-        raise DomainError(f"step h must be positive and finite, got {h!r}")
+    if not -np.inf < t < np.inf:  # NaN too
+        raise DomainError(f"time t must be finite, got {t!r}")
+    floor = 2.0 ** -52 * (abs(t) + 1.0)
+    if not floor <= h < np.inf:
+        raise DomainError(f"step h must be positive and finite, at least 2**-52 (|t| + 1) = "
+                          f"{floor!r} at t = {t!r}, got {h!r}")
     qs = path(t - h), path(t), path(t + h)
     for q in qs:
         q.require_unit(TOL_UNIT, "quaternion for quat_to_matrix")

@@ -1,7 +1,8 @@
 """The step loop of ``qhdyn.dynamics._samples`` as it ran before samples were
-stepped in compiled blocks: per sample the monitor row and its check, then one
-compiled window for the stride, checked at its end, and a window that ends
-non-finite or raises stepped again one checked step at a time.  The
+stepped in compiled blocks: per sample the monitor row and its check, then the
+stride's steps as one-step calls of the compiled window, checked at their end,
+and a stride that ends non-finite or raises stepped again one checked step at a
+time.  The
 specification that the blocks' rows and the aborts of failing runs (step,
 message, or the exception a potential raised) are tested against."""
 
@@ -17,8 +18,8 @@ from qhdyn.poisson import _point_coords
 def samples(state0, params, h, n_steps, renorm_policy, sample_stride):
     """Yields ``(step, z, row)`` at step 0, every ``sample_stride`` steps and the last step."""
     z = _point_coords(state0, Chart.MIXED_M, "integrate").tolist()
-    window, monitor = _make_step(params), _make_h(params)[2]
-    mode, eps = renorm_policy.mode, renorm_policy.eps
+    window, monitor = _make_step(params, renorm_policy.mode), _make_h(params)[2]
+    eps = renorm_policy.eps
     step = 0
     try:
         while True:
@@ -30,14 +31,16 @@ def samples(state0, params, h, n_steps, renorm_policy, sample_stride):
                 return
             k = min(sample_stride, n_steps - step)
             try:
-                end = window(z, h, k, mode, eps)
+                end = z
+                for _ in range(k):
+                    end = window(end, h, eps)
                 if all(map(math.isfinite, end)):
                     z, step = end, step + k
                     continue
             except Exception:
                 pass
             for step in range(step + 1, step + k + 1):
-                z = window(z, h, 1, mode, eps)
+                z = window(z, h, eps)
                 if not all(map(math.isfinite, z)):
                     raise IntegrationAborted(step)
     except OverflowError:

@@ -466,8 +466,8 @@ def test_trajectory_point_is_a_read_only_copy():
 
 def test_sampling_stride(monkeypatch):
     # one compiled block call per ROWS_PER_BATCH samples, given the steps before each sample;
-    # the window runs only to replay a block that failed: once per sample of the block, then
-    # once per step of the sample whose window failed
+    # the window, compiled for the run's policy, runs only to replay a block that failed: once
+    # per step up to the first failing one
     blocks, windows = [], []
     make_block, make_step = dynamics._make_block, dynamics._make_step
 
@@ -479,12 +479,12 @@ def test_sampling_stride(monkeypatch):
             return block(z, h, step, ks, *args)
         return run
 
-    def counted_step(params):
-        window = make_step(params)
+    def counted_step(params, mode):
+        window = make_step(params, mode)
 
-        def step(z, h, *args):
-            windows.append(args[0])
-            return window(z, h, *args)
+        def step(z, h, eps):
+            windows.append(mode)
+            return window(z, h, eps)
         return step
 
     monkeypatch.setattr(dynamics, "_make_block", counted_block)
@@ -498,7 +498,7 @@ def test_sampling_stride(monkeypatch):
     with pytest.raises(IntegrationAborted):  # steps 1 and 2 replayed, step 2 fails
         integrate(mixed_state(p=(1e150, 0, 0), M=(1, 2, 3)), params, 1e10, 100,
                   sample_stride=10)
-    assert blocks == [[0] + [10] * 10] and windows == [0, 10, 1, 1]
+    assert blocks == [[0] + [10] * 10] and windows == ["threshold"] * 2
     blocks.clear()
     windows.clear()
     traj = integrate(mixed_state(M=(1, 2, 3)), params, 1e-3, 105, sample_stride=10)

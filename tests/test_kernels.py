@@ -441,6 +441,14 @@ def _reference_window(z, h, steps, mode, eps, rhs, divided=None):
     return z
 
 
+def _window(params, z, h, steps, mode, eps):
+    """``steps`` calls of the one-step window compiled for ``mode``."""
+    step = _make_step(params, mode)
+    for _ in range(steps):
+        z = step(z, h, eps)
+    return z
+
+
 # every renorm policy; 1e-14 is small enough that the threshold both divides and does not
 # within one window (see test_small_threshold_takes_both_branches)
 POLICIES = [("none", 0.0), ("every_step", 0.0), ("threshold", 1e-9), ("threshold", 1e-14)]
@@ -573,8 +581,8 @@ def test_rk4_is_the_loop_form_bit_for_bit(cols, h):
 @example([WINDOW_POINT], 0.003, 1.0, 1.0, 1.0, 9.81, 1.0, 1.0).via("threshold takes both branches")
 def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, pot_mass, g,
                                                             length, k):
-    # the rhs, the window of 1, 2 and 7 steps under every renorm policy on floats, and its
-    # default (one step, no renorm) also on columns
+    # the rhs, 1, 2 and 7 window steps under every renorm policy on floats, and the window's
+    # default (no renorm) also on columns
     z = np.array(cols).T
     inertia = dynamics.InertiaTensor(i1, 2.0, 3.0)
     builtins = [(pot, _reference_grads(pot.name, pot_mass, g, length, k))
@@ -590,12 +598,12 @@ def test_compiled_rhs_and_step_are_the_reference_bit_for_bit(cols, h, mass, i1, 
             assert _bits(_columns(step(list(w), h))) == _bits(_columns(expect))
         with np.errstate(over="ignore", invalid="ignore"):  # windows that diverge
             for w, steps, (mode, eps) in itertools.product(cols, (1, 2, 7), POLICIES):
-                assert _outcome(lambda: step(list(w), h, steps, mode, eps)) == _outcome(
-                    lambda: _reference_window(list(w), h, steps, mode, eps, ref))
+                assert _outcome(lambda: _window(params, list(w), h, steps, mode, eps)) == (
+                    _outcome(lambda: _reference_window(list(w), h, steps, mode, eps, ref)))
             for steps in (2, 7) if columns else ():
                 expect = _reference_window(list(z), h, steps, "none", 0.0, ref)
-                assert _state_bits(_columns(step(list(z), h, steps))) == _state_bits(
-                    _columns(expect))
+                assert _state_bits(_columns(_window(params, list(z), h, steps, "none", 0.0))) == (
+                    _state_bits(_columns(expect)))
 
 
 # sample counts either side of a block of 64 and of two, and 2 (n_steps <= stride)
@@ -675,15 +683,15 @@ def test_threshold_fast_reject_divides_where_the_reference_does(eps):
     states = _gate_states(eps)
     assert _make_step(STEP_PARAMS[0])(list(states[1]), h)[6:10] == list(q)
     for params in STEP_PARAMS:
-        rhs, window, monitor = _make_rhs(params), _make_step(params), _make_h(params)[2]
-        block = _make_block(params, "threshold")
+        rhs, monitor = _make_rhs(params), _make_h(params)[2]
+        window, block = _make_step(params, "threshold"), _make_block(params, "threshold")
         for z in states:
             ref, w, ref_rows, ref_taken, taken = list(z), list(z), [0.0, *z, *monitor(z)], [], []
             for step in (1, 2, 3):
                 ref = _reference_window(ref, h, 1, "threshold", eps, rhs, ref_taken)
                 ref_rows += [step * h, *ref, *monitor(ref)]
                 sqrt, divided = _counting_sqrt()
-                w = window(w, h, 1, "threshold", eps, sqrt=sqrt)
+                w = window(w, h, eps, sqrt=sqrt)
                 assert _state_bits(w) == _state_bits(ref)
                 taken.append(len(divided))
             assert taken == [4 * t for t in ref_taken]
@@ -694,7 +702,7 @@ def test_threshold_fast_reject_divides_where_the_reference_does(eps):
         # a q whose ** overflows, where the product sum is only inf, raises in all three
         big = (*WINDOW_POINT[:6], 1e200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         for run in (lambda: _reference_window(list(big), h, 1, "threshold", eps, rhs),
-                    lambda: window(list(big), h, 1, "threshold", eps),
+                    lambda: window(list(big), h, eps),
                     lambda: block(list(big), h, 0, [1], eps)):
             with pytest.raises(OverflowError):
                 run()
@@ -728,7 +736,7 @@ def test_held_momenta_are_the_reference_bit_for_bit(params, h):
         z = (*x, *p, *WINDOW_POINT[6:13])
         with np.errstate(over="ignore", invalid="ignore"):
             for steps in (1, 2, 7):
-                assert _outcome(lambda: _make_step(params)(list(z), h, steps, mode, eps)) == (
+                assert _outcome(lambda: _window(params, list(z), h, steps, mode, eps)) == (
                     _outcome(lambda: _reference_window(list(z), h, steps, mode, eps, rhs)))
         args = (PhasePoint.from_coords(z, Chart.MIXED_M), params, h, 7,
                 dynamics.RenormPolicy(mode, eps or 1e-9), 3)
@@ -743,12 +751,18 @@ def test_steps_fold_exactly_the_literal_zero_forces():
     for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
                                    for pot in USER)]:
         fold = held.get(params.potential.name, set())
-        for fn in (_make_step(params), *(_make_block(params, mode) for mode in dynamics._RENORM)):
-            names = set(fn.__code__.co_varnames)  # the window's and each block's locals
-            assert {n for n in names if n.startswith("dx")} == {f"dx{i}" for i in fold}
-            assert stage - names == {f"k{s}_{j}" for s in range(1, 5)
-                                     for i in fold for j in (i, i + 3)}
-            assert names.isdisjoint({"gx0", "gx1", "gx2"}) == (fold == {0, 1, 2})
+        for mode in dynamics._RENORM:
+            # one window step per policy, holding only that policy's renorm lines
+            window = _make_step(params, mode).__code__.co_varnames
+            assert window[:3] == ("z", "h", "eps") and {"mode", "steps"}.isdisjoint(window)
+            assert ("n2" in window) == (mode == "threshold")
+            assert ("norm" in window) == (mode != "none")
+            for fn in (_make_step(params, mode), _make_block(params, mode)):
+                names = set(fn.__code__.co_varnames)  # the window's and the block's locals
+                assert {n for n in names if n.startswith("dx")} == {f"dx{i}" for i in fold}
+                assert stage - names == {f"k{s}_{j}" for s in range(1, 5)
+                                         for i in fold for j in (i, i + 3)}
+                assert names.isdisjoint({"gx0", "gx1", "gx2"}) == (fold == {0, 1, 2})
 
 
 @settings(max_examples=60, deadline=None, database=None)

@@ -165,6 +165,13 @@ def test_axis_angle_rejects_zero_and_overflowing_axes(axis):
         axis_angle_to_quat(axis, 0.3)
 
 
+@pytest.mark.filterwarnings("error")  # numpy's sin and cos warned on these before the check
+@pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+def test_axis_angle_rejects_a_nonfinite_angle_by_name(phi):
+    with pytest.raises(DomainError, match=f"rotation angle phi must be finite, got {phi!r}"):
+        axis_angle_to_quat([0.0, 0.0, 1.0], phi)
+
+
 def test_star_is_the_quaternion_product():
     rng = np.random.default_rng(19)
     for _ in range(20):

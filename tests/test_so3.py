@@ -237,14 +237,22 @@ def test_maurer_cartan_second_order_convergence():
 
 
 def test_maurer_cartan_rejects_nonpositive_step():
-    # and a non-finite one, before the path is called
+    # and a non-finite one, one below the resolution of t (where t - h, t and t + h need not be
+    # three floats, and the residual read exactly 0.0), and a non-finite t, before the path is
+    # called
     calls = []
 
     def path(t):
         calls.append(t)
         return axis_angle_to_quat([0.0, 0.0, 1.0], t)
 
-    for h in (0.0, -1e-4, -1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError, match="step h must be positive and finite"):
-            maurer_cartan_residual(path, 0.0, h)
+    for t, h in [*((0.0, h) for h in (0.0, -1e-4, -1.0, math.nan, math.inf, -math.inf)),
+                 (0.17, 1e-17), (0.17, 1e-300), (0.0, 2.0 ** -53), (-1e6, 1e-10)]:
+        with pytest.raises(DomainError, match="step h must be positive and finite") as exc:
+            maurer_cartan_residual(path, t, h)
+        assert str(exc.value).endswith(f"got {h!r}")
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match=f"time t must be finite, got {t!r}"):
+            maurer_cartan_residual(path, t, 1e-3)
     assert calls == []
+    assert math.isfinite(maurer_cartan_residual(path, 0.0, 2.0 ** -52))  # the floor itself
