@@ -2,9 +2,8 @@
 stepped in compiled blocks: per sample the monitor row and its check, then the
 stride's steps as one-step calls of the compiled window, checked at their end,
 and a stride that ends non-finite or raises stepped again one checked step at a
-time.  The
-specification that the blocks' rows and the aborts of failing runs (step,
-message, or the exception a potential raised) are tested against."""
+time.  The specification that the blocks' rows and the aborts of failing runs
+(step, message, or the exception a potential raised) are tested against."""
 
 import math
 

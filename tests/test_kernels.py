@@ -753,11 +753,12 @@ def test_steps_fold_exactly_the_literal_zero_forces():
         fold = held.get(params.potential.name, set())
         for mode in dynamics._RENORM:
             # one window step per policy, holding only that policy's renorm lines
-            window = _make_step(params, mode).__code__.co_varnames
-            assert window[:3] == ("z", "h", "eps") and {"mode", "steps"}.isdisjoint(window)
-            assert ("n2" in window) == (mode == "threshold")
-            assert ("norm" in window) == (mode != "none")
-            for fn in (_make_step(params, mode), _make_block(params, mode)):
+            window = _make_step(params, mode)
+            names = window.__code__.co_varnames
+            assert names[:3] == ("z", "h", "eps") and {"mode", "steps"}.isdisjoint(names)
+            assert ("n2" in names) == (mode == "threshold")
+            assert ("norm" in names) == (mode != "none")
+            for fn in (window, _make_block(params, mode)):
                 names = set(fn.__code__.co_varnames)  # the window's and the block's locals
                 assert {n for n in names if n.startswith("dx")} == {f"dx{i}" for i in fold}
                 assert stage - names == {f"k{s}_{j}" for s in range(1, 5)
