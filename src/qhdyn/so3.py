@@ -110,6 +110,11 @@ def quat_to_matrix(q: Quaternion) -> RotationMatrix:
     return _matrix(q)
 
 
+# _PIVOT_ENTRIES[p, k]: which of _quat_of_matrix's (s, d01 f, d02 f, d03 f, s12 f, s13 f,
+# s23 f) is component k at pivot p; picking from these rows stacks no (4, 4, n) table.
+_PIVOT_ENTRIES = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+
+
 def _quat_of_matrix(Q: np.ndarray):
     # Largest-pivot components and pivot of a (3, 3) or (3, 3, n) matrix
     # array: components (4,) or (4, n), pivot an int or an (n,) array.
@@ -121,21 +126,12 @@ def _quat_of_matrix(Q: np.ndarray):
     ])
     pivot = np.argmax(t, axis=0)
     s = np.sqrt(np.maximum(t.max(axis=0), 0.0))
-    # Products 4 q_mu q_nu of distinct components, from the off-diagonals.
-    d01 = Q[2, 1] - Q[1, 2]
-    d02 = Q[0, 2] - Q[2, 0]
-    d03 = Q[1, 0] - Q[0, 1]
-    s12 = Q[0, 1] + Q[1, 0]
-    s13 = Q[0, 2] + Q[2, 0]
-    s23 = Q[1, 2] + Q[2, 1]
-    f = 1.0 / (4.0 * s)
-    comps = np.choose(pivot, [
-        (s, d01 * f, d02 * f, d03 * f),
-        (d01 * f, s, s12 * f, s13 * f),
-        (d02 * f, s12 * f, s, s23 * f),
-        (d03 * f, s13 * f, s23 * f, s),
-    ])
-    return comps, pivot
+    # Products 4 q_mu q_nu of distinct components, from the off-diagonals:
+    # d01, d02, d03, s12, s13, s23, each then times f = 1 / (4 s).
+    entries = np.array([s, Q[2, 1] - Q[1, 2], Q[0, 2] - Q[2, 0], Q[1, 0] - Q[0, 1],
+                        Q[0, 1] + Q[1, 0], Q[0, 2] + Q[2, 0], Q[1, 2] + Q[2, 1]])
+    entries[1:] *= 1.0 / (4.0 * s)
+    return np.take_along_axis(entries, _PIVOT_ENTRIES[pivot].T, axis=0), pivot
 
 
 def matrix_to_quat(Q: np.ndarray, return_pivot: bool = False):

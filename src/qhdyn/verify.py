@@ -26,6 +26,10 @@ n random polynomials of T terms take ``rng.integers(len(indices), size=(2, T, n)
 gives the coefficient ``_uniform(u, -1, 1)``); the first term is linear.
 n unit quaternions on their own take ``rng.standard_normal((4, n))`` and, when
 they force a small q0, then ``rng.random(n)``.
+The algebra checks draw ``rng.standard_normal((k, 3, 4))`` per block of k <= ``_ALGEBRA_BLOCK``
+samples; the rotation checks ``(k, 2, 4)`` per block, the round trip's flags and small-q0
+quaternions, then ``(k, 10)`` per block of n // 10 vector pairs.  A C-order draw in blocks gives
+one draw's values and state, so only ``_BLOCK`` moves a value; the widths' comment says why.
 :func:`random_phase_point`, :func:`random_unit_quat` and :func:`random_polynomial`
 are the n = 1 cases.
 """
@@ -130,15 +134,26 @@ def _small_q0_flags(rng: np.random.Generator, n: int) -> np.ndarray:
     return flags
 
 
-# Phase points per array pass, in consecutive blocks of flags, so that the
-# temporaries of a pass (at most a few MB) do not grow with the point count.
-_BLOCK = 256
+# Pass widths, in points.  _BLOCK fixes the stream's phase-point draws, so it stays
+# 256; the others size the temporaries alone.  The Jacobi and Poisson-map chunks keep
+# their largest arrays, (k, 7, 7, 7) and (k, 13, 13), under glibc's 128 KB mmap
+# threshold, so on the heap whatever ran before; 1024 algebra columns ran slower.
+_BLOCK, _ALGEBRA_BLOCK, _JACOBI_CHUNK, _POISSON_MAP_CHUNK = 256, 2048, 32, 96
+
+
+def _spans(n: int, width: int) -> list[slice]:
+    """Consecutive slices of at most ``width`` indices that cover range(n)."""
+    return [slice(i, min(i + width, n)) for i in range(0, n, width)]
 
 
 def _blocks(rng: np.random.Generator, flags: np.ndarray, *draws):
     """Per block of ``flags``, the block and its columns from :func:`_phase_points`."""
-    for i in range(0, len(flags), _BLOCK):
-        yield flags[i:i + _BLOCK], _phase_points(rng, flags[i:i + _BLOCK], *draws)
+    return ((flags[c], _phase_points(rng, flags[c], *draws)) for c in _spans(len(flags), _BLOCK))
+
+
+def _chunked(kernel, z: np.ndarray, width: int, *args) -> float:
+    """The worst |kernel(chunk, *args)| over the chunks of at most ``width`` columns of ``z``."""
+    return _most(_worst(kernel(z[:, c], *args), 0.0) for c in _spans(z.shape[1], width))
 
 
 def _polynomial_terms(rng: np.random.Generator, indices, n_terms: int, n: int) -> np.ndarray:
@@ -196,8 +211,6 @@ def _most(values) -> float:
 
 def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Identities of the quaternion product, conjugation, norm and inverse."""
-    # three (4, n) operands, one column per sample
-    a, b, c = rng.standard_normal((n, 3, 4)).transpose(1, 2, 0)
     e0, gen = np.eye(4)[:, :1], np.eye(4)[:, 1:]  # basis columns
 
     # e_r e_s = -delta_rs e0 + eps_rst e_t, all nine products at once
@@ -205,70 +218,76 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     expect = np.concatenate([-np.eye(3)[None], np.moveaxis(poisson.LEVI, 2, 0)])
     out = [CheckResult("defining relations e_r e_s", _worst(prods, expect), 0.0, 9)]
 
-    ab = _mul(a, b)
-    w_ident = _most((_worst(_mul(e0, a), a), _worst(_mul(a, e0), a)))
-    w_assoc = _worst(_mul(a, _mul(b, c)), _mul(ab, c))
-    w_conj = _worst(_conj(ab), _mul(_conj(b), _conj(a)))
-    na = np.sqrt(_norm2(a))
-    nab = na * np.sqrt(_norm2(b))
-    w_norm = _worst((np.sqrt(_norm2(ab)) - nab) / np.maximum(nab, 1e-300), 0.0)
-    big = a[:, na > 1e-8]
-    w_inv = _worst(_mul(big, _inv(big)), e0)
+    rows = []
+    for s in _spans(n, _ALGEBRA_BLOCK):
+        # three (4, k) operands, one column per sample
+        a, b, c = rng.standard_normal((s.stop - s.start, 3, 4)).transpose(1, 2, 0)
+        ab = _mul(a, b)
+        w_ident = _most((_worst(_mul(e0, a), a), _worst(_mul(a, e0), a)))
+        w_assoc = _worst(_mul(a, _mul(b, c)), _mul(ab, c))
+        w_conj = _worst(_conj(ab), _mul(_conj(b), _conj(a)))
+        na = np.sqrt(_norm2(a))
+        nab = na * np.sqrt(_norm2(b))
+        w_norm = _worst((np.sqrt(_norm2(ab)) - nab) / np.maximum(nab, 1e-300), 0.0)
+        big = a[:, na > 1e-8]
+        w_inv = _worst(_mul(big, _inv(big)), e0)
 
-    x, y = a[1:], b[1:]
-    xy, yx = np.array(_mul((0.0, *x), (0.0, *y))), np.array(_mul((0.0, *y), (0.0, *x)))
-    zero = np.zeros(n)
-    dot = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
-    w_pure = _most((_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
-                    _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0)))))
+        x, y = a[1:], b[1:]
+        xy, yx = np.array(_mul((0.0, *x), (0.0, *y))), np.array(_mul((0.0, *y), (0.0, *x)))
+        zero = np.zeros(a.shape[1])
+        dot = x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+        w_pure = _most((_worst(0.5 * (xy + yx), (-dot, zero, zero, zero)),
+                        _worst(0.5 * (xy - yx), (zero, *np.cross(x, y, axis=0)))))
 
-    # R_b a as a running sum over j: every column has the bits of that sum on one
-    # sample, for any n (an einsum's summation order depends on the shape)
-    w_ract = _worst(sum(r * x for r, x in zip(right_action_matrix(b).swapaxes(0, 1), a)), ab)
+        # R_b a as a running sum over j: every column has the bits of that sum on one
+        # sample, for any n (an einsum's summation order depends on the shape)
+        w_ract = _worst(sum(r * x for r, x in zip(right_action_matrix(b).swapaxes(0, 1), a)), ab)
+        rows.append((w_ident, w_assoc, w_conj, w_norm, w_inv, w_pure, w_ract))
 
-    out.append(CheckResult("identity element e0", w_ident, 0.0, n))
-    out.append(CheckResult("associativity a(bc) = (ab)c", w_assoc, 1e-13, n))
-    out.append(CheckResult("anti-homomorphism (ab)^dag = b^dag a^dag", w_conj, 1e-13, n))
-    out.append(CheckResult("norm multiplicativity |ab| = |a||b| (rel)", w_norm, 1e-13, n))
-    out.append(CheckResult("inverse q q^-1 = e0", w_inv, 1e-13, n))
-    out.append(CheckResult("pure products give dot and cross", w_pure, 1e-13, n))
-    out.append(CheckResult("right-action matrix R_b q = q b", w_ract, 1e-13, n))
-    return out
+    worst = np.max(np.reshape(rows, (-1, 7)), axis=0, initial=0.0)
+    return out + [CheckResult(name, float(w), tol, n) for (name, tol), w in zip([
+        ("identity element e0", 0.0), ("associativity a(bc) = (ab)c", 1e-13),
+        ("anti-homomorphism (ab)^dag = b^dag a^dag", 1e-13),
+        ("norm multiplicativity |ab| = |a||b| (rel)", 1e-13), ("inverse q q^-1 = e0", 1e-13),
+        ("pure products give dot and cross", 1e-13), ("right-action matrix R_b q = q b", 1e-13),
+    ], worst)]
 
 
 def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Group homomorphism, double cover, and matrix->quaternion roundtrips."""
-    out = []
-    units = rng.standard_normal((n, 2, 4))
-    units /= np.linalg.norm(units, axis=2, keepdims=True)
-    q1, q2 = units.transpose(1, 2, 0)
-    # G(q1) G(q2) as a running sum over j, as in algebra_checks
-    product = sum(g1[:, None] * g2 for g1, g2 in zip(so3._matrix(q1).swapaxes(0, 1),
-                                                     so3._matrix(q2)))
-    worst = _worst(so3._matrix(_mul(q1, q2)), product)
-    out.append(CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", worst, 1e-13, n))
+    hom, cover, trip, pres = [], [], [], []
+    q = np.empty((4, n))  # q2 per sample, kept for the round trip
+    for s in _spans(n, _ALGEBRA_BLOCK):
+        units = rng.standard_normal((s.stop - s.start, 2, 4))
+        units /= np.linalg.norm(units, axis=2, keepdims=True)
+        q1, q[:, s] = units.transpose(1, 2, 0)
+        # G(q1) G(q2) as a running sum over j, as in algebra_checks
+        product = sum(g1[:, None] * g2 for g1, g2 in zip(so3._matrix(q1).swapaxes(0, 1),
+                                                         so3._matrix(q[:, s])))
+        hom.append(_worst(so3._matrix(_mul(q1, q[:, s])), product))
+        cover.append(_worst(so3._matrix(-q1), so3._matrix(q1)))
+    out = [CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", _most(hom), 1e-13, n),
+           CheckResult("double cover G(-q) = G(q)", _most(cover), 0.0, n)]
 
-    worst = _worst(so3._matrix(-q1), so3._matrix(q1))
-    out.append(CheckResult("double cover G(-q) = G(q)", worst, 0.0, n))
-
-    q = q2.copy()
     small = np.flatnonzero(_small_q0_flags(rng, n))
     q[:, small] = _random_unit_quats(rng, len(small), small_q0=True)
-    r, _ = so3._quat_of_matrix(so3._matrix(q))
-    worst = float(np.max(np.minimum(np.max(np.abs(r - q), axis=0),
-                                    np.max(np.abs(r + q), axis=0)), initial=0.0))
+    for s in _spans(n, _ALGEBRA_BLOCK):
+        r, _ = so3._quat_of_matrix(so3._matrix(q[:, s]))
+        trip.append(np.max(np.minimum(np.max(np.abs(r - q[:, s]), axis=0),
+                                      np.max(np.abs(r + q[:, s]), axis=0)), initial=0.0))
     out.append(CheckResult("roundtrip matrix_to_quat(quat_to_matrix(q)) in {q,-q}",
-                           worst, 1e-12, n))
+                           _most(trip), 1e-12, n))
 
-    # per sample: a unit quaternion as random_unit_quat draws it, then x and y
     m = max(1, n // 10)
-    w = rng.standard_normal((m, 10)).T
-    q, x, y = _unit_quats(w[0:4], [], []), w[4:7], w[7:10]
-    # rotate_vector: the vector part of q v q^dag
-    rx, ry, rxy = (np.array(_mul(_mul(q, (0.0, *v)), _conj(q))[1:])
-                   for v in (x, y, np.cross(x, y, axis=0)))
-    worst = _most((_worst(_dot(rx, ry), _dot(x, y)), _worst(np.cross(rx, ry, axis=0), rxy)))
-    out.append(CheckResult("rotation preserves dot and cross", worst, 1e-13, m))
+    for s in _spans(m, _ALGEBRA_BLOCK):
+        # per sample: a unit quaternion as random_unit_quat draws it, then x and y
+        w = rng.standard_normal((s.stop - s.start, 10)).T
+        u, x, y = _unit_quats(w[0:4], [], []), w[4:7], w[7:10]
+        # rotate_vector: the vector part of u v u^dag
+        rx, ry, rxy = (np.array(_mul(_mul(u, (0.0, *v)), _conj(u))[1:])
+                       for v in (x, y, np.cross(x, y, axis=0)))
+        pres += _worst(_dot(rx, ry), _dot(x, y)), _worst(np.cross(rx, ry, axis=0), rxy)
+    out.append(CheckResult("rotation preserves dot and cross", _most(pres), 1e-13, m))
     return out
 
 
@@ -289,7 +308,7 @@ def maurer_cartan_checks(rng: np.random.Generator, n: int,
         return _mul(_mul(_axis_angle(w[4:7, c], alpha[c] * t), base[:, c]),
                     _axis_angle(w[7:10, c], beta[c] * t))
 
-    for c in (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)):
+    for c in _spans(n, _BLOCK):
         t, q_t = t0[c], path(t0[c], c)
         r_h, r_half = (so3._maurer_cartan_residuals(path(t - k, c), q_t, path(t + k, c), k)
                        for k in (h, 0.5 * h))
@@ -351,10 +370,10 @@ def bracket_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
 def jacobi_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     out = [CheckResult(f"Jacobi cyclic residual ({chart.value})",
-                       _most(_worst(poisson._jacobi_residuals(z, chart), 0.0)
+                       _most(_chunked(poisson._jacobi_residuals, z, _JACOBI_CHUNK, chart)
                              for _, z in _blocks(rng, _small_q0_flags(rng, n))), 1e-12, n)
            for chart in (Chart.INERTIAL_MU, Chart.MIXED_M)]
-    control = _most(_worst(poisson._jacobi_residuals(z, Chart.INERTIAL_MU, True), 0.0)
+    control = _most(_chunked(poisson._jacobi_residuals, z, _JACOBI_CHUNK, Chart.INERTIAL_MU, True)
                     for _, z in _blocks(rng, np.zeros(min(n, 100), bool)))
     out.append(CheckResult("negative control (flipped sign) residual", control, 0.1,
                            min(n, 100), mode="min"))
@@ -362,7 +381,7 @@ def jacobi_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
 
 def poisson_map_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
-    worst = _most(_worst(poisson._poisson_map_residuals(z), 0.0)
+    worst = _most(_chunked(poisson._poisson_map_residuals, z, _POISSON_MAP_CHUNK)
                   for _, z in _blocks(rng, _small_q0_flags(rng, n)))
     return [CheckResult("push-forward brackets to (Q, pi)", worst, 1e-11, n)]
 

@@ -402,17 +402,49 @@ def test_array_suites_match_per_sample_reference(seed, n):
         assert got == reference(np.random.default_rng(seed), n), checks.__name__
 
 
-def test_phase_point_suites_memory_bounded():
-    # the phase-point suites work through fixed blocks of points, so at
-    # default sizes none of them traces more memory than the algebra suite
-    def traced_peak(name):
-        tracemalloc.start()
-        try:
-            verify.run_suite(name, seed=0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+@pytest.mark.parametrize("seed, n", [(4, 7), (6, 300)])
+def test_narrow_passes_match_per_sample_reference(monkeypatch, seed, n):
+    # widths of 3 and 2 put several passes, the last one short, into every
+    # algebra check and every Jacobi and Poisson-map block
+    monkeypatch.setattr(verify, "_ALGEBRA_BLOCK", 3)
+    monkeypatch.setattr(verify, "_JACOBI_CHUNK", 2)
+    monkeypatch.setattr(verify, "_POISSON_MAP_CHUNK", 2)
+    narrow = (verify.algebra_checks, verify.rotation_checks, verify.jacobi_checks,
+              verify.poisson_map_checks)
+    for checks, picked, reference in (entry for entry in _REFERENCES if entry[0] in narrow):
+        got = [r.residual for r in checks(np.random.default_rng(seed), n)[picked]]
+        assert got == reference(np.random.default_rng(seed), n), checks.__name__
 
-    limit = traced_peak("algebra")
-    for name in ("brackets", "jacobi", "poisson_map", "dynamics_oracle", "symplectic"):
-        assert traced_peak(name) <= limit, name
+
+@pytest.mark.parametrize("n, width", [(257, 3), (10000, 2048)])
+@pytest.mark.parametrize("shape", [(3, 4), (2, 4), (10,)])
+def test_draws_in_blocks_are_one_draw(n, width, shape):
+    one, blocks = np.random.default_rng(11), np.random.default_rng(11)
+    whole = one.standard_normal((n, *shape))
+    parts = [blocks.standard_normal((s.stop - s.start, *shape)) for s in verify._spans(n, width)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+    assert blocks.bit_generator.state == one.bit_generator.state
+
+
+def _traced_peak(name, n=None):
+    tracemalloc.start()
+    try:
+        verify.run_suite(name, seed=0, n_points=n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_phase_point_suites_memory_bounded():
+    # the phase-point suites work through fixed blocks of points, and jacobi and
+    # poisson_map through narrow chunks of each block, so at default sizes each
+    # traces at most its own bound
+    limits = {"jacobi": 1, "poisson_map": 1, "brackets": 2, "dynamics_oracle": 2, "symplectic": 2}
+    for name, limit_mb in limits.items():
+        assert _traced_peak(name) <= limit_mb * 1e6, name
+
+
+def test_algebra_memory_bounded_at_many_points():
+    # the algebra suite works in column blocks; what grows with the point count
+    # is the (4, n) quaternions kept for the round trip, 32 bytes per point
+    assert _traced_peak("algebra", 10**5) <= 16e6
