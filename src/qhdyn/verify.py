@@ -25,13 +25,13 @@ n random polynomials of T terms take ``rng.integers(len(indices), size=(2, T, n)
 (u, whose row 0 makes a later term quadratic where u < 0.5 and whose row 1
 gives the coefficient ``_uniform(u, -1, 1)``); the first term is linear.
 n unit quaternions on their own take ``rng.standard_normal((4, n))`` and, when
-they force a small q0, then ``rng.random(n)``.
-The algebra checks draw ``rng.standard_normal((k, 3, 4))`` per block of k <= ``_ALGEBRA_BLOCK``
-samples; the rotation checks ``(k, 2, 4)`` per block, the round trip's flags and small-q0
-quaternions, then ``(k, 10)`` per block of n // 10 vector pairs.  A C-order draw in blocks gives
-one draw's values and state, so only ``_BLOCK`` moves a value; the widths' comment says why.
-:func:`random_phase_point`, :func:`random_unit_quat` and :func:`random_polynomial`
-are the n = 1 cases.
+they force a small q0, then ``rng.random(n)``.  Per block of k samples, the algebra checks
+draw normals ``(k, 3, 4)`` (k <= ``_ALGEBRA_BLOCK``); the rotation checks, after their small-q0
+flags and one ``random(m)`` for the m flagged scalars, ``(k, 2, 4)`` (q1, q2), then ``(k, 10)``
+per block of n // 10 vector pairs; maurer_cartan ``standard_normal((10, k))`` and
+``random((3, k))`` (k <= ``_BLOCK``).  Only ``_BLOCK`` moves a value: blocks of a C-order draw
+give one draw's values and state.  :func:`random_phase_point`, :func:`random_unit_quat` and
+:func:`random_polynomial` are the n = 1 cases.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ def random_phase_point(rng: np.random.Generator, chart: Chart,
 
 def _small_q0_flags(rng: np.random.Generator, n: int) -> np.ndarray:
     flags = np.zeros(n, dtype=bool)
-    k = max(1, int(SMALL_Q0_FRACTION * n)) if n > 0 else 0
-    flags[:k] = True
+    flags[:max(1, int(SMALL_Q0_FRACTION * n))] = True
     rng.shuffle(flags)
     return flags
 
@@ -256,27 +255,25 @@ def algebra_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     """Group homomorphism, double cover, and matrix->quaternion roundtrips."""
     hom, cover, trip, pres = [], [], [], []
-    q = np.empty((4, n))  # q2 per sample, kept for the round trip
-    for s in _spans(n, _ALGEBRA_BLOCK):
-        units = rng.standard_normal((s.stop - s.start, 2, 4))
-        units /= np.linalg.norm(units, axis=2, keepdims=True)
-        q1, q[:, s] = units.transpose(1, 2, 0)
+    flags, spans = _small_q0_flags(rng, n), _spans(n, _ALGEBRA_BLOCK)
+    # the small scalars of the flagged q2, drawn in sample order and split by block
+    q0s = np.split(_uniform(rng.random(np.count_nonzero(flags)), -SMALL_Q0, SMALL_Q0),
+                   np.cumsum([np.count_nonzero(flags[s]) for s in spans[:-1]]))
+    for s, q0 in zip(spans, q0s):
+        a1, a2 = rng.standard_normal((s.stop - s.start, 2, 4)).transpose(1, 2, 0)
+        q1, q2 = _unit_quats(a1, [], []), _unit_quats(a2, flags[s], q0)
         # G(q1) G(q2) as a running sum over j, as in algebra_checks
         product = sum(g1[:, None] * g2 for g1, g2 in zip(so3._matrix(q1).swapaxes(0, 1),
-                                                         so3._matrix(q[:, s])))
-        hom.append(_worst(so3._matrix(_mul(q1, q[:, s])), product))
+                                                         so3._matrix(q2)))
+        hom.append(_worst(so3._matrix(_mul(q1, q2)), product))
         cover.append(_worst(so3._matrix(-q1), so3._matrix(q1)))
+        r, _ = so3._quat_of_matrix(so3._matrix(q2))
+        trip.append(np.max(np.minimum(np.max(np.abs(r - q2), axis=0),
+                                      np.max(np.abs(r + q2), axis=0)), initial=0.0))
     out = [CheckResult("homomorphism G(q1 q2) = G(q1) G(q2)", _most(hom), 1e-13, n),
-           CheckResult("double cover G(-q) = G(q)", _most(cover), 0.0, n)]
-
-    small = np.flatnonzero(_small_q0_flags(rng, n))
-    q[:, small] = _random_unit_quats(rng, len(small), small_q0=True)
-    for s in _spans(n, _ALGEBRA_BLOCK):
-        r, _ = so3._quat_of_matrix(so3._matrix(q[:, s]))
-        trip.append(np.max(np.minimum(np.max(np.abs(r - q[:, s]), axis=0),
-                                      np.max(np.abs(r + q[:, s]), axis=0)), initial=0.0))
-    out.append(CheckResult("roundtrip matrix_to_quat(quat_to_matrix(q)) in {q,-q}",
-                           _most(trip), 1e-12, n))
+           CheckResult("double cover G(-q) = G(q)", _most(cover), 0.0, n),
+           CheckResult("roundtrip matrix_to_quat(quat_to_matrix(q)) in {q,-q}",
+                       _most(trip), 1e-12, n)]
 
     m = max(1, n // 10)
     for s in _spans(m, _ALGEBRA_BLOCK):
@@ -293,24 +290,23 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
 
 def maurer_cartan_checks(rng: np.random.Generator, n: int,
                          h: float = 1e-4) -> list[CheckResult]:
-    """Right-invariant derivative identity under central differences, on columns in
-    blocks of ``_BLOCK`` samples.  The ratio check is the median of r(h)/r(h/2) over
-    samples, so at ``--points 1`` it is one path's own, which fails at seeds 8, 32, 63,
+    """Right-invariant derivative identity under central differences, drawn and evaluated
+    on columns in blocks of ``_BLOCK`` samples.  The ratio check is the median of r(h)/r(h/2)
+    over samples, so at ``--points 1`` it is one path's own, which fails at seeds 8, 32, 63,
     64, 82, 86 and 98 of 0-99: there r(h) is already at the rounding level."""
     residuals, ratios = [], []
-    # per sample column: the normals of a unit-quaternion base, u and v, then
-    # the doubles of alpha, beta and t0; all drawn first, then evaluated by block
-    w, r = rng.standard_normal((10, n)), rng.random((3, n))
-    base, (alpha, beta) = _unit_quats(w[:4], [], []), _uniform(r[:2], 0.2, 0.8)
-    t0 = _uniform(r[2], -1.0, 1.0)
-
-    def path(t, c):
-        return _mul(_mul(_axis_angle(w[4:7, c], alpha[c] * t), base[:, c]),
-                    _axis_angle(w[7:10, c], beta[c] * t))
-
     for c in _spans(n, _BLOCK):
-        t, q_t = t0[c], path(t0[c], c)
-        r_h, r_half = (so3._maurer_cartan_residuals(path(t - k, c), q_t, path(t + k, c), k)
+        # per sample column: the normals of a unit-quaternion base, u and v, then
+        # the doubles of alpha, beta and t0
+        w, r = rng.standard_normal((10, c.stop - c.start)), rng.random((3, c.stop - c.start))
+        base, (alpha, beta) = _unit_quats(w[:4], [], []), _uniform(r[:2], 0.2, 0.8)
+        t0 = _uniform(r[2], -1.0, 1.0)
+
+        def path(t):
+            return _mul(_mul(_axis_angle(w[4:7], alpha * t), base), _axis_angle(w[7:10], beta * t))
+
+        q_t = path(t0)
+        r_h, r_half = (so3._maurer_cartan_residuals(path(t0 - k), q_t, path(t0 + k), k)
                        for k in (h, 0.5 * h))
         keep = ~(r_half <= 1e-13)  # a NaN r(h/2) is kept, so the median reads NaN
         residuals.append(_worst(r_h, 0.0))

@@ -80,9 +80,12 @@ GOLDEN_SUMMARY_SHA256 = {
 # only those two residuals moved.  ``algebra``, ``dynamics_oracle``, ``jacobi``,
 # ``maurer_cartan`` and ``symplectic`` were re-pinned when verify's samples
 # became the block stream of the ``verify`` docstring, which draws new values;
-# ``brackets`` and ``poisson_map`` printed the same digits at seed 0.
+# ``brackets`` and ``poisson_map`` printed the same digits at seed 0.  ``algebra``
+# was re-pinned when the rotation checks drew their small-q0 flags and scalars
+# before the per-block (q1, q2) normals and ran the round trip on each block's q2:
+# its first eight lines are unchanged, the round-trip and dot/cross lines moved.
 GOLDEN_VERIFY_SHA256 = {
-    "algebra": "a889ee419f8ca8618454ad2a0072239d72f51d0bfae0c7891dd95b6576779c48",
+    "algebra": "90425a1cb6cbee3910f385bdcb6e6d9852eba07f592ac3624dbd5afe1406d826",
     "brackets": "d1c5a8cbc6c748f1d8961952eecb4d79e0aee314f6788491eb5685632524fd81",
     "dynamics_oracle": "f3c29705533e2e89b2ebc0946524b2e1db4a431c9025f467bb97e37d0c6be403",
     "jacobi": "eb531515083bb4f834adb9a261332e71bd6209f34c343a84e2dd019ac4f6257d",
@@ -104,9 +107,12 @@ GOLDEN_VERIFY_SHA256 = {
 # became running sums: those two residuals moved at seeds 0, 3, 5, 8, 9 and 10.
 # All seven were re-pinned when verify's samples became the block stream of the
 # ``verify`` docstring; every check still passes, and CHANGES.md lists the
-# moved lines by check and seed.
+# moved lines by check and seed.  ``algebra`` was re-pinned again when the
+# rotation checks drew flags, small scalars and then (q1, q2) per block, in place
+# of keeping q2 for a second pass: only its homomorphism, round-trip and dot/cross
+# lines moved, all still passing (CHANGES.md lists them by seed).
 GOLDEN_VERIFY_SEEDS_SHA256 = {
-    "algebra": "29a528cf6bfd49c46d17dc26cc445b60e34bab310c7e185e30a48a230e867fc0",
+    "algebra": "8f4736968de63e7f0fcf8a052caddc2c12d707d79618b49d26250ab3cc6a9df3",
     "brackets": "511409ccab5b81677b292c1cb6d70f28fdcd1f5c528340a1a39f4f53e902c709",
     "dynamics_oracle": "fb987b4be5a1e93cdd62b3cd9afabfb26f9069ecd9c4aefa80e0d1541be0a485",
     "jacobi": "0889089623a4e11d71b4ffd3d9c1afff649120fb2a04eac2b35ba3591c80d4a3",
