@@ -43,6 +43,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import dynamics, poisson, so3
+from .errors import DomainError
 from .poisson import N_COORDS, Chart, DynamicVariable, PhasePoint, _forms, _j_grad
 from .quaternion import (
     Quaternion,
@@ -501,8 +502,10 @@ def run_suite(name: str, seed: int = 0, n_points: Optional[int] = None) -> list[
     ------
     KeyError
         If the suite name is unknown.
+    DomainError
+        If ``n_points`` is below 1.
     """
-    fn = SUITES[name]
     n = n_points if n_points is not None else DEFAULT_POINTS[name]
-    rng = np.random.default_rng(seed)
-    return fn(rng, n)
+    if n < 1:
+        raise DomainError(f"n_points must be at least 1, got {n_points!r}")
+    return SUITES[name](np.random.default_rng(seed), n)

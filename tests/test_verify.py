@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qhdyn import (
+    DomainError,
     DynamicVariable,
     Quaternion,
     axis_angle_to_quat,
@@ -453,3 +454,13 @@ def test_algebra_and_maurer_cartan_memory_grows_little_per_point():
         per_point = (_traced_peak(name, 10**5) - _traced_peak(name, 10**4)) / 9e4
         assert per_point <= 20, (name, per_point)
 
+
+@pytest.mark.parametrize("n_points", [0, -3])
+def test_run_suite_rejects_fewer_than_one_point_before_any_draw(monkeypatch, n_points):
+    def must_not_run(rng, n):
+        raise AssertionError("a suite ran on fewer than one point")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, must_not_run)
+        with pytest.raises(DomainError, match="n_points"):
+            verify.run_suite(name, n_points=n_points)
