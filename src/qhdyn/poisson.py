@@ -307,6 +307,11 @@ class DynamicVariable:
         return f"DynamicVariable({self.name or self.fn!r}, chart={self.chart})"
 
 
+def _is_index(k, n: int) -> bool:
+    """Whether ``k`` is an integer, not a bool, in 0..n-1."""
+    return isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 0 <= k < n
+
+
 def coordinate(which: Union[int, str], chart: Optional[Chart] = None) -> DynamicVariable:
     """Coordinate function as a DynamicVariable.
 
@@ -319,8 +324,7 @@ def coordinate(which: Union[int, str], chart: Optional[Chart] = None) -> Dynamic
             raise DomainError(f"unknown coordinate label {which!r}")
         idx, name = coordinate_labels(charts[0]).index(which), which
         chart = _merge_charts(chart, charts[0] if idx >= _MOM0 else None)
-    elif (isinstance(which, bool) or not isinstance(which, (int, np.integer))
-          or not 0 <= which < N_COORDS):
+    elif not _is_index(which, N_COORDS):
         raise DomainError(f"coordinate index must be an integer 0..12, got {which!r}")
     else:
         idx, name = int(which), f"z{int(which)}"
@@ -329,8 +333,10 @@ def coordinate(which: Union[int, str], chart: Optional[Chart] = None) -> Dynamic
 
 
 def momentum_along(xi: Sequence[float], chart: Chart = Chart.INERTIAL_MU) -> DynamicVariable:
-    """Linear momentum variable <mom, xi> for a fixed 3-vector xi."""
+    """Linear momentum variable <mom, xi> for a fixed 3-vector xi of finite numbers."""
     xi = np.asarray(xi, dtype=float)
+    if xi.shape != (3,) or not all(map(math.isfinite, xi.tolist())):
+        raise DomainError(f"momentum_along needs xi as three finite numbers, got {xi.tolist()}")
     g = np.concatenate([np.zeros(_MOM0), xi])
     return DynamicVariable(lambda z: float(z[_MOM0:] @ xi), lambda z, g=g: g.copy(),
                            name="<mom,xi>", chart=chart)
@@ -359,8 +365,8 @@ def rotation_entry_variable(i: int, j: int) -> DynamicVariable:
     The value is entry (i, j) of ``so3`` Q(q); the gradient over the
     quaternion block is analytic.
     """
-    if not (0 <= i < 3 and 0 <= j < 3):
-        raise DomainError("rotation entry indices must be 0..2")
+    if not (_is_index(i, 3) and _is_index(j, 3)):
+        raise DomainError(f"rotation entry indices must be integers 0..2, got ({i!r}, {j!r})")
     return DynamicVariable(lambda z: float(so3._matrix(z[6:10])[i, j]),
                            lambda z: _rotation_gradients(z[6], z[7:10])[i, j],
                            name=f"Q{i + 1}{j + 1}")

@@ -245,11 +245,17 @@ NAN_X = ([np.nan, 0.0, 0.0], np.zeros(3), Quaternion.identity(), np.zeros(3), Ch
     (lambda: coordinate("mu1").value(POINT), ChartError),
     (lambda: (coordinate("q1") * coordinate("mu1")).gradient(POINT), ChartError),
     (lambda: rotation_entry_variable(3, 0), DomainError),
+    (lambda: rotation_entry_variable(1.5, 0), DomainError),
+    (lambda: rotation_entry_variable(True, 0), DomainError),
+    (lambda: momentum_along([1, 2]), DomainError),
+    (lambda: momentum_along([1, 2, np.nan]), DomainError),
     (lambda: PhasePoint.from_coords(np.zeros(12), Chart.MIXED_M), DomainError),
     (lambda: PhasePoint(*NAN_X), DomainError),
 ], ids=["unknown label", "index 13", "float index", "bool index", "label off its chart",
         "variables on two charts", "bracket off the point's chart", "field off the point's chart",
         "value off the point's chart", "gradient off the point's chart", "rotation entry 3",
+        "float rotation entry", "bool rotation entry", "momentum along two numbers",
+        "momentum along a NaN",
         "12 coordinates", "non-finite x"])
 def test_bad_arguments_raise(call, error):
     with pytest.raises(error):
