@@ -287,24 +287,23 @@ _SUM = "sixth * ({} + 2.0 * {} + 2.0 * {} + {})"  # the RK4 weights of the four 
 
 
 def _rk4(params: BodyParams, renorm: Sequence[str]) -> tuple[list, list]:
-    """``(prologue, step)``: one RK4 step, each stage _EOM written out (storing only names _EOM and
-    _DZ read), bit for bit z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs, then ``renorm``; it
-    leaves the new state in z0..z12 and in the names of _STATE, which the next step and the _ROW
-    lines read.  Where component i of a built-in's grad_x is the literal 0.0, every k_{3+i} is
-    -0.0 and z + t * -0.0 is z for any float z and finite t: p_i is held, so each x_i slope is
-    p_i * inv_m and the prologue forms the step's increment dx_i once (no gx line if all three)."""
+    """``(prologue, step)``: one RK4 step, each stage _EOM written out, bit for bit
+    z + (h/6) (k1 + 2 k2 + 2 k3 + k4) over _make_rhs, then ``renorm``; it leaves the new state in
+    z0..z12 and in the names of _STATE, which the next step and the _ROW lines read.  Where
+    component i of a built-in's grad_x is the literal 0.0, every k_{3+i} is -0.0 and
+    z + t * -0.0 is z for any float z and finite t: p_i is held, so each x_i slope is p_i * inv_m
+    and the prologue forms the step's increment dx_i once (no gx line if all three)."""
     fields = params.potential._source[0]
     gx = fields["grad_x"].split(", ")
     held = [i for i in range(3) if len(gx) == 3 and gx[i] == "0.0"]
     eom = [line for line in _EOM if line != _GRAD[0] or len(held) < 3]
     dz = [(i, d) for i, d in enumerate(_DZ) if i not in held and i - 3 not in held]
-    read = _words("\n".join((*eom, *(d for _, d in dz))).format(**fields))
     return [*_PROLOGUE, *(f"dx{i} = " + _SUM.format(*[f"({_DZ[i]})"] * 4) for i in held)], [
         *itertools.chain.from_iterable(
             (*eom, *(f"k{s}_{i} = {d}" for i, d in dz),
              *(f"{_STATE[i]} = z{i} + {to_next} * k{s}_{i}" if to_next else
                f"z{i} = {_STATE[i]} = z{i} + " + _SUM.format(*(f"k{r}_{i}" for r in range(1, 5)))
-               for i, _ in dz if _STATE[i] in read or not to_next))
+               for i, _ in dz))
             for s, to_next in ((1, "half"), (2, "half"), (3, "h"), (4, None))),
         *(f"z{i} = x{i} = z{i} + dx{i}" for i in held), *renorm]
 
