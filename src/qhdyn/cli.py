@@ -41,10 +41,10 @@ log = logging.getLogger("qhdyn")
 # takes 260-370 bytes (475 at most), so 10**7 rows make 2.6-3.7 GB of CSV.
 MAX_SAMPLES = 10**7
 
-# Largest accepted ``verify --points``.  maurer_cartan, which draws its samples up
-# front, traces the most per point, about 180 bytes (algebra about 45), so 10**6
-# points stay under 200 MB.  It bounds memory, not run time: on a 2-CPU host each
-# suite took 0.16-0.79 s at 10**5 points, and symplectic, the slowest, 8.9 s at 10**6.
+# Largest accepted ``verify --points``.  Every suite works a block at a time; what grows
+# per point is maurer_cartan's ratios, about 16 bytes, and the small-q0 flags (brackets
+# about 6 bytes, algebra 3), so 10**6 points trace under 20 MB.  On a 2-CPU host each suite
+# took 0.16-0.79 s at 10**5 points, and symplectic, the slowest, 8.9 s at 10**6.
 MAX_POINTS = 10**6
 
 CSV_HEADER = ",".join(("t", *coordinate_labels(Chart.MIXED_M), "H", "qnorm", "pi1", "pi2", "pi3"))

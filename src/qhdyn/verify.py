@@ -503,9 +503,9 @@ def run_suite(name: str, seed: int = 0, n_points: Optional[int] = None) -> list[
     KeyError
         If the suite name is unknown.
     DomainError
-        If ``n_points`` is below 1.
+        If ``n_points`` is not an integer of at least 1.
     """
     n = n_points if n_points is not None else DEFAULT_POINTS[name]
-    if n < 1:
-        raise DomainError(f"n_points must be at least 1, got {n_points!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise DomainError(f"n_points must be an integer of at least 1, got {n_points!r}")
     return SUITES[name](np.random.default_rng(seed), n)
