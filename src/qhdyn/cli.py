@@ -111,13 +111,15 @@ def _as_vec(value, path: str, length: int, positive: bool = False) -> np.ndarray
     return np.array([_as_number(v, f"{path}[{i}]", positive) for i, v in enumerate(value)])
 
 
-def _as_output_path(value, path: str) -> str:
-    """A file path whose directory exists, checked before any integration."""
+def _as_output_path(value, path: str, config: str) -> str:
+    """A path in an existing directory, not the ``config`` file, checked before integration."""
     if not isinstance(value, str) or not value:
         raise ConfigError(path, "expected a file path")
     parent = os.path.dirname(os.path.abspath(value))
     if not os.path.isdir(parent):
         raise ConfigError(path, f"directory {parent!r} does not exist")
+    if os.path.realpath(value) == os.path.realpath(config):
+        raise ConfigError(path, f"names the config file {config!r}")
     return value
 
 
@@ -206,10 +208,10 @@ def load_config(path: str) -> RunConfig:
     renorm = _build_renorm(integ, "integrator")
 
     out = _as_mapping(_get(root, "output", "<root>"), "output")
-    csv_path = _as_output_path(_get(out, "csv", "output"), "output.csv")
+    csv_path = _as_output_path(_get(out, "csv", "output"), "output.csv", path)
     summary_path = out.get("summary")
     if summary_path is not None:
-        summary_path = _as_output_path(summary_path, "output.summary")
+        summary_path = _as_output_path(summary_path, "output.summary", path)
         if os.path.abspath(summary_path) == os.path.abspath(csv_path):
             raise ConfigError("output.summary", "must differ from output.csv")
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
@@ -254,10 +256,10 @@ def _csv_rows(fh):
     ROWS_PER_BATCH rows at a time.  When the block ends, even by an exception,
     the pipe is closed and the writer awaited, and an OSError it exited on is
     raised in place of any other exception.  Otherwise, or when the pipe or
-    the fork fails, ``put`` formats in this process.  On one CPU the writer
-    measured no faster (medians, pinned to one CPU of a 2-CPU host):
-    0.060-0.064 s in-process against 0.0645-0.067 s with the writer on the
-    README heavy top, and 0.19-0.20 s both ways on dense output."""
+    the fork fails, ``put`` formats in this process.  Against always formatting
+    in-process (p75 medians of alternated runs, 2-CPU host), the writer took 0.180
+    vs 0.291 s on dense output and 0.082 vs 0.090 s on the README heavy top; pinned
+    to one CPU, 0.092 vs 0.073 s on the heavy top, hence the one-CPU rule."""
     fh.flush()
     reason = ("no os.fork" if not hasattr(os, "fork")
               else "one usable CPU" if _usable_cpus() < 2 else None)

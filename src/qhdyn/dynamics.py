@@ -24,7 +24,6 @@ import functools
 import itertools
 import logging
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -209,11 +208,10 @@ class Trajectory:
 
 
 def angular_velocity(M: Sequence[float], inertia: InertiaTensor) -> Vec3:
-    """Body angular velocity Omega_i = M_i / (2 I_i)."""
-    M = np.asarray(M, dtype=float)
-    return np.array([M[0] / (2.0 * inertia.i1),
-                     M[1] / (2.0 * inertia.i2),
-                     M[2] / (2.0 * inertia.i3)])
+    """Body angular velocity Omega_i = M_i / (2 I_i), as the integrator forms it: M_i d_i with
+    d_i = 0.5 / I_i.  ``M`` is three components or three equal-shape columns."""
+    m1, m2, m3 = np.asarray(M, dtype=float)
+    return np.array(_omega(m1, m2, m3, 0.5 / inertia.i1, 0.5 / inertia.i2, 0.5 / inertia.i3))
 
 
 def spin_kinetic(M: Sequence[float], inertia: InertiaTensor) -> float:
@@ -313,11 +311,6 @@ def _code(source: str, name: str):
     return compile(source, f"<qhdyn.dynamics {name}>", "exec")
 
 
-@functools.lru_cache(maxsize=64)  # per source, like _code: a scan costs 100-250 us
-def _words(source: str) -> frozenset:
-    return frozenset(re.findall(r"\w+", source))
-
-
 def _compile(source: str, namespace: dict, name: str) -> Callable:
     """Function ``name`` of ``source`` (this module's strings only), ``namespace`` its globals."""
     exec(_code(source, name), namespace)
@@ -325,21 +318,22 @@ def _compile(source: str, namespace: dict, name: str) -> Callable:
 
 
 _spin = _compile(f"def _spin(m1, m2, m3, i1, i2, i3):\n    return {_SPIN}", {}, "_spin")
+_omega = _compile("def _omega(m1, m2, m3, d1, d2, d3):\n    " + "\n    ".join(_EOM[:3])
+                  + "\n    return o1, o2, o3", {}, "_omega")
 
 
 def _define(params: BodyParams, name: str, args: str, lines: Sequence[str],
             result: str) -> Callable:
     """``def name(args)``: unpack ``z`` into the names of _STATE, run ``lines``, return
-    ``result``; the potential's lines in place of its fields, the numbers read as keywords."""
+    ``result``; the potential's lines for its fields, each number a keyword, read or not."""
     fields, constants = params.potential._source
     m, i1, i2, i3 = params.mass, params.inertia.i1, params.inertia.i2, params.inertia.i3
     numbers = {"inv_m": 1.0 / m, "mass": m, "two_m": 2.0 * m, "i1": i1, "i2": i2, "i3": i3,
                "d1": 0.5 / i1, "d2": 0.5 / i2, "d3": 0.5 / i3, "e1": 0.25 / i1, "e2": 0.25 / i2,
                "e3": 0.25 / i3, "sqrt": math.sqrt, **constants}
     body = "\n    ".join([f"{', '.join(_STATE)} = z", *lines, f"return {result}"]).format(**fields)
-    defaults = {k: v for k, v in numbers.items() if k in _words(body)}
-    fn = _compile(f"def {name}({args}, *, {', '.join(defaults)}):\n    {body}", {}, name)
-    fn.__kwdefaults__ = defaults
+    fn = _compile(f"def {name}({args}, *, {', '.join(numbers)}):\n    {body}", {}, name)
+    fn.__kwdefaults__ = numbers
     return fn
 
 

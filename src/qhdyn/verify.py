@@ -137,7 +137,9 @@ def _small_q0_flags(rng: np.random.Generator, n: int) -> np.ndarray:
 # Pass widths, in points.  _BLOCK fixes the stream's phase-point draws, so it stays
 # 256; the others size the temporaries alone.  The Jacobi and Poisson-map chunks keep
 # their largest arrays, (k, 7, 7, 7) and (k, 13, 13), under glibc's 128 KB mmap
-# threshold, so on the heap whatever ran before; 1024 algebra columns ran slower.
+# threshold, so on the heap whatever ran before; 1024 algebra columns ran slower.  Whole
+# 256-point blocks (same bytes) read verify_default wall_p75_s 0.049 -> 0.067 s and peak_rss_mb
+# 40.74 -> 41.51 MB, slower in 7 and higher in 8 of 8 alternated pairs on a 2-CPU host.
 _BLOCK, _ALGEBRA_BLOCK, _JACOBI_CHUNK, _POISSON_MAP_CHUNK = 256, 2048, 32, 96
 
 
@@ -289,13 +291,12 @@ def rotation_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
     return out
 
 
-def maurer_cartan_checks(rng: np.random.Generator, n: int,
-                         h: float = 1e-4) -> list[CheckResult]:
-    """Right-invariant derivative identity under central differences, drawn and evaluated
-    on columns in blocks of ``_BLOCK`` samples.  The ratio check is the median of r(h)/r(h/2)
-    over samples, so at ``--points 1`` it is one path's own, which fails at seeds 8, 32, 63,
-    64, 82, 86 and 98 of 0-99: there r(h) is already at the rounding level."""
-    residuals, ratios = [], []
+def maurer_cartan_checks(rng: np.random.Generator, n: int) -> list[CheckResult]:
+    """Right-invariant derivative identity under central differences at h = 1e-4, drawn and
+    evaluated on columns in blocks of ``_BLOCK`` samples.  The ratio check is the median of
+    r(h)/r(h/2) over samples, so at ``--points 1`` it is one path's own, which fails at seeds 8,
+    32, 63, 64, 82, 86 and 98 of 0-99: there r(h) is already at the rounding level."""
+    residuals, ratios, h = [], [], 1e-4
     for c in _spans(n, _BLOCK):
         # per sample column: the normals of a unit-quaternion base, u and v, then
         # the doubles of alpha, beta and t0

@@ -60,7 +60,7 @@ def test_criterion_02_rotation_suite():
 def test_criterion_03_maurer_cartan():
     rng = np.random.default_rng(3)
     t0 = time.perf_counter()
-    results = verify.maurer_cartan_checks(rng, 100, h=1e-4)
+    results = verify.maurer_cartan_checks(rng, 100)
     elapsed = time.perf_counter() - t0
     residual, ratio = results[0], results[1]
     ok = residual.passed and residual.tolerance == 1e-7 and ratio.passed

@@ -634,6 +634,22 @@ def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field):
     assert os.listdir(tmp_path / "taken") == []
 
 
+@pytest.mark.parametrize("name", ["run.json", "sub/../run.json"])
+@pytest.mark.parametrize("field", ["csv", "summary"])
+def test_simulate_output_naming_the_config_exits_2(tmp_path, capsys, monkeypatch, field, name):
+    # the run would replace its own config file
+    cfg = json.loads(json.dumps(FREE_TOP))
+    cfg["output"][field] = name
+    (tmp_path / "sub").mkdir()
+    cfg_path, _ = write_config(tmp_path, cfg)
+    before = cfg_path.read_bytes()
+    monkeypatch.setattr(dynamics, "_samples", _must_not_run)
+    assert main(["simulate", str(cfg_path)]) == 2
+    assert f"config error: output.{field}: names the config file" in capsys.readouterr().err
+    assert cfg_path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["run.json", "sub"]
+
+
 @pytest.mark.parametrize("summary", ["traj.csv", "sub/../traj.csv"])
 def test_simulate_summary_same_as_csv_exits_2_naming_it(tmp_path, capsys, monkeypatch, summary):
     # both outputs would be written through the same temporary file

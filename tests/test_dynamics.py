@@ -81,6 +81,20 @@ def test_angular_velocity():
                                M / (2.0 * INERTIA.as_array()), rtol=1e-15)
 
 
+def test_angular_velocity_is_the_integrators_bit_for_bit():
+    # at q = e0, dq/dt = (0, Omega) / 2 exactly, so 2 dq/dt is the integrator's Omega
+    inertia = InertiaTensor(1.3, 2.7, 3.1)
+    params = BodyParams(1.0, inertia, free())
+    M, moments = np.random.default_rng(7).uniform(-3.0, 3.0, (3, 300)), inertia.as_array()[:, None]
+    assert (M / (2.0 * moments) != M * (0.5 / moments)).any()
+    omega = angular_velocity(M, inertia)
+    assert omega.shape == (3, 300)
+    for m, o in zip(M.T, omega.T):
+        point = PhasePoint(np.zeros(3), np.zeros(3), Quaternion.identity(), m, Chart.MIXED_M)
+        assert (2.0 * eom_rhs(point, params)[7:10]).tobytes() == o.tobytes()
+        assert angular_velocity(m, inertia).tobytes() == o.tobytes()
+
+
 def test_angular_velocity_is_energy_gradient():
     rng = np.random.default_rng(41)
     h = 1e-6

@@ -838,6 +838,22 @@ def test_step_locals_rebind_no_number():
             assert stored.isdisjoint(numbers)
 
 
+def test_every_kernel_of_a_body_takes_the_same_numbers():
+    # one signature: each function compiled for a body takes all of its numbers, sqrt and the
+    # potential's constants as keyword-only defaults, whether or not its lines read them
+    modes = ("none", "every_step", "threshold")
+    for params in [*STEP_PARAMS, *(dynamics.BodyParams(1.0, STEP_PARAMS[0].inertia, pot)
+                                   for pot in USER)]:
+        fns = [_make_rhs(params), *(_make_step(params, mode) for mode in modes),
+               *(_make_block(params, mode) for mode in modes), *_make_h(params)]
+        signatures = {fn.__code__.co_varnames[fn.__code__.co_argcount:]
+                      [:fn.__code__.co_kwonlyargcount] for fn in fns}
+        assert len(signatures) == 1
+        assert {"sqrt", "inv_m", "d1", "e3", *params.potential._source[1]} <= set(signatures.pop())
+        assert all(fn.__kwdefaults__ == fns[0].__kwdefaults__ for fn in fns)
+        assert fns[0].__kwdefaults__["sqrt"] is math.sqrt
+
+
 def test_compiled_functions_are_cached_and_bounded():
     p = STEP_PARAMS[2]
     assert _make_step(p) is _make_step(p) and _make_rhs(p) is _make_rhs(p)
