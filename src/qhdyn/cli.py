@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import errno
 import functools
 import json
 import logging
@@ -111,15 +110,18 @@ def _as_vec(value, path: str, length: int, positive: bool = False) -> np.ndarray
     return np.array([_as_number(v, f"{path}[{i}]", positive) for i, v in enumerate(value)])
 
 
-def _as_output_path(value, path: str, config: str) -> str:
-    """A path in an existing directory, not the ``config`` file, checked before integration."""
+def _as_output_path(value, path: str, taken: dict) -> str:
+    """A path in an existing directory whose real path is no directory and no key of ``taken``
+    (real path -> why it is taken), checked before integration; it is then taken for ``path``."""
     if not isinstance(value, str) or not value:
         raise ConfigError(path, "expected a file path")
     parent = os.path.dirname(os.path.abspath(value))
     if not os.path.isdir(parent):
         raise ConfigError(path, f"directory {parent!r} does not exist")
-    if os.path.realpath(value) == os.path.realpath(config):
-        raise ConfigError(path, f"names the config file {config!r}")
+    real = os.path.realpath(value)
+    if real in taken or os.path.isdir(real):
+        raise ConfigError(path, taken.get(real, "names a directory"))
+    taken[real] = f"must differ from {path}"
     return value
 
 
@@ -208,12 +210,11 @@ def load_config(path: str) -> RunConfig:
     renorm = _build_renorm(integ, "integrator")
 
     out = _as_mapping(_get(root, "output", "<root>"), "output")
-    csv_path = _as_output_path(_get(out, "csv", "output"), "output.csv", path)
+    taken = {os.path.realpath(path): f"names the config file {path!r}"}
+    csv_path = _as_output_path(_get(out, "csv", "output"), "output.csv", taken)
     summary_path = out.get("summary")
     if summary_path is not None:
-        summary_path = _as_output_path(summary_path, "output.summary", path)
-        if os.path.abspath(summary_path) == os.path.abspath(csv_path):
-            raise ConfigError("output.summary", "must differ from output.csv")
+        summary_path = _as_output_path(summary_path, "output.summary", taken)
     return RunConfig(params, state0, h, n_steps, renorm, stride, csv_path, summary_path)
 
 
@@ -304,10 +305,7 @@ def _csv_rows(fh):
 def _replacing(path: str):
     """A new file ``<path>.<pid>.tmp``, opened like ``open(path, "w")`` so with
     its mode bits, that replaces ``path`` when the block succeeds and is removed
-    when it raises.  A ``path`` naming a directory fails on entry, before any
-    work, as the replace would at the end."""
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    when it raises."""
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="\n")
     try:

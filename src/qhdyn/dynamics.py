@@ -360,7 +360,7 @@ def _make_step(params: BodyParams, mode: str = "none") -> Callable[..., list]:
 
 
 @functools.lru_cache(maxsize=8)
-def _make_block(params: BodyParams, mode: str = DEFAULT_RENORM.mode) -> Callable[..., list]:
+def _make_block(params: BodyParams, mode: str) -> Callable[..., list]:
     """The sample block ``block(z, h, step, ks, eps)``: per count k of ``ks``, k steps of _rk4 with
     the _RENORM of ``mode`` and the _ROW lines, adding the row t = step * h, the 13 coordinates
     and the monitor row of :func:`_make_h` to one flat list of 20 floats per sample, its return."""

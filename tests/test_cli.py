@@ -57,6 +57,10 @@ DENSE_OUTPUT_RUN = {
                    "renorm_eps": 1e-9, "sample_stride": 1},
     "output": {"csv": "traj.csv", "summary": "summary.json"},
 }
+# numpy's BLAS calls sum in the order of the OpenBLAS kernel that runs them, so
+# the digests below hold on the kernel they were pinned on.
+PINNED_KERNEL = ("digests were pinned on an AVX-512 OpenBLAS kernel; OPENBLAS_CORETYPE=Haswell "
+                 "or Zen gives other bytes (CHANGES.md, the FOUND line on OPENBLAS_CORETYPE)")
 GOLDEN_CSV_SHA256 = {
     "sim_heavy_top": "e744e058c5411b1354b4740a38fb7689b9ad89e1e0cb68302c607c077a7372cd",
     "sim_dense_output": "0d27e58c8a4bcecefaa0680d39bb850e214c6a00be1252f36402275e5241e50c",
@@ -448,11 +452,11 @@ def test_simulate_golden_csv(tmp_path, name):
     cfg_path, _ = write_config(tmp_path, run)
     assert main(["simulate", str(cfg_path)]) == 0
     digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_CSV_SHA256[name]
+    assert digest == GOLDEN_CSV_SHA256[name], PINNED_KERNEL
     summary = json.loads((tmp_path / "summary.json").read_text())
     del summary["wall_time_s"]
     digest = hashlib.sha256((json.dumps(summary, indent=2) + "\n").encode()).hexdigest()
-    assert digest == GOLDEN_SUMMARY_SHA256[name]
+    assert digest == GOLDEN_SUMMARY_SHA256[name], PINNED_KERNEL
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
@@ -463,7 +467,7 @@ def test_write_trajectory_csv_golden_bytes(tmp_path, name):
                               cfg.sample_stride)
     cli.write_trajectory_csv(str(tmp_path / "written.csv"), traj)
     digest = hashlib.sha256((tmp_path / "written.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_CSV_SHA256[name]
+    assert digest == GOLDEN_CSV_SHA256[name], PINNED_KERNEL
 
 
 CSV_EDGE_VALUES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -555,7 +559,7 @@ def test_simulate_golden_csv_in_process(tmp_path, monkeypatch, name):
     _force_rows_path(monkeypatch, "one_cpu")
     assert main(["simulate", str(cfg_path)]) == 0
     digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_CSV_SHA256[name]
+    assert digest == GOLDEN_CSV_SHA256[name], PINNED_KERNEL
 
 
 @pytest.mark.parametrize("stride", [100, 1])
@@ -614,13 +618,16 @@ def test_simulate_output_dir_missing(tmp_path, capsys, monkeypatch, field):
     assert f"output.{field}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["csv", "summary"])
-def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field):
-    # the path names an existing directory, so writing it fails, and that is
-    # found before any integration
+@pytest.mark.parametrize("field, name", [("csv", "taken"), ("summary", "taken"),
+                                         ("csv", "link"), ("summary", "link")],
+                         ids=["csv", "summary", "csv-symlink", "summary-symlink"])
+def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field, name):
+    # the path names an existing directory, itself or through a symlink, which the run
+    # could not replace: a config error naming the field, found before any integration
     cfg = json.loads(json.dumps(FREE_TOP))
-    cfg["output"][field] = "taken"
+    cfg["output"][field] = name
     (tmp_path / "taken").mkdir()
+    (tmp_path / "link").symlink_to("taken")
     cfg_path, _ = write_config(tmp_path, cfg)
 
     def must_not_run(*args, **kwargs):
@@ -628,9 +635,9 @@ def test_simulate_unwritable_output(tmp_path, capsys, monkeypatch, field):
 
     monkeypatch.setattr(dynamics, "_samples", must_not_run)
     assert main(["simulate", str(cfg_path)]) == 2
-    assert "output error" in capsys.readouterr().err
+    assert f"config error: output.{field}: names a directory\n" in capsys.readouterr().err
     # no temporary file is left, and output.csv is not written
-    assert sorted(os.listdir(tmp_path)) == ["run.json", "taken"]
+    assert sorted(os.listdir(tmp_path)) == ["link", "run.json", "taken"]
     assert os.listdir(tmp_path / "taken") == []
 
 
@@ -650,11 +657,13 @@ def test_simulate_output_naming_the_config_exits_2(tmp_path, capsys, monkeypatch
     assert sorted(os.listdir(tmp_path)) == ["run.json", "sub"]
 
 
-@pytest.mark.parametrize("summary", ["traj.csv", "sub/../traj.csv"])
+@pytest.mark.parametrize("summary", ["traj.csv", "sub/../traj.csv", "link/traj.csv"])
 def test_simulate_summary_same_as_csv_exits_2_naming_it(tmp_path, capsys, monkeypatch, summary):
-    # both outputs would be written through the same temporary file
+    # both outputs would be written through the same temporary file; with link -> ., the
+    # last spelling names output.csv through a symlinked directory
     cfg = json.loads(json.dumps(FREE_TOP))
     cfg["output"]["summary"] = summary
+    (tmp_path / "link").symlink_to(".")
     cfg_path, _ = write_config(tmp_path, cfg)
 
     def must_not_run(*args, **kwargs):
@@ -662,8 +671,8 @@ def test_simulate_summary_same_as_csv_exits_2_naming_it(tmp_path, capsys, monkey
 
     monkeypatch.setattr(dynamics, "_samples", must_not_run)
     assert main(["simulate", str(cfg_path)]) == 2
-    assert "output.summary: must differ from output.csv" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["run.json"]
+    assert "config error: output.summary: must differ from output.csv\n" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["link", "run.json"]
 
 
 def test_simulate_output_error_mid_stream(tmp_path, capsys, monkeypatch):
@@ -901,7 +910,7 @@ def test_main_behaves_in_one_process_as_in_fresh_ones(tmp_path, capsys, monkeypa
 def test_verify_golden_output(capsys, suite):
     assert main(["verify", suite, "--seed", "0"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == GOLDEN_VERIFY_SHA256[suite]
+    assert digest == GOLDEN_VERIFY_SHA256[suite], PINNED_KERNEL
 
 
 @pytest.mark.parametrize("suite", sorted(GOLDEN_VERIFY_SEEDS_SHA256))
@@ -910,7 +919,7 @@ def test_verify_golden_output_seeds_0_to_11(capsys, suite):
     for seed in range(12):
         assert main(["verify", suite, "--seed", str(seed)]) == 0
         digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == GOLDEN_VERIFY_SEEDS_SHA256[suite]
+    assert digest.hexdigest() == GOLDEN_VERIFY_SEEDS_SHA256[suite], PINNED_KERNEL
 
 
 def _suite_must_not_run(*args, **kwargs):

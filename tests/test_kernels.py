@@ -792,7 +792,7 @@ def test_builtin_gradients_are_the_reference_bit_for_bit(cols, mass, g, length, 
 
 def _compiled(params):
     """Every function compiled from the templates for ``params``."""
-    return (_make_rhs(params), _make_step(params), _make_block(params), *_make_h(params))
+    return (_make_rhs(params), _make_step(params), _make_block(params, "threshold"), *_make_h(params))
 
 
 def test_step_source_holds_no_number():
@@ -860,11 +860,11 @@ def test_compiled_functions_are_cached_and_bounded():
     # an equal BodyParams (same potential object) shares the compiled step
     assert _make_step(dynamics.BodyParams(p.mass, p.inertia, p.potential)) is _make_step(p)
     assert dynamics._code.cache_info().maxsize is not None
-    for make in (_make_rhs, _make_step, _make_block, _make_h):
+    for make, *mode in ((_make_rhs,), (_make_step,), (_make_block, "none"), (_make_h,)):
         bound = make.cache_info().maxsize
         assert bound is not None
         for _ in range(bound + 3):
-            make(dynamics.BodyParams(1.0, p.inertia, dynamics.free()))
+            make(dynamics.BodyParams(1.0, p.inertia, dynamics.free()), *mode)
         assert make.cache_info().currsize == bound
 
 
